@@ -65,9 +65,13 @@ loadgen:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz pass over the allocator, the edge colorer and the simplex.
+# Short fuzz pass over the allocator and its kernel drivers, the edge
+# colorer, the simplex and the codec.
 fuzz:
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzBlockEvalMatchesSingle -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzIncrementalDeltas -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzPartialBoundAdmissible -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzEdgeColor -fuzztime=10s ./internal/coloring/
 	$(GO) test -fuzz=FuzzSimplex -fuzztime=10s ./internal/lp/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/codec/

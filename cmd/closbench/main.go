@@ -6,8 +6,8 @@
 //
 // It covers the two perf-critical layers:
 //
-//   - per-state evaluation: the Rat64 small-word kernel vs the pinned
-//     *big.Rat water filling (core.Evaluator)
+//   - per-state evaluation: the int64 shared-denominator kernel vs the
+//     pinned *big.Rat water filling (core.Evaluator)
 //   - routing-space enumeration: the default symmetry-canonical space vs
 //     the full n^|F| space (search.LexMaxMin), including an n=5 instance
 //     where canonicalization shrinks 5^7 = 78125 states to 855
@@ -83,7 +83,7 @@ type Report struct {
 	GOOS      string  `json:"goos"`
 	GOARCH    string  `json:"goarch"`
 	Benches   []Bench `json:"benchmarks"`
-	// EvaluatorSpeedup is big.Rat ns/op over Rat64 ns/op on the same
+	// EvaluatorSpeedup is big.Rat ns/op over int64-kernel ns/op on the same
 	// per-state evaluation workload.
 	EvaluatorSpeedup float64 `json:"evaluator_speedup"`
 	// StateReductionC5 is the full-space over canonical-space state count
@@ -136,7 +136,7 @@ func benchInstance(n, flows int) (*topology.Clos, core.Collection) {
 }
 
 // benchEvaluator measures one max-min fair evaluation per op on a
-// contended C_4 instance, on the Rat64 kernel or pinned to big.Rat.
+// contended C_4 instance, on the int64 kernel or pinned to big.Rat.
 func benchEvaluator(forceBig bool) (Bench, error) {
 	c, fs := benchInstance(4, 8)
 	ev, err := core.NewEvaluator(c, fs)

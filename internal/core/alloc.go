@@ -64,35 +64,12 @@ func IsFeasible(net *topology.Network, fs Collection, r Routing, a Allocation) e
 // path on which its rate is maximal. This is an independent
 // characterization used to cross-check the water-filling allocator.
 func IsMaxMinFair(net *topology.Network, fs Collection, r Routing, a Allocation) error {
-	if err := IsFeasible(net, fs, r, a); err != nil {
+	reports, err := Bottlenecks(net, fs, r, a)
+	if err != nil {
 		return err
 	}
-	loads := LinkLoads(net, r, a)
-	on := FlowsOnLinks(net, r)
-
-	// maxOn[l] = maximum rate over flows traversing l.
-	maxOn := make([]*big.Rat, net.NumLinks())
-	for l := range on {
-		for _, fi := range on[l] {
-			if maxOn[l] == nil || a[fi].Cmp(maxOn[l]) > 0 {
-				maxOn[l] = a[fi]
-			}
-		}
-	}
-
-	for fi, p := range r {
-		hasBottleneck := false
-		for _, l := range p {
-			link := net.Link(l)
-			if link.Unbounded {
-				continue
-			}
-			if loads[l].Cmp(link.Capacity) == 0 && a[fi].Cmp(maxOn[l]) == 0 {
-				hasBottleneck = true
-				break
-			}
-		}
-		if !hasBottleneck {
+	for fi, rep := range reports {
+		if len(rep.Links) == 0 {
 			return fmt.Errorf("flow %d (%s -> %s, rate %s) has no bottleneck link",
 				fi, net.Node(fs[fi].Src).Name, net.Node(fs[fi].Dst).Name, rational.String(a[fi]))
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"closnet/internal/obs"
@@ -9,91 +8,35 @@ import (
 	"closnet/internal/topology"
 )
 
-// errNoProgress mirrors the internal-invariant error of the per-state
-// paths: a filling round that saturates no link and freezes no flow.
-var errNoProgress = errors.New("waterfill: no progress (internal invariant violated)")
-
 // BlockEvaluator water-fills a block of k middle assignments per call
-// over structure-of-arrays scratch, amortizing the per-state overhead
-// the one-at-a-time Evaluator pays on every Eval: AoS link structs,
-// flows-on-link list rebuilding, and the per-call promotion regime
-// check. The search engine hands it rank-contiguous blocks of canonical
-// assignments (see internal/search/engine.go); the serving layer shares
-// one prepared instance across /v1/batch items with a common topology
-// hash (see internal/engine).
-//
-// Layout. Finite links are re-indexed densely in ascending LinkID order
-// — "lanes" 0..nfin-1 — so the per-link state of the water filling is
-// three contiguous arrays: a capacity lane seeded from Link.Capacity64
-// at construction, and remaining/active lanes reused across states.
-// Each flow's candidate paths are pre-resolved to lane index lists, so
-// a state registers by bumping ~|path| counters instead of walking
-// links. Only the lanes a state actually touches are seeded, swept and
-// cleared (the touched list, kept in ascending lane order), which makes
-// the fill cost proportional to the contended sub-network rather than
-// the full link count. Rates are written to a k×|F| Rat64 lane, one row
-// per state, so a whole block produces no allocations on the fast path.
-//
-// Promotion protocol. The fast pass attempts every state on the Rat64
-// kernel and records the ones that overflow; a single per-block check
-// then re-runs exactly those states on the embedded Evaluator's big.Rat
-// path. A promoted state computes on the Evaluator's own scratch and
-// every fast state re-seeds its lanes from the capacity lane, so a
-// mid-block promotion cannot poison the remaining states (asserted by
-// the scratch-reuse tests). ForceBig pins the whole block to big.Rat,
-// the differential-test oracle.
-//
-// Bit identity. EvalBlock(mas, k) produces, state by state, exactly the
-// allocation Eval (and ClosMaxMinFair) produce: the touched-lane sweep
-// visits lanes in ascending LinkID order — the finiteIDs order of the
-// per-state evaluator, restricted to the lanes with non-zero active
-// count, which are the only ones either scan reads — so the min-delta
-// tie-break picks the same bottleneck link, flows freeze in the same
-// ascending-index order at the same exact Rat64 levels, and promotions
-// are lossless re-runs of the identical algorithm.
-//
-// A BlockEvaluator is NOT safe for concurrent use.
+// on the package's kernel: every candidate path is resolved to its lane
+// list once at construction, and rates land in a k×|F| Rat64 lane, so a
+// block allocates nothing on the fast path. The search engine hands it
+// rank-contiguous blocks of canonical assignments; the serving layer
+// shares one prepared instance per topology hash. A state whose fast
+// fill overflows is re-registered and re-run on the kernel's *big.Rat
+// fill, which ForceBig pins; every state registers afresh, so a
+// promotion cannot poison the states after it. Either way the
+// allocations are exactly those of ClosMaxMinFair. A BlockEvaluator is
+// NOT safe for concurrent use.
 type BlockEvaluator struct {
-	ev   *Evaluator // path validation at construction + the big.Rat promotion path
+	k    *kernel
 	nf   int
 	n    int
-	nfin int
-	fast bool
+	cur  [][]int32   // the lane lists of the state being filled
+	path [][][]int32 // path[fi][m-1]: flow fi's lanes via middle m
 
-	// finPaths[fi][m-1] lists the finite-link lanes of flow fi's path
-	// via middle m (path order; lane values are ascending-LinkID dense
-	// indices).
-	finPaths [][][]int32
-	// caps is the capacity lane: caps[j] is the Capacity64 of lane j.
-	caps []rational.Rat64
-
-	// Per-state scratch, reused across the states of a block (states
-	// fill sequentially, so one lane set serves them all). Only touched
-	// entries are ever read or written. remN[j] is lane j's remaining
-	// capacity as an integer numerator over the fill's single shared
-	// denominator (see fill64) — the SoA trick that keeps the hot loop
-	// in raw int64 arithmetic with no per-op gcd normalization.
-	remN    []int64
-	act     []int32
-	frozen  []bool
-	touched []int32
-
-	// Per-block outputs: the k×nf rate lane of the fast path, the
-	// promotion mask, and the materialized allocations of promoted
-	// states.
+	// Per-block outputs: the k×nf rate lane of the fast path and the
+	// allocations of promoted states (nil for fast states).
 	rates     []rational.Rat64
-	promoted  []bool
 	bigAllocs []Allocation
 	res       BlockResult
 
 	forceBig   bool
 	promotions int
 
-	// testOverflow, when non-nil, forces the fast fill of the given
-	// block state to report overflow mid-fill (after registration, with
-	// the active lane populated) — the package-internal hook the
-	// promotion-protocol tests use, since unit-capacity instances never
-	// overflow naturally.
+	// testOverflow, when non-nil, makes the fast fill of the given block
+	// state report overflow — the promotion-protocol tests' hook.
 	testOverflow func(state int) bool
 
 	cFills      *obs.Counter
@@ -105,57 +48,33 @@ type BlockEvaluator struct {
 // NewBlockEvaluator prepares repeated block evaluations of fs over c.
 // It fails if any flow endpoint is not a server of c.
 func NewBlockEvaluator(c topology.Fabric, fs Collection) (*BlockEvaluator, error) {
-	ev, err := NewEvaluator(c, fs)
-	if err != nil {
-		return nil, err
-	}
-	b := &BlockEvaluator{ev: ev, nf: ev.nf, n: ev.n, nfin: len(ev.finiteIDs), fast: ev.fast}
-	denseOf := make([]int32, len(ev.links))
-	for i := range denseOf {
-		denseOf[i] = -1
-	}
-	b.caps = make([]rational.Rat64, b.nfin)
-	for j, id := range ev.finiteIDs {
-		denseOf[id] = int32(j)
-		b.caps[j] = ev.caps64[id]
-	}
-	b.finPaths = make([][][]int32, b.nf)
-	for fi := 0; fi < b.nf; fi++ {
-		b.finPaths[fi] = make([][]int32, b.n)
-		for m := 0; m < b.n; m++ {
-			p := ev.paths[fi][m]
-			lanes := make([]int32, 0, len(p))
-			for _, l := range p {
-				if j := denseOf[l]; j >= 0 {
-					lanes = append(lanes, j)
-				}
+	k, laneOf := fabricKernel(c.Network().Links())
+	b := &BlockEvaluator{k: k, nf: len(fs), n: c.Size(), cur: make([][]int32, len(fs))}
+	b.path = make([][][]int32, len(fs))
+	for fi, f := range fs {
+		b.path[fi] = make([][]int32, b.n)
+		for m := 1; m <= b.n; m++ {
+			p, err := c.Path(f.Src, f.Dst, m)
+			if err != nil {
+				return nil, fmt.Errorf("evaluator: flow %d: %w", fi, err)
 			}
-			b.finPaths[fi][m] = lanes
+			b.path[fi][m-1] = lanesOf(p, laneOf)
 		}
 	}
-	b.remN = make([]int64, b.nfin)
-	b.act = make([]int32, b.nfin)
-	b.frozen = make([]bool, b.nf)
-	b.touched = make([]int32, 0, b.nfin)
 	return b, nil
 }
 
-// ForceBig pins EvalBlock to the *big.Rat path when on is true,
-// bypassing the Rat64 lanes. The results are identical; it exists for
-// differential tests and benchmarks.
+// ForceBig pins EvalBlock to the (identical) *big.Rat path when on.
 func (b *BlockEvaluator) ForceBig(on bool) { b.forceBig = on }
 
 // Promotions returns the number of states so far whose fast fill
-// overflowed the Rat64 kernel and was transparently re-run on *big.Rat
-// (ForceBig blocks do not count: they never attempt the kernel).
+// overflowed and was re-run on *big.Rat (ForceBig states do not count).
 func (b *BlockEvaluator) Promotions() int { return b.promotions }
 
 // Instrument attaches the observability layer: core.block_fills counts
-// EvalBlock calls, core.block_promotions counts overflow promotions,
-// and the core.block_size gauge tracks the last block's state count.
-// Counters are registered by name, so instrumented evaluators sharing a
-// registry (one per search worker) accumulate into shared metrics. A
-// nil o leaves the evaluator uninstrumented at zero hot-path cost.
+// EvalBlock calls, core.block_promotions overflow promotions, and the
+// core.block_size gauge the last block's state count. Evaluators sharing
+// a registry accumulate into shared metrics; a nil o costs nothing.
 func (b *BlockEvaluator) Instrument(o *obs.Obs) {
 	reg := o.Registry()
 	b.cFills = reg.Counter("core.block_fills")
@@ -165,11 +84,9 @@ func (b *BlockEvaluator) Instrument(o *obs.Obs) {
 }
 
 // EvalBlock computes the max-min fair allocations of k middle
-// assignments packed state-major into mas (len(mas) = k·|F|; state s is
-// mas[s·|F| : (s+1)·|F|]). The returned result aliases the evaluator's
-// scratch and is valid until the next EvalBlock call; mas is only read.
-// Allocations retained past the block must be materialized with
-// BlockResult.Alloc.
+// assignments packed state-major into mas (state s is mas[s·|F| :
+// (s+1)·|F|]; mas is only read). The result aliases the evaluator's
+// scratch until the next call; BlockResult.Alloc materializes a state.
 func (b *BlockEvaluator) EvalBlock(mas []int, k int) (*BlockResult, error) {
 	if k < 0 || len(mas) != k*b.nf {
 		return nil, fmt.Errorf("block evaluator: %d assignment entries for %d states of %d flows", len(mas), k, b.nf)
@@ -179,280 +96,42 @@ func (b *BlockEvaluator) EvalBlock(mas []int, k int) (*BlockResult, error) {
 			return nil, fmt.Errorf("block evaluator: state %d flow %d: middle %d out of range [1, %d]", i/b.nf, i%b.nf, m, b.n)
 		}
 	}
-	b.ensure(k)
+	b.rates = resize(b.rates, k*b.nf)
+	b.bigAllocs = resize(b.bigAllocs, k)
 	b.cFills.Inc()
 	b.gSize.Set(int64(k))
 
-	overflowed := 0
-	if b.fast && !b.forceBig {
-		for s := 0; s < k; s++ {
-			ok, err := b.fillState(s, mas[s*b.nf:(s+1)*b.nf])
-			if err != nil {
-				return nil, err
-			}
-			b.promoted[s] = !ok
-			if !ok {
-				overflowed++
-			}
+	overflowed, fast := 0, b.k.fast && !b.forceBig
+	for s := 0; s < k; s++ {
+		for fi, m := range mas[s*b.nf : (s+1)*b.nf] {
+			b.cur[fi] = b.path[fi][m-1]
 		}
-		if overflowed > 0 {
-			b.promotions += overflowed
-			b.cPromotions.Add(int64(overflowed))
-			b.jour.Emit("core.block_promotion", obs.F{"states": overflowed, "promotions": b.promotions})
+		try := fast && (b.testOverflow == nil || !b.testOverflow(s))
+		a, err := b.k.solve(b.cur, b.rates[s*b.nf:(s+1)*b.nf], try)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		for s := 0; s < k; s++ {
-			b.promoted[s] = true
+		if fast && a != nil {
+			overflowed++
 		}
-		overflowed = k
+		b.bigAllocs[s] = a
 	}
-	// The single per-block promotion check: only the states whose fast
-	// fill overflowed (or every state, under ForceBig or a non-Rat64
-	// capacity) re-run on the big.Rat path.
 	if overflowed > 0 {
-		for s := 0; s < k; s++ {
-			if !b.promoted[s] {
-				continue
-			}
-			a, err := b.ev.evalBig(MiddleAssignment(mas[s*b.nf : (s+1)*b.nf]))
-			if err != nil {
-				return nil, err
-			}
-			b.bigAllocs[s] = a
-		}
+		b.promotions += overflowed
+		b.cPromotions.Add(int64(overflowed))
+		b.jour.Emit("core.block_promotion", obs.F{"states": overflowed, "promotions": b.promotions})
 	}
 	b.res = BlockResult{be: b, k: k}
 	return &b.res, nil
 }
 
-// ensure sizes the per-block output lanes for k states. Scratch only
-// grows, so steady-state blocks of one size never reallocate.
-func (b *BlockEvaluator) ensure(k int) {
-	if n := k * b.nf; cap(b.rates) >= n {
-		b.rates = b.rates[:n]
-	} else {
-		b.rates = make([]rational.Rat64, n)
+// resize returns s with length n, reallocating only when it must grow,
+// so steady-state scratch of one size never reallocates.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	if cap(b.promoted) >= k {
-		b.promoted = b.promoted[:k]
-	} else {
-		b.promoted = make([]bool, k)
-	}
-	if cap(b.bigAllocs) >= k {
-		b.bigAllocs = b.bigAllocs[:k]
-	} else {
-		b.bigAllocs = make([]Allocation, k)
-	}
-}
-
-// fillState runs the fast fill of one state and unconditionally clears
-// the touched active-lane entries afterwards, so the next state's
-// registration starts from zero even when the fill bailed out mid-round
-// (overflow, unbounded flow, forced test overflow).
-func (b *BlockEvaluator) fillState(s int, ma []int) (bool, error) {
-	ok, err := b.fill64(s, ma)
-	for _, j := range b.touched {
-		b.act[j] = 0
-	}
-	return ok, err
-}
-
-// fill64 is the small-word progressive filling of one state over the
-// shared lanes, restricted to the touched lanes and computing the exact
-// values of Evaluator.eval64 in cheaper arithmetic: every remaining
-// capacity is an integer numerator over one shared denominator den, so
-// a round is cross-multiplied integer compares (min delta: remN[j]/act
-// against the incumbent), one scale pass (den multiplies by the
-// bottleneck's active count) and integer subtractions — no division and
-// no gcd normalization anywhere in the loop. den grows only by the
-// product of the bottleneck counts (bounded by 3^(|F|/3), tiny), and a
-// flow's rate canonicalizes the exact level levelN/den once at freeze.
-//
-// The values agree exactly with eval64's: the scaled comparisons order
-// deltas identically (operands are non-negative, the < is strict, the
-// scan ascends the same lane order), a lane's numerator hits zero iff
-// its exact remainder does, flows freeze in the same ascending index
-// order, and rational.Make64(levelN, den) is the canonical form of the
-// same exact level — so rates are bit-identical (asserted by the
-// equivalence tests and the differential fuzz). The first result is
-// false when an operation overflowed int64; the caller then re-runs the
-// state on the big.Rat path, losslessly.
-func (b *BlockEvaluator) fill64(s int, ma []int) (bool, error) {
-	// Register: bump the active count of every lane on every flow's
-	// path, collecting each lane the first time it is touched. The
-	// insertion sort keeps the touched list in ascending lane order —
-	// the finiteIDs order of the per-state evaluator — so every sweep
-	// below visits lanes exactly as eval64 visits links.
-	b.touched = b.touched[:0]
-	for fi, m := range ma {
-		for _, j := range b.finPaths[fi][m-1] {
-			if b.act[j] == 0 {
-				b.touched = append(b.touched, j)
-			}
-			b.act[j]++
-		}
-	}
-	for i := 1; i < len(b.touched); i++ {
-		for t := i; t > 0 && b.touched[t] < b.touched[t-1]; t-- {
-			b.touched[t], b.touched[t-1] = b.touched[t-1], b.touched[t]
-		}
-	}
-	// Seed the shared denominator (the lcm of the touched capacities'
-	// denominators — 1 on unit-capacity networks) and the numerator
-	// lanes. All quantities in the fill are non-negative.
-	for fi := range b.frozen {
-		b.frozen[fi] = false
-	}
-	if b.testOverflow != nil && b.testOverflow(s) {
-		return false, nil
-	}
-	den := int64(1)
-	for _, j := range b.touched {
-		q := b.caps[j].Den()
-		g := gcdInt64(den, q)
-		var ok bool
-		if den, ok = mulNonNeg(den/g, q); !ok {
-			return false, nil
-		}
-	}
-	for _, j := range b.touched {
-		r, ok := mulNonNeg(b.caps[j].Num(), den/b.caps[j].Den())
-		if !ok {
-			return false, nil
-		}
-		b.remN[j] = r
-	}
-
-	rates := b.rates[s*b.nf : (s+1)*b.nf]
-	levelN := int64(0) // the water level is the exact rational levelN/den
-	remaining := b.nf
-	for remaining > 0 {
-		// Min-delta scan: delta_j = remN[j]/(den·act[j]); the shared den
-		// cancels, so remN[j]/act[j] < minR/minA cross-multiplies to
-		// remN[j]·minA < minR·act[j]. Same ordering and strict-< ties
-		// (earlier lane wins) as eval64's scan over finiteIDs, which
-		// skips the same zero-active lanes.
-		minJ := int32(-1)
-		var minR, minA int64
-		for _, j := range b.touched {
-			a := int64(b.act[j])
-			if a == 0 {
-				continue
-			}
-			if minJ < 0 {
-				minJ, minR, minA = j, b.remN[j], a
-				continue
-			}
-			lhs, ok1 := mulNonNeg(b.remN[j], minA)
-			rhs, ok2 := mulNonNeg(minR, a)
-			if !ok1 || !ok2 {
-				return false, nil
-			}
-			if lhs < rhs {
-				minJ, minR, minA = j, b.remN[j], a
-			}
-		}
-		if minJ < 0 {
-			return false, ErrUnboundedFlow
-		}
-		// Advance the level by delta = minR/(den·minA): rescale the fill
-		// to the new shared denominator den·minA, under which delta's
-		// numerator is minR and lane j consumes act[j]·minR.
-		if minA > 1 {
-			var ok bool
-			if den, ok = mulNonNeg(den, minA); !ok {
-				return false, nil
-			}
-			if levelN, ok = mulNonNeg(levelN, minA); !ok {
-				return false, nil
-			}
-			for _, j := range b.touched {
-				if b.act[j] == 0 {
-					continue
-				}
-				r, ok := mulNonNeg(b.remN[j], minA)
-				if !ok {
-					return false, nil
-				}
-				b.remN[j] = r
-			}
-		}
-		if levelN > maxInt64-minR {
-			return false, nil
-		}
-		levelN += minR
-		for _, j := range b.touched {
-			a := int64(b.act[j])
-			if a == 0 {
-				continue
-			}
-			used, ok := mulNonNeg(a, minR)
-			if !ok {
-				return false, nil
-			}
-			b.remN[j] -= used // ≥ 0: delta is the minimum over active lanes
-		}
-		progressed := false
-		for _, j := range b.touched {
-			if b.act[j] == 0 || b.remN[j] != 0 {
-				continue
-			}
-			// Freeze every unfrozen flow crossing the saturated lane, in
-			// ascending flow index — the order of eval64's on-lists,
-			// which are built by an ascending flow walk.
-			for fi := 0; fi < b.nf; fi++ {
-				if b.frozen[fi] || !laneOnPath(b.finPaths[fi][ma[fi]-1], j) {
-					continue
-				}
-				b.frozen[fi] = true
-				level, ok := rational.Make64(levelN, den)
-				if !ok {
-					return false, nil
-				}
-				rates[fi] = level
-				remaining--
-				progressed = true
-				for _, l := range b.finPaths[fi][ma[fi]-1] {
-					b.act[l]--
-				}
-			}
-		}
-		if !progressed {
-			return false, errNoProgress
-		}
-	}
-	return true, nil
-}
-
-// maxInt64 avoids importing math for one constant.
-const maxInt64 = int64(^uint64(0) >> 1)
-
-// mulNonNeg is the overflow-checked product of two non-negative int64s.
-func mulNonNeg(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	if a > maxInt64/b {
-		return 0, false
-	}
-	return a * b, true
-}
-
-// gcdInt64 is Euclid's gcd for a ≥ 0, b > 0.
-func gcdInt64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func laneOnPath(path []int32, j int32) bool {
-	for _, l := range path {
-		if l == j {
-			return true
-		}
-	}
-	return false
+	return make([]T, n)
 }
 
 // BlockResult is the outcome of one EvalBlock call. It aliases the
@@ -467,7 +146,7 @@ type BlockResult struct {
 func (r *BlockResult) Len() int { return r.k }
 
 // Promoted reports whether state s was computed on the big.Rat path.
-func (r *BlockResult) Promoted(s int) bool { return r.be.promoted[s] }
+func (r *BlockResult) Promoted(s int) bool { return r.be.bigAllocs[s] != nil }
 
 // Rates64 returns state s's rate lane in flow order. It is only valid
 // when !Promoted(s), must not be mutated, and is overwritten by the
@@ -478,15 +157,10 @@ func (r *BlockResult) Rates64(s int) []rational.Rat64 {
 }
 
 // Alloc materializes state s's allocation as a fresh, retainable
-// vector, identical to what Evaluator.Eval returns for the same state.
+// vector, identical to what ClosMaxMinFair returns for the same state.
 func (r *BlockResult) Alloc(s int) Allocation {
-	if r.be.promoted[s] {
+	if r.Promoted(s) {
 		return r.be.bigAllocs[s]
 	}
-	lane := r.Rates64(s)
-	a := make(Allocation, len(lane))
-	for i, v := range lane {
-		a[i] = v.Rat()
-	}
-	return a
+	return allocOf(r.Rates64(s))
 }

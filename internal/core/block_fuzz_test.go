@@ -7,7 +7,7 @@ import (
 // FuzzBlockEvalMatchesSingle is the block evaluator's differential
 // fuzz: a random small Clos instance plus a random assignment block,
 // with BlockEvaluator output required to be Vec.Equal-identical to the
-// per-state Eval on every element. The mode byte additionally drives
+// ClosMaxMinFair oracle on every element. The mode byte additionally drives
 // the promotion protocol through its regimes: pinned big.Rat blocks
 // (ForceBig) and mixed blocks where the test hook forces a
 // pseudo-random subset of states through a mid-fill promotion.
@@ -30,10 +30,6 @@ func FuzzBlockEvalMatchesSingle(f *testing.F) {
 			// fuzzer controls both.
 			mas[i] = 1 + int(data[(i*7+k)%len(data)])%n
 		}
-		ev, err := NewEvaluator(c, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		be, err := NewBlockEvaluator(c, fs)
 		if err != nil {
 			t.Fatal(err)
@@ -49,12 +45,12 @@ func FuzzBlockEvalMatchesSingle(f *testing.F) {
 			t.Fatalf("EvalBlock: %v", err)
 		}
 		for s := 0; s < k; s++ {
-			want, err := ev.Eval(mas[s*nf : (s+1)*nf])
+			want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
 			if err != nil {
-				t.Fatalf("state %d: Eval: %v", s, err)
+				t.Fatalf("state %d: oracle: %v", s, err)
 			}
 			if got := res.Alloc(s); !got.Equal(want) {
-				t.Fatalf("state %d (promoted=%v, forceBig=%v): block %v, per-state %v",
+				t.Fatalf("state %d (promoted=%v, forceBig=%v): block %v, oracle %v",
 					s, res.Promoted(s), forceBig, got, want)
 			}
 		}

@@ -24,16 +24,12 @@ func blockOf(n, nf, lo, k int) []int {
 }
 
 // TestBlockEvaluatorMatchesEval: EvalBlock must return, state by state,
-// exactly what the per-state Eval returns — same rationals — over the
+// exactly what the ClosMaxMinFair oracle returns — same rationals — over the
 // whole routing space of a small instance, for every block size
 // including ragged final blocks and k = 1.
 func TestBlockEvaluatorMatchesEval(t *testing.T) {
 	c := topology.MustClos(2)
 	fs := evaluatorCollection(c) // 4 flows: 16 assignments
-	ev, err := NewEvaluator(c, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	be, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +50,7 @@ func TestBlockEvaluatorMatchesEval(t *testing.T) {
 				t.Fatalf("k=%d lo=%d: Len = %d", k, lo, res.Len())
 			}
 			for s := 0; s < kk; s++ {
-				want, err := ev.Eval(mas[s*nf : (s+1)*nf])
+				want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,7 +58,7 @@ func TestBlockEvaluatorMatchesEval(t *testing.T) {
 					t.Errorf("k=%d rank=%d: unit-capacity state promoted", k, lo+s)
 				}
 				if got := res.Alloc(s); !got.Equal(want) {
-					t.Errorf("k=%d rank=%d: block %v, per-state %v", k, lo+s, got, want)
+					t.Errorf("k=%d rank=%d: block %v, oracle %v", k, lo+s, got, want)
 				}
 			}
 		}
@@ -72,15 +68,11 @@ func TestBlockEvaluatorMatchesEval(t *testing.T) {
 	}
 }
 
-// TestBlockEvaluatorForceBig: a pinned-big block matches the per-state
+// TestBlockEvaluatorForceBig: a pinned-big block matches the oracle
 // path on every element and reports every state promoted.
 func TestBlockEvaluatorForceBig(t *testing.T) {
 	c := topology.MustClos(2)
 	fs := evaluatorCollection(c)
-	ev, err := NewEvaluator(c, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	be, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
@@ -96,12 +88,12 @@ func TestBlockEvaluatorForceBig(t *testing.T) {
 		if !res.Promoted(s) {
 			t.Errorf("state %d: ForceBig block not promoted", s)
 		}
-		want, err := ev.Eval(mas[s*nf : (s+1)*nf])
+		want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Alloc(s); !got.Equal(want) {
-			t.Errorf("state %d: ForceBig block %v, per-state %v", s, got, want)
+			t.Errorf("state %d: ForceBig block %v, oracle %v", s, got, want)
 		}
 	}
 	if be.Promotions() != 0 {
@@ -112,16 +104,12 @@ func TestBlockEvaluatorForceBig(t *testing.T) {
 // TestBlockEvaluatorMixedPromotion forces a subset of a block through
 // the big.Rat path mid-fill (the test hook fires after registration,
 // with the active lane populated) and checks that promoted and fast
-// states alike match the per-state path — a promotion must not poison
+// states alike match the oracle — a promotion must not poison
 // the shared lanes for the states after it — and that a subsequent
 // clean block on the same evaluator is still exact.
 func TestBlockEvaluatorMixedPromotion(t *testing.T) {
 	c := topology.MustClos(2)
 	fs := evaluatorCollection(c)
-	ev, err := NewEvaluator(c, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	be, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +129,12 @@ func TestBlockEvaluatorMixedPromotion(t *testing.T) {
 		if res.Promoted(s) {
 			promoted++
 		}
-		want, err := ev.Eval(mas[s*nf : (s+1)*nf])
+		want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Alloc(s); !got.Equal(want) {
-			t.Errorf("state %d (promoted=%v): block %v, per-state %v", s, res.Promoted(s), got, want)
+			t.Errorf("state %d (promoted=%v): block %v, oracle %v", s, res.Promoted(s), got, want)
 		}
 	}
 	if be.Promotions() != promoted {
@@ -163,7 +151,7 @@ func TestBlockEvaluatorMixedPromotion(t *testing.T) {
 		if res.Promoted(s) {
 			t.Errorf("clean follow-up block: state %d promoted", s)
 		}
-		want, err := ev.Eval(mas[s*nf : (s+1)*nf])
+		want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
 		if err != nil {
 			t.Fatal(err)
 		}

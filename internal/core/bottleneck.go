@@ -16,10 +16,9 @@ type BottleneckReport struct {
 
 // Bottlenecks returns, for every flow, its bottleneck links under
 // allocation a (possibly none if a is not max-min fair; by Lemma 2.2, a
-// is max-min fair exactly when every report is non-empty). It is the
-// analysis counterpart of IsMaxMinFair: instead of a yes/no answer it
-// exposes *where* each flow is constrained, which the examples and the
-// clostopo tool use to explain allocations.
+// is max-min fair exactly when every report is non-empty, which is how
+// IsMaxMinFair decides). It exposes *where* each flow is constrained,
+// which the examples and the clostopo tool use to explain allocations.
 func Bottlenecks(net *topology.Network, fs Collection, r Routing, a Allocation) ([]BottleneckReport, error) {
 	if err := IsFeasible(net, fs, r, a); err != nil {
 		return nil, err

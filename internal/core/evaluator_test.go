@@ -62,8 +62,8 @@ func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {
 			t.Errorf("rank %d (%v): ForceBig Eval = %v, ClosMaxMinFair = %v", rank, ma, big, want)
 		}
 	}
-	if !ev.fast {
-		t.Error("unit-capacity Clos did not enable the Rat64 fast path")
+	if !ev.k.fast {
+		t.Error("unit-capacity Clos did not enable the int64 fast path")
 	}
 	if ev.Promotions() != 0 {
 		t.Errorf("unit-capacity instance promoted %d times", ev.Promotions())

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"closnet/internal/obs"
 	"closnet/internal/rational"
@@ -19,93 +18,58 @@ type FlowID int
 // IncrementalEvaluator maintains the max-min fair allocation of a
 // mutating flow set over one fixed fabric: flows arrive, depart and
 // reroute one at a time, and after every mutation the allocation equals
-// what a fresh Evaluator.Eval of the current (Collection,
-// MiddleAssignment) would return — exactly, as rationals.
+// what ClosMaxMinFair of the current (Collection, MiddleAssignment)
+// would return — exactly, as rationals.
 //
-// Where the Evaluator recomputes every water-filling round from
-// scratch, the IncrementalEvaluator keeps the full trace of the last
-// fill: one snapshot of the Rat64 scratch (residual capacities and
-// active counts per finite link) at the start of every round, plus each
-// round's outcome (bottleneck link, min delta, saturated link set,
-// frozen flows). A single-flow delta perturbs only the finite links of
-// the changed path(s) — the affected set A — so a prefix of the old
-// rounds replays unchanged. Round r is reusable iff
+// It drives the package's water-filling kernel over a persistent flow
+// table and keeps the trace of the last fill: per round, the kernel's
+// integer state at the round's start (remaining numerators, active
+// counts, shared denominator, level numerator) and its outcome
+// (bottleneck lane, level advance minR/(den·minA), saturated lanes,
+// frozen flows). The denominator is seeded once per evaluator, so a
+// replayed round sees the same denominators as the run it replaces. A
+// delta perturbs only the lanes of the changed path(s) — the affected
+// set A — and round r replays unchanged iff its bottleneck and
+// saturated lanes are outside A, its frozen flows are all still live,
+// and every A-lane's fresh delta is STRICTLY above the round's min
+// delta, remN·minA > minR·act (a tie would saturate an A-lane). A clean
+// round costs O(|A|): rescale and drain the A-lanes, reapply the
+// recorded freezes, patch the snapshot's A-entries. At the first dirty
+// round the kernel resumes from that round's snapshot, recording a
+// fresh suffix. Reused rounds count on core.delta_levels_skipped, every
+// mutation-triggered fill on core.delta_fills.
 //
-//   - the old bottleneck is not in A,
-//   - no old saturated link is in A (a departure of a flow frozen via
-//     an A-link lands here), and
-//   - every A-link's fresh delta remaining/active is STRICTLY above the
-//     old round's min delta (ties must diverge: an A-link would enter
-//     the saturated set).
-//
-// Replaying a clean round costs O(|A|): drain the A-links, reapply the
-// recorded freezes (their shared *big.Rat level is cached on the
-// round), and patch the snapshot's A-entries. At the first dirty round
-// the filling resumes the ordinary Rat64 loop from that round's
-// snapshot, recording a fresh trace suffix. The reused rounds are
-// counted on core.delta_levels_skipped; every mutation-triggered fill
-// counts on core.delta_fills.
-//
-// Promotion poisoning: any Rat64 overflow — during replay or resume —
-// abandons the fast trace, re-runs the whole fill losslessly on
-// *big.Rat (counted on core.delta_promotions), and invalidates the
-// trace; the next mutation then runs one full fast fill to rebuild it.
-// ForceBig pins the big.Rat path, which doubles as the differential-
-// test oracle. An IncrementalEvaluator is NOT safe for concurrent use.
+// Any int64 overflow — during replay or resume — re-runs the whole fill
+// losslessly on the kernel's *big.Rat path (core.delta_promotions) and
+// poisons the trace; the next mutation runs one full fast fill to
+// rebuild it. ForceBig pins the big.Rat path. An IncrementalEvaluator
+// is NOT safe for concurrent use.
 type IncrementalEvaluator struct {
-	fab topology.Fabric
-	n   int // path choices
+	fab    topology.Fabric
+	n      int     // path choices
+	laneOf []int32 // LinkID -> lane, -1 when unbounded
 
-	// Finite-link index: the water filling only ever touches finite
-	// links, so all per-link scratch is dense over finiteIdx
-	// 0..nFin-1, ordered by ascending LinkID (the scan order every
-	// evaluator in this package shares).
-	nFin     int
-	finLinks []topology.LinkID // finiteIdx -> LinkID
-	fidx     []int             // LinkID -> finiteIdx, -1 when unbounded
-	caps64   []rational.Rat64
-	capsBig  []*big.Rat
-	fast     bool
+	// The kernel's lanes, on-lists and frozen flags are indexed by
+	// handle: its topology is the flow table itself.
+	k        *kernel
 	forceBig bool
 
 	// Flow table: slot-allocated, so FlowID handles stay stable across
-	// departures. order lists the live handles in insertion order — the
-	// order Flows() and Rates() report.
+	// departures; order lists the live handles in insertion order.
 	flows []iflow
+	rates []*big.Rat // by handle
 	free  []FlowID
 	order []FlowID
-	nLive int
 
-	// on[l] lists the live flows crossing finite link l, the freeze-scan
-	// source. active counts are derived as len(on[l]) at fill start.
-	on [][]FlowID
-
-	// Trace of the last successful fast fill: snaps[r] is the scratch
-	// state at the start of round r (len(snaps) == len(rounds)+1; the
-	// last snapshot is the terminal state), rounds[r] its outcome.
-	snaps      []incSnap
-	rounds     []incRound
+	// trace[r] is round r of the last successful fast fill; the last
+	// entry is open, holding only the terminal state.
+	trace      []incRound
 	traceValid bool
-
-	// Scratch reused across fills.
-	rem    []rational.Rat64
-	act    []int
-	frozen []bool // by FlowID
-	affIdx []int  // finiteIdx -> position in the current affected set, -1
-	affRem []rational.Rat64
-	affAct []int
-
-	// big.Rat scratch for the promotion path.
-	remB                   []*big.Rat
-	actRat, delta, tmp     *big.Rat
-	xInt, yInt, aInt, bInt *big.Int
-
+	inAff      []bool // by lane: member of the current affected set
 	promotions int
 
-	// testOverflow, when non-nil, forces the fast path to report an
-	// Rat64 overflow at the given round index — the hook the promotion
-	// tests use to trigger mid-sequence big.Rat fallbacks on instances
-	// that cannot overflow naturally.
+	// testOverflow, when non-nil, forces an int64 overflow at the given
+	// round index — the promotion tests' hook.
 	testOverflow func(round int) bool
 
 	cFills      *obs.Counter
@@ -118,80 +82,32 @@ type IncrementalEvaluator struct {
 type iflow struct {
 	flow   Flow
 	middle int
-	finite []int // finiteIdx list of the current path's finite links
 	live   bool
-	rate   *big.Rat
 }
 
-// incSnap is the scratch state at the start of one water-filling round.
-type incSnap struct {
-	level rational.Rat64
-	rem   []rational.Rat64
-	act   []int
-}
-
-// incRound is the recorded outcome of one round: the bottleneck, its
-// delta, the freeze level (shared by every flow frozen this round), the
-// saturated links the freeze scan processed, and the flows it froze.
+// incRound is one round of the trace: the kernel state at its start,
+// then its outcome (levelRat is the rate of every flow frozen in it).
 type incRound struct {
-	minIdx   int
-	minDelta rational.Rat64
-	levelRat *big.Rat
-	sat      []int
-	frozen   []FlowID
+	den, levelN int64
+	remN        []int64
+	act         []int32
+
+	minJ       int32
+	minR, minA int64
+	levelRat   *big.Rat
+	sat        []int32
+	frozen     []int32
 }
 
 // NewIncrementalEvaluator prepares incremental max-min fair evaluation
 // over fab, starting from the empty flow set.
 func NewIncrementalEvaluator(fab topology.Fabric) *IncrementalEvaluator {
-	ie := &IncrementalEvaluator{fab: fab, n: fab.Size(), fast: true}
-	links := fab.Network().Links()
-	ie.fidx = make([]int, len(links))
-	for i := range ie.fidx {
-		ie.fidx[i] = -1
-	}
-	var ids []topology.LinkID
-	for _, l := range links {
-		if !l.Unbounded {
-			ids = append(ids, l.ID)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	ie.nFin = len(ids)
-	ie.finLinks = ids
-	ie.caps64 = make([]rational.Rat64, ie.nFin)
-	ie.capsBig = make([]*big.Rat, ie.nFin)
-	for j, id := range ids {
-		ie.fidx[id] = j
-		l := links[id]
-		ie.capsBig[j] = l.Capacity
-		if c64, ok := l.Capacity64(); ok {
-			ie.caps64[j] = c64
-		} else {
-			ie.fast = false
-		}
-	}
-	ie.on = make([][]FlowID, ie.nFin)
-	ie.rem = make([]rational.Rat64, ie.nFin)
-	ie.act = make([]int, ie.nFin)
-	ie.affIdx = make([]int, ie.nFin)
-	for j := range ie.affIdx {
-		ie.affIdx[j] = -1
-	}
-	ie.remB = make([]*big.Rat, ie.nFin)
-	for j := range ie.remB {
-		ie.remB[j] = new(big.Rat)
-	}
-	ie.actRat, ie.delta, ie.tmp = new(big.Rat), new(big.Rat), new(big.Rat)
-	ie.xInt, ie.yInt = new(big.Int), new(big.Int)
-	ie.aInt, ie.bInt = new(big.Int), new(big.Int)
-	return ie
+	k, laneOf := fabricKernel(fab.Network().Links())
+	return &IncrementalEvaluator{fab: fab, n: fab.Size(), laneOf: laneOf, k: k, inAff: make([]bool, len(k.act))}
 }
 
-// Instrument attaches the observability layer: delta-triggered fills,
-// reused (skipped) rounds and big.Rat promotions land in o's registry,
-// and each promotion journals a core.delta_promotion event. A nil o
-// leaves the evaluator uninstrumented.
+// Instrument attaches the observability layer (the core.delta_*
+// counters and core.delta_promotion events); a nil o costs nothing.
 func (ie *IncrementalEvaluator) Instrument(o *obs.Obs) {
 	reg := o.Registry()
 	ie.cFills = reg.Counter("core.delta_fills")
@@ -200,36 +116,35 @@ func (ie *IncrementalEvaluator) Instrument(o *obs.Obs) {
 	ie.jour = o.Journal()
 }
 
-// ForceBig pins every fill to the *big.Rat path when on is true. The
-// allocations are identical; it exists for differential tests and for
-// benchmarking the incremental fast path against its fallback.
+// ForceBig pins every fill to the (identical) *big.Rat path when on.
 func (ie *IncrementalEvaluator) ForceBig(on bool) { ie.forceBig = on }
 
-// Promotions returns the number of fills so far that overflowed the
-// Rat64 kernel and were re-run losslessly on *big.Rat.
+// Promotions returns the number of fills re-run on *big.Rat so far.
 func (ie *IncrementalEvaluator) Promotions() int { return ie.promotions }
 
 // Len returns the number of live flows.
-func (ie *IncrementalEvaluator) Len() int { return ie.nLive }
+func (ie *IncrementalEvaluator) Len() int { return len(ie.order) }
+
+// lanes resolves a flow's path via middle to its lane list.
+func (ie *IncrementalEvaluator) lanes(f Flow, middle int) ([]int32, error) {
+	if middle < 1 || middle > ie.n {
+		return nil, fmt.Errorf("incremental: middle %d out of range [1, %d]", middle, ie.n)
+	}
+	path, err := ie.fab.Path(f.Src, f.Dst, middle)
+	if err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
+	}
+	return lanesOf(path, ie.laneOf), nil
+}
 
 // Arrive admits a flow on the path selected by middle and refills. On
 // success the returned handle addresses the flow in Depart/Reroute/
 // Rate; on error the evaluator state is unchanged.
 func (ie *IncrementalEvaluator) Arrive(f Flow, middle int) (FlowID, error) {
-	if middle < 1 || middle > ie.n {
-		return -1, fmt.Errorf("incremental: middle %d out of range [1, %d]", middle, ie.n)
-	}
-	path, err := ie.fab.Path(f.Src, f.Dst, middle)
+	lanes, err := ie.lanes(f, middle)
 	if err != nil {
-		return -1, fmt.Errorf("incremental: %w", err)
+		return -1, err
 	}
-	finite := make([]int, 0, len(path))
-	for _, l := range path {
-		if j := ie.fidx[l]; j >= 0 {
-			finite = append(finite, j)
-		}
-	}
-
 	var h FlowID
 	if n := len(ie.free); n > 0 {
 		h = ie.free[n-1]
@@ -237,28 +152,22 @@ func (ie *IncrementalEvaluator) Arrive(f Flow, middle int) (FlowID, error) {
 	} else {
 		h = FlowID(len(ie.flows))
 		ie.flows = append(ie.flows, iflow{})
-		ie.frozen = append(ie.frozen, false)
+		ie.rates = append(ie.rates, nil)
+		ie.k.lanes = append(ie.k.lanes, nil)
+		ie.k.frozen = append(ie.k.frozen, false)
 	}
-	ie.flows[h] = iflow{flow: f, middle: middle, finite: finite, live: true}
+	ie.flows[h] = iflow{flow: f, middle: middle, live: true}
+	ie.k.lanes[h] = lanes
 	ie.order = append(ie.order, h)
-	ie.nLive++
-	for _, j := range finite {
-		ie.on[j] = append(ie.on[j], h)
+	for _, j := range lanes {
+		ie.k.on[j] = append(ie.k.on[j], int32(h))
 	}
 
-	if err := ie.refill(finite); err != nil {
-		// Roll the admission back (the handle was never returned, so no
-		// caller holds it) and restore the previous allocation with a
-		// full fill — the prior state filled successfully, so this
-		// cannot fail the same way.
-		for _, j := range finite {
-			ie.on[j] = removeHandle(ie.on[j], h)
-		}
-		ie.order = ie.order[:len(ie.order)-1]
-		ie.flows[h].live = false
-		ie.free = append(ie.free, h)
-		ie.nLive--
-		ie.refill(finite)
+	if err := ie.refill(lanes); err != nil {
+		// Roll the admission back (the handle was never returned) and
+		// restore the previous allocation, which filled successfully.
+		ie.detach(h)
+		ie.refill(lanes)
 		return -1, err
 	}
 	return h, nil
@@ -269,9 +178,14 @@ func (ie *IncrementalEvaluator) Depart(id FlowID) error {
 	if err := ie.checkLive(id); err != nil {
 		return err
 	}
-	fl := &ie.flows[id]
-	for _, j := range fl.finite {
-		ie.on[j] = removeHandle(ie.on[j], id)
+	ie.detach(id)
+	return ie.refill(ie.k.lanes[id])
+}
+
+// detach unlinks a live flow from the table and frees its slot.
+func (ie *IncrementalEvaluator) detach(id FlowID) {
+	for _, j := range ie.k.lanes[id] {
+		ie.k.on[j] = removeHandle(ie.k.on[j], id)
 	}
 	for i, h := range ie.order {
 		if h == id {
@@ -279,71 +193,34 @@ func (ie *IncrementalEvaluator) Depart(id FlowID) error {
 			break
 		}
 	}
-	fl.live = false
+	ie.flows[id].live = false
 	ie.free = append(ie.free, id)
-	ie.nLive--
-	return ie.refill(fl.finite)
 }
 
 // Reroute moves a live flow onto the path selected by middle and
 // refills. The affected set is the union of the old and new paths'
-// finite links.
+// lanes.
 func (ie *IncrementalEvaluator) Reroute(id FlowID, middle int) error {
 	if err := ie.checkLive(id); err != nil {
 		return err
 	}
-	if middle < 1 || middle > ie.n {
-		return fmt.Errorf("incremental: middle %d out of range [1, %d]", middle, ie.n)
-	}
-	fl := &ie.flows[id]
-	path, err := ie.fab.Path(fl.flow.Src, fl.flow.Dst, middle)
+	lanes, err := ie.lanes(ie.flows[id].flow, middle)
 	if err != nil {
-		return fmt.Errorf("incremental: %w", err)
+		return err
 	}
-	newFinite := make([]int, 0, len(path))
-	for _, l := range path {
-		if j := ie.fidx[l]; j >= 0 {
-			newFinite = append(newFinite, j)
-		}
-	}
-	aff := make([]int, 0, len(fl.finite)+len(newFinite))
-	for _, j := range fl.finite {
-		ie.on[j] = removeHandle(ie.on[j], id)
+	aff := make([]int32, 0, 2*len(lanes))
+	for _, j := range ie.k.lanes[id] {
+		ie.k.on[j] = removeHandle(ie.k.on[j], id)
 		aff = append(aff, j)
 	}
-	for _, j := range newFinite {
-		ie.on[j] = append(ie.on[j], id)
-		if ie.affIdx[j] < 0 {
-			ie.affIdx[j] = 0 // mark for dedup; refill re-marks with real positions
+	for _, j := range lanes {
+		ie.k.on[j] = append(ie.k.on[j], int32(id))
+		if !slices.Contains(ie.k.lanes[id], j) {
 			aff = append(aff, j)
 		}
 	}
-	// A link on both paths was marked only once above; links only on the
-	// old path were never marked. Normalize: clear every mark so refill
-	// starts from a clean affIdx, then dedup the old-path entries that
-	// also appear in newFinite.
-	for _, j := range newFinite {
-		ie.affIdx[j] = -1
-	}
-	aff = dedupAff(aff, ie.affIdx)
-	fl.middle, fl.finite = middle, newFinite
+	ie.flows[id].middle, ie.k.lanes[id] = middle, lanes
 	return ie.refill(aff)
-}
-
-// dedupAff removes duplicate finite-link indices from aff using mark as
-// scratch (entries must be -1 on entry; they are -1 again on return).
-func dedupAff(aff []int, mark []int) []int {
-	out := aff[:0]
-	for _, j := range aff {
-		if mark[j] < 0 {
-			mark[j] = 0
-			out = append(out, j)
-		}
-	}
-	for _, j := range out {
-		mark[j] = -1
-	}
-	return out
 }
 
 func (ie *IncrementalEvaluator) checkLive(id FlowID) error {
@@ -359,28 +236,25 @@ func (ie *IncrementalEvaluator) Rate(id FlowID) (*big.Rat, error) {
 	if err := ie.checkLive(id); err != nil {
 		return nil, err
 	}
-	return ie.flows[id].rate, nil
+	return ie.rates[id], nil
 }
 
-// Rates returns the current allocation in insertion order (the order
-// Flows reports). The vector is freshly allocated; its elements are
-// shared and must not be mutated.
+// Rates returns the current allocation in Flows order, in a fresh
+// vector whose shared elements must not be mutated.
 func (ie *IncrementalEvaluator) Rates() rational.Vec {
-	v := make(rational.Vec, 0, ie.nLive)
+	v := make(rational.Vec, 0, len(ie.order))
 	for _, h := range ie.order {
-		v = append(v, ie.flows[h].rate)
+		v = append(v, ie.rates[h])
 	}
 	return v
 }
 
 // Flows returns the live flow set in insertion order: the collection,
-// the middle assignment, and the handle of each entry. A fresh
-// Evaluator over exactly this (Collection, MiddleAssignment) is the
-// full-recompute oracle of the incremental path.
+// the middle assignment, and the handle of each entry.
 func (ie *IncrementalEvaluator) Flows() (Collection, MiddleAssignment, []FlowID) {
-	fs := make(Collection, 0, ie.nLive)
-	ma := make(MiddleAssignment, 0, ie.nLive)
-	ids := make([]FlowID, 0, ie.nLive)
+	fs := make(Collection, 0, len(ie.order))
+	ma := make(MiddleAssignment, 0, len(ie.order))
+	ids := make([]FlowID, 0, len(ie.order))
 	for _, h := range ie.order {
 		fs = append(fs, ie.flows[h].flow)
 		ma = append(ma, ie.flows[h].middle)
@@ -390,94 +264,68 @@ func (ie *IncrementalEvaluator) Flows() (Collection, MiddleAssignment, []FlowID)
 }
 
 // refill recomputes the allocation after a mutation whose affected
-// finite-link set is aff. On any error the trace is invalid and the
-// next refill runs a full fill.
-func (ie *IncrementalEvaluator) refill(aff []int) error {
+// lane set is aff (no duplicates). On any error the trace is invalid.
+func (ie *IncrementalEvaluator) refill(aff []int32) error {
 	ie.cFills.Inc()
-	if !ie.fast || ie.forceBig {
+	k := ie.k
+	if !k.fast || ie.forceBig {
 		return ie.fillBig()
 	}
-	if !ie.traceValid || len(aff) == 0 {
-		return ie.fullFill64()
-	}
+	replay := ie.traceValid && len(aff) > 0
 	ie.traceValid = false
+	if !replay {
+		ie.prepare()
+		k.seed()
+		ie.trace = ie.trace[:0]
+		ie.push()
+		return ie.resume(len(ie.order))
+	}
 
+	// The affected lanes' post-mutation state lives in the kernel's own
+	// entries, from round 0's seed on, and patches each round's snapshot
+	// before it replays; unaffected entries match the old run.
 	for _, h := range ie.order {
-		ie.frozen[h] = false
+		k.frozen[h] = false
 	}
-	if n := len(aff); cap(ie.affRem) < n {
-		ie.affRem = make([]rational.Rat64, n)
-		ie.affAct = make([]int, n)
+	for _, j := range aff {
+		ie.inAff[j] = true
+		k.remN[j], k.act[j] = k.seedN[j], int32(len(k.on[j]))
 	}
-	ie.affRem, ie.affAct = ie.affRem[:len(aff)], ie.affAct[:len(aff)]
-	for j, l := range aff {
-		ie.affIdx[l] = j
-		ie.affRem[j] = ie.caps64[l]
-		ie.affAct[j] = len(ie.on[l])
-	}
-
 	r, frozenCount, overflow := 0, 0, false
-	for r < len(ie.rounds) {
-		ie.patchSnap(r, aff)
+	for ; ; r++ {
+		for _, j := range aff {
+			ie.trace[r].remN[j], ie.trace[r].act[j] = k.remN[j], k.act[j]
+		}
+		if r == len(ie.trace)-1 {
+			break
+		}
 		clean, over := ie.replayRound(r, aff)
-		if over {
-			overflow = true
+		if overflow = over; over || !clean {
 			break
 		}
-		if !clean {
-			break
-		}
-		frozenCount += len(ie.rounds[r].frozen)
-		r++
+		frozenCount += len(ie.trace[r].frozen)
 	}
-	if !overflow && r == len(ie.rounds) {
-		ie.patchSnap(r, aff) // terminal snapshot
-	}
-	for _, l := range aff {
-		ie.affIdx[l] = -1
+	for _, j := range aff {
+		ie.inAff[j] = false
 	}
 	ie.cSkipped.Add(int64(r))
 	if overflow {
 		return ie.promote()
 	}
-
-	ie.rounds = ie.rounds[:r]
-	ie.snaps = ie.snaps[:r+1]
-	ok, err := ie.fillFrom(ie.snaps[r].level, ie.nLive-frozenCount)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return ie.promote()
-	}
-	ie.traceValid = true
-	return nil
+	ie.trace = ie.trace[:r+1]
+	return ie.resume(len(ie.order) - frozenCount)
 }
 
-// patchSnap overwrites the affected entries of snapshot r with the
-// incrementally maintained post-mutation values. Unaffected entries are
-// untouched — they are identical in the old and new runs for every
-// round the replay reaches.
-func (ie *IncrementalEvaluator) patchSnap(r int, aff []int) {
-	snap := &ie.snaps[r]
-	for j, l := range aff {
-		snap.rem[l] = ie.affRem[j]
-		snap.act[l] = ie.affAct[j]
-	}
-}
-
-// replayRound checks whether recorded round r is unaffected by the
-// mutation and, if so, replays it: drains the affected links and
-// reapplies the recorded freezes. overflow reports an Rat64 overflow
-// (the caller promotes); a false clean with no overflow means the
-// filling must resume from this round's snapshot.
-func (ie *IncrementalEvaluator) replayRound(r int, aff []int) (clean, overflow bool) {
-	rd := &ie.rounds[r]
-	if ie.affIdx[rd.minIdx] >= 0 {
+// replayRound replays recorded round r on the affected lanes and
+// reapplies its freezes if the mutation left it clean; otherwise the
+// filling resumes from its snapshot, or promotes on overflow.
+func (ie *IncrementalEvaluator) replayRound(r int, aff []int32) (clean, overflow bool) {
+	k, rd := ie.k, &ie.trace[r]
+	if ie.inAff[rd.minJ] {
 		return false, false
 	}
-	for _, l := range rd.sat {
-		if ie.affIdx[l] >= 0 {
+	for _, j := range rd.sat {
+		if ie.inAff[j] {
 			return false, false
 		}
 	}
@@ -486,193 +334,101 @@ func (ie *IncrementalEvaluator) replayRound(r int, aff []int) (clean, overflow b
 			return false, false
 		}
 	}
-	for j := range aff {
-		if ie.affAct[j] == 0 {
+	for _, j := range aff {
+		a := int64(k.act[j])
+		if a == 0 {
 			continue
 		}
-		d, ok := ie.affRem[j].DivInt(int64(ie.affAct[j]))
-		if !ok {
+		lhs, ok1 := mulNonNeg(k.remN[j], rd.minA)
+		rhs, ok2 := mulNonNeg(rd.minR, a)
+		if !ok1 || !ok2 {
 			return false, true
 		}
-		// Equality must diverge: an affected link reaching the old min
-		// delta joins the saturated set and changes the freeze order.
-		if d.Cmp(rd.minDelta) <= 0 {
+		if lhs <= rhs {
 			return false, false
 		}
 	}
-	if ie.testOverflow != nil && ie.testOverflow(r) {
+	if (ie.testOverflow != nil && ie.testOverflow(r)) || !k.drain(aff, rd.minR, rd.minA) {
 		return false, true
 	}
-	for j := range aff {
-		if ie.affAct[j] == 0 {
-			continue
-		}
-		used, ok := rd.minDelta.MulInt(int64(ie.affAct[j]))
-		if !ok {
-			return false, true
-		}
-		if ie.affRem[j], ok = ie.affRem[j].Sub(used); !ok {
-			return false, true
-		}
-	}
 	for _, h := range rd.frozen {
-		ie.frozen[h] = true
-		ie.flows[h].rate = rd.levelRat
-		for _, l := range ie.flows[h].finite {
-			if j := ie.affIdx[l]; j >= 0 {
-				ie.affAct[j]--
+		k.frozen[h] = true
+		ie.rates[h] = rd.levelRat
+		for _, j := range k.lanes[h] {
+			if ie.inAff[j] {
+				k.act[j]--
 			}
 		}
 	}
 	return true, false
 }
 
-// fullFill64 runs the fast filling from scratch and records a fresh
-// trace.
-func (ie *IncrementalEvaluator) fullFill64() error {
-	ie.traceValid = false
-	ie.rounds = ie.rounds[:0]
-	ie.snaps = ie.snaps[:0]
-	for l := 0; l < ie.nFin; l++ {
-		ie.rem[l] = ie.caps64[l]
-		ie.act[l] = len(ie.on[l])
+// prepare loads the live flow set into the kernel for a fill from
+// scratch: active counts from the on-lists, every live flow unfrozen.
+func (ie *IncrementalEvaluator) prepare() {
+	for j, on := range ie.k.on {
+		ie.k.act[j] = int32(len(on))
 	}
+	ie.k.touchActive()
 	for _, h := range ie.order {
-		ie.frozen[h] = false
+		ie.k.frozen[h] = false
 	}
-	ie.pushSnap(rational.Zero64())
-	ok, err := ie.fillFrom(rational.Zero64(), ie.nLive)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return ie.promote()
+	ie.k.left = len(ie.order)
+}
+
+// resume restores the kernel from the open trace entry, with left flows
+// still unfrozen, and runs the fast filling to completion, closing the
+// entry with each round's outcome and opening the next.
+func (ie *IncrementalEvaluator) resume(left int) error {
+	k, rd := ie.k, &ie.trace[len(ie.trace)-1]
+	copy(k.remN, rd.remN)
+	copy(k.act, rd.act)
+	k.den, k.levelN, k.left = rd.den, rd.levelN, left
+	k.touchActive()
+	for k.left > 0 {
+		if ie.testOverflow != nil && ie.testOverflow(len(ie.trace)-1) {
+			return ie.promote()
+		}
+		ok, err := k.round()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return ie.promote()
+		}
+		rd := &ie.trace[len(ie.trace)-1]
+		rd.minJ, rd.minR, rd.minA, rd.levelRat = k.minJ, k.minR, k.minA, k.level.Rat()
+		rd.sat = append(rd.sat[:0], k.sat...)
+		rd.frozen = append(rd.frozen[:0], k.froze...)
+		for _, h := range k.froze {
+			ie.rates[h] = rd.levelRat
+		}
+		ie.push()
 	}
 	ie.traceValid = true
 	return nil
 }
 
-// fillFrom continues the fast progressive filling from the last
-// snapshot (which must hold the current scratch state), appending one
-// round record and one snapshot per round until every live flow is
-// frozen. It mirrors Evaluator.eval64 exactly: same link scan order,
-// same strict-< tie rule, same freeze order, so the resulting rates are
-// identical rationals. ok is false when an Rat64 operation overflowed.
-func (ie *IncrementalEvaluator) fillFrom(level rational.Rat64, remaining int) (ok bool, err error) {
-	last := &ie.snaps[len(ie.snaps)-1]
-	copy(ie.rem, last.rem)
-	copy(ie.act, last.act)
-	for remaining > 0 {
-		if ie.testOverflow != nil && ie.testOverflow(len(ie.rounds)) {
-			return false, nil
-		}
-		minIdx := -1
-		var minDelta rational.Rat64
-		for l := 0; l < ie.nFin; l++ {
-			if ie.act[l] == 0 {
-				continue
-			}
-			d, ok := ie.rem[l].DivInt(int64(ie.act[l]))
-			if !ok {
-				return false, nil
-			}
-			if minIdx < 0 || d.Cmp(minDelta) < 0 {
-				minIdx, minDelta = l, d
-			}
-		}
-		if minIdx < 0 {
-			return true, ErrUnboundedFlow
-		}
-		var okOp bool
-		if level, okOp = level.Add(minDelta); !okOp {
-			return false, nil
-		}
-		for l := 0; l < ie.nFin; l++ {
-			if ie.act[l] == 0 {
-				continue
-			}
-			used, ok2 := minDelta.MulInt(int64(ie.act[l]))
-			if !ok2 {
-				return false, nil
-			}
-			if ie.rem[l], ok2 = ie.rem[l].Sub(used); !ok2 {
-				return false, nil
-			}
-		}
-		rd := ie.nextRound()
-		rd.minIdx, rd.minDelta = minIdx, minDelta
-		progressed := false
-		for l := 0; l < ie.nFin; l++ {
-			if ie.act[l] == 0 || !ie.rem[l].IsZero() {
-				continue
-			}
-			rd.sat = append(rd.sat, l)
-			for _, h := range ie.on[l] {
-				if ie.frozen[h] {
-					continue
-				}
-				ie.frozen[h] = true
-				if rd.levelRat == nil {
-					rd.levelRat = level.Rat()
-				}
-				ie.flows[h].rate = rd.levelRat
-				rd.frozen = append(rd.frozen, h)
-				remaining--
-				progressed = true
-				for _, fl := range ie.flows[h].finite {
-					ie.act[fl]--
-				}
-			}
-		}
-		if !progressed {
-			return true, errors.New("incremental: no progress (internal invariant violated)")
-		}
-		ie.pushSnap(level)
+// push opens a trace entry holding the kernel state, recycling the
+// arrays of a truncated entry (replays re-extend the trace per delta).
+func (ie *IncrementalEvaluator) push() {
+	k := ie.k
+	if len(ie.trace) < cap(ie.trace) {
+		ie.trace = ie.trace[:len(ie.trace)+1]
+	} else {
+		ie.trace = append(ie.trace, incRound{})
 	}
-	return true, nil
-}
-
-// nextRound extends ie.rounds by one entry, recycling the sat/frozen
-// backing arrays of a previously truncated record when the slice has
-// spare capacity — replays truncate and re-extend the trace on every
-// delta, so reallocating per round would dominate the fill cost.
-func (ie *IncrementalEvaluator) nextRound() *incRound {
-	if len(ie.rounds) < cap(ie.rounds) {
-		ie.rounds = ie.rounds[:len(ie.rounds)+1]
-		rd := &ie.rounds[len(ie.rounds)-1]
-		rd.sat = rd.sat[:0]
-		rd.frozen = rd.frozen[:0]
-		rd.levelRat = nil
-		return rd
+	rd := &ie.trace[len(ie.trace)-1]
+	if rd.remN == nil {
+		rd.remN, rd.act = make([]int64, len(k.remN)), make([]int32, len(k.act))
 	}
-	ie.rounds = append(ie.rounds, incRound{})
-	return &ie.rounds[len(ie.rounds)-1]
-}
-
-// pushSnap appends a snapshot of the current scratch state, recycling a
-// truncated entry's rem/act arrays when possible (see nextRound).
-func (ie *IncrementalEvaluator) pushSnap(level rational.Rat64) {
-	if len(ie.snaps) < cap(ie.snaps) {
-		ie.snaps = ie.snaps[:len(ie.snaps)+1]
-		s := &ie.snaps[len(ie.snaps)-1]
-		if len(s.rem) != ie.nFin {
-			s.rem = make([]rational.Rat64, ie.nFin)
-			s.act = make([]int, ie.nFin)
-		}
-		s.level = level
-		copy(s.rem, ie.rem)
-		copy(s.act, ie.act)
-		return
-	}
-	s := incSnap{level: level, rem: make([]rational.Rat64, ie.nFin), act: make([]int, ie.nFin)}
-	copy(s.rem, ie.rem)
-	copy(s.act, ie.act)
-	ie.snaps = append(ie.snaps, s)
+	rd.den, rd.levelN = k.den, k.levelN
+	copy(rd.remN, k.remN)
+	copy(rd.act, k.act)
 }
 
 // promote re-runs the current fill losslessly on *big.Rat after an
-// Rat64 overflow. The trace is poisoned: the next mutation pays one
-// full fast fill to rebuild it.
+// int64 overflow.
 func (ie *IncrementalEvaluator) promote() error {
 	ie.promotions++
 	ie.cPromotions.Inc()
@@ -680,89 +436,16 @@ func (ie *IncrementalEvaluator) promote() error {
 	return ie.fillBig()
 }
 
-// fillBig is the exact progressive filling on *big.Rat, mirroring
-// Evaluator.evalBig (same scan order, same cross-multiplied min-delta
-// comparison, same tie rule) over the live flow set. It records no
-// trace — the Rat64 trace cannot represent these values.
+// fillBig runs the whole fill on *big.Rat, recording no trace.
 func (ie *IncrementalEvaluator) fillBig() error {
 	ie.traceValid = false
-	ie.rounds = ie.rounds[:0]
-	ie.snaps = ie.snaps[:0]
-	for l := 0; l < ie.nFin; l++ {
-		ie.remB[l].Set(ie.capsBig[l])
-		ie.act[l] = len(ie.on[l])
-	}
-	for _, h := range ie.order {
-		ie.frozen[h] = false
-	}
-	remaining := ie.nLive
-	level := new(big.Rat)
-	for remaining > 0 {
-		minIdx := -1
-		for l := 0; l < ie.nFin; l++ {
-			if ie.act[l] == 0 {
-				continue
-			}
-			if minIdx < 0 {
-				minIdx = l
-				continue
-			}
-			ie.aInt.SetInt64(int64(ie.act[minIdx]))
-			ie.bInt.SetInt64(int64(ie.act[l]))
-			ie.xInt.Mul(ie.remB[l].Num(), ie.remB[minIdx].Denom())
-			ie.xInt.Mul(ie.xInt, ie.aInt)
-			ie.yInt.Mul(ie.remB[minIdx].Num(), ie.remB[l].Denom())
-			ie.yInt.Mul(ie.yInt, ie.bInt)
-			if ie.xInt.Cmp(ie.yInt) < 0 {
-				minIdx = l
-			}
-		}
-		if minIdx < 0 {
-			return ErrUnboundedFlow
-		}
-		ie.actRat.SetInt64(int64(ie.act[minIdx]))
-		ie.delta.Quo(ie.remB[minIdx], ie.actRat)
-		level.Add(level, ie.delta)
-		for l := 0; l < ie.nFin; l++ {
-			if ie.act[l] == 0 {
-				continue
-			}
-			ie.actRat.SetInt64(int64(ie.act[l]))
-			ie.tmp.Mul(ie.delta, ie.actRat)
-			ie.remB[l].Sub(ie.remB[l], ie.tmp)
-		}
-		var levelRat *big.Rat
-		progressed := false
-		for l := 0; l < ie.nFin; l++ {
-			if ie.act[l] == 0 || ie.remB[l].Sign() != 0 {
-				continue
-			}
-			for _, h := range ie.on[l] {
-				if ie.frozen[h] {
-					continue
-				}
-				ie.frozen[h] = true
-				if levelRat == nil {
-					levelRat = rational.Copy(level)
-				}
-				ie.flows[h].rate = levelRat
-				remaining--
-				progressed = true
-				for _, fl := range ie.flows[h].finite {
-					ie.act[fl]--
-				}
-			}
-		}
-		if !progressed {
-			return errors.New("incremental: no progress (internal invariant violated)")
-		}
-	}
-	return nil
+	ie.prepare()
+	return ie.k.fillBig(ie.rates)
 }
 
-func removeHandle(on []FlowID, h FlowID) []FlowID {
+func removeHandle(on []int32, h FlowID) []int32 {
 	for i, x := range on {
-		if x == h {
+		if x == int32(h) {
 			return append(on[:i], on[i+1:]...)
 		}
 	}

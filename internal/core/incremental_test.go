@@ -10,7 +10,7 @@ import (
 )
 
 // checkOracle asserts that ie's current allocation is bit-identical to a
-// fresh full recompute of the same (Collection, MiddleAssignment).
+// fresh ClosMaxMinFair of the same (Collection, MiddleAssignment).
 func checkOracle(t *testing.T, fab topology.Fabric, ie *IncrementalEvaluator) {
 	t.Helper()
 	fs, ma, ids := ie.Flows()
@@ -23,13 +23,9 @@ func checkOracle(t *testing.T, fab topology.Fabric, ie *IncrementalEvaluator) {
 		}
 		return
 	}
-	ev, err := NewEvaluator(fab, fs)
+	want, err := ClosMaxMinFair(fab, fs, ma)
 	if err != nil {
-		t.Fatalf("oracle NewEvaluator: %v", err)
-	}
-	want, err := ev.Eval(ma)
-	if err != nil {
-		t.Fatalf("oracle Eval: %v", err)
+		t.Fatalf("oracle ClosMaxMinFair: %v", err)
 	}
 	got := ie.Rates()
 	if len(got) != len(want) {

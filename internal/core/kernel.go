@@ -1,0 +1,360 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"math/big"
+	"slices"
+
+	"closnet/internal/rational"
+	"closnet/internal/topology"
+)
+
+// errNoProgress is the internal-invariant error of the filling: a round
+// that saturates no lane and freezes no flow.
+var errNoProgress = errors.New("waterfill: no progress (internal invariant violated)")
+
+// kernel is the package's one production water filling — the exact
+// progressive filling of §2.2 — driven by every evaluator in the package
+// (MaxMinFair stays separate, as the independent reference oracle).
+// A driver numbers its finite constraints densely as lanes (ascending
+// LinkID order on a real network) and supplies one lane list per flow;
+// a fill only visits the touched lanes, in ascending order.
+//
+// Every remaining capacity is an int64 numerator remN[j] over one shared
+// denominator den, seeded once per kernel as the lcm of the capacity
+// denominators (1 on integral fabrics). A round is cross-multiplied
+// compares for the min delta remN[j]/act[j] (strict <: the earliest
+// lane wins ties), a rescale of den by the bottleneck's active count
+// minA, and subtractions — no division and no gcd in the loop. Any
+// int64 overflow returns ok=false, never an inexact value; the driver
+// then promotes to fillBig, the same filling on *big.Rat over the same
+// registered state (also every driver's ForceBig path), so a promotion
+// is a lossless re-run.
+type kernel struct {
+	// Per-lane constants: the capacity as a numerator over den0 (fast is
+	// false when a capacity or den0 does not fit) and as a *big.Rat.
+	seedN   []int64
+	den0    int64
+	fast    bool
+	capsBig []*big.Rat
+
+	// lanes[f] lists flow f's lanes, on[j] the flows crossing lane j.
+	// register builds on from lanes; a driver with a persistent flow
+	// table maintains both itself.
+	lanes [][]int32
+	on    [][]int32
+
+	// Fill state; only touched lanes are read or written.
+	act         []int32
+	touched     []int32
+	frozen      []bool
+	left        int
+	remN        []int64
+	den, levelN int64
+
+	// Outcome of the last round: the bottleneck, the level advance
+	// minR/(den·minA) over the round's starting den, the new level, the
+	// saturated lanes and the flows frozen on them.
+	minJ       int32
+	minR, minA int64
+	level      rational.Rat64
+	sat, froze []int32
+
+	remB               []big.Rat // fillBig's scratch, allocated on first use
+	delta, tmp, actRat big.Rat
+	x, y, a            big.Int
+}
+
+// newKernel prepares a kernel over lanes with the given capacities.
+func newKernel(caps []*big.Rat) *kernel {
+	n := len(caps)
+	k := &kernel{seedN: make([]int64, n), den0: 1, fast: true, capsBig: caps,
+		on: make([][]int32, n), act: make([]int32, n), touched: make([]int32, 0, n),
+		remN: make([]int64, n)}
+	c64 := make([]rational.Rat64, n)
+	for j, c := range caps {
+		var ok bool
+		if c64[j], ok = rational.FromRat(c); ok {
+			q := c64[j].Den()
+			k.den0, ok = mulNonNeg(k.den0/gcdInt64(k.den0, q), q)
+		}
+		k.fast = k.fast && ok
+	}
+	for j := 0; j < n && k.fast; j++ {
+		k.seedN[j], k.fast = mulNonNeg(c64[j].Num(), k.den0/c64[j].Den())
+	}
+	return k
+}
+
+// fabricKernel builds the kernel of a network's finite links, one lane
+// each in ascending LinkID order, and the LinkID → lane map (-1 for
+// unbounded links).
+func fabricKernel(links []topology.Link) (*kernel, []int32) {
+	laneOf := make([]int32, len(links))
+	var caps []*big.Rat
+	for _, l := range links {
+		laneOf[l.ID] = -1
+		if !l.Unbounded {
+			laneOf[l.ID] = int32(len(caps))
+			caps = append(caps, l.Capacity)
+		}
+	}
+	return newKernel(caps), laneOf
+}
+
+// lanesOf maps a path to its finite lanes.
+func lanesOf(p topology.Path, laneOf []int32) []int32 {
+	lanes := make([]int32, 0, len(p))
+	for _, l := range p {
+		if j := laneOf[l]; j >= 0 {
+			lanes = append(lanes, j)
+		}
+	}
+	return lanes
+}
+
+// register starts a fill of flows 0..len(lanes)-1 over the given lane
+// lists, which are retained until the next register.
+func (k *kernel) register(lanes [][]int32) {
+	for _, j := range k.touched {
+		k.act[j] = 0
+	}
+	k.touched = k.touched[:0]
+	for f, ls := range lanes {
+		for _, j := range ls {
+			if k.act[j] == 0 {
+				k.touched = append(k.touched, j)
+				k.on[j] = k.on[j][:0]
+			}
+			k.act[j]++
+			k.on[j] = append(k.on[j], int32(f))
+		}
+	}
+	slices.Sort(k.touched)
+	k.lanes = lanes
+	k.frozen = resize(k.frozen, len(lanes))
+	clear(k.frozen)
+	k.left = len(lanes)
+}
+
+// touchActive rebuilds the touched list as every lane with active flows.
+func (k *kernel) touchActive() {
+	k.touched = k.touched[:0]
+	for j, a := range k.act {
+		if a > 0 {
+			k.touched = append(k.touched, int32(j))
+		}
+	}
+}
+
+// seed resets the touched lanes and the level to the start of a fill.
+func (k *kernel) seed() {
+	for _, j := range k.touched {
+		k.remN[j] = k.seedN[j]
+	}
+	k.den, k.levelN = k.den0, 0
+}
+
+// fill64 runs the registered fill to completion on the int64 lanes,
+// writing flow f's rate to rates[f]; ok is false on overflow.
+func (k *kernel) fill64(rates []rational.Rat64) (ok bool, err error) {
+	k.seed()
+	for k.left > 0 {
+		if ok, err := k.round(); !ok || err != nil {
+			return ok, err
+		}
+		for _, f := range k.froze {
+			rates[f] = k.level
+		}
+	}
+	return true, nil
+}
+
+// round runs one filling round on the int64 lanes.
+func (k *kernel) round() (ok bool, err error) {
+	// delta_j = remN[j]/(den·act[j]); den cancels, so remN[j]/act[j] <
+	// minR/minA cross-multiplies to remN[j]·minA < minR·act[j].
+	k.minJ = -1
+	for _, j := range k.touched {
+		a := int64(k.act[j])
+		if a == 0 {
+			continue
+		}
+		if k.minJ >= 0 {
+			lhs, ok1 := mulNonNeg(k.remN[j], k.minA)
+			rhs, ok2 := mulNonNeg(k.minR, a)
+			if !ok1 || !ok2 {
+				return false, nil
+			}
+			if lhs >= rhs {
+				continue
+			}
+		}
+		k.minJ, k.minR, k.minA = j, k.remN[j], a
+	}
+	if k.minJ < 0 {
+		return true, ErrUnboundedFlow
+	}
+	// Rescale to the denominator den·minA, under which the level rises by
+	// minR and lane j consumes act·minR.
+	if k.den, ok = mulNonNeg(k.den, k.minA); !ok {
+		return false, nil
+	}
+	if k.levelN, ok = mulNonNeg(k.levelN, k.minA); !ok || k.levelN > math.MaxInt64-k.minR {
+		return false, nil
+	}
+	k.levelN += k.minR
+	if k.level, ok = rational.Make64(k.levelN, k.den); !ok || !k.drain(k.touched, k.minR, k.minA) {
+		return false, nil
+	}
+	return true, k.freezeSaturated()
+}
+
+// drain applies a level advance minR/(den·minA) to the active lanes
+// among lanes: rescale by minA, subtract act·minR. The result is
+// non-negative because minR/minA is the minimum delta.
+func (k *kernel) drain(lanes []int32, minR, minA int64) bool {
+	for _, j := range lanes {
+		if k.act[j] == 0 {
+			continue
+		}
+		r, ok1 := mulNonNeg(k.remN[j], minA)
+		used, ok2 := mulNonNeg(int64(k.act[j]), minR)
+		if !ok1 || !ok2 {
+			return false
+		}
+		k.remN[j] = r - used
+	}
+	return true
+}
+
+// freezeSaturated freezes every unfrozen flow crossing an active lane
+// with remN == 0, recording the lanes in sat and the flows in froze.
+func (k *kernel) freezeSaturated() error {
+	k.sat, k.froze = k.sat[:0], k.froze[:0]
+	for _, j := range k.touched {
+		if k.act[j] == 0 || k.remN[j] != 0 {
+			continue
+		}
+		k.sat = append(k.sat, j)
+		for _, f := range k.on[j] {
+			if !k.frozen[f] {
+				k.frozen[f] = true
+				k.froze = append(k.froze, f)
+				for _, l := range k.lanes[f] {
+					k.act[l]--
+				}
+			}
+		}
+	}
+	if k.left -= len(k.froze); len(k.froze) == 0 {
+		return errNoProgress
+	}
+	return nil
+}
+
+// fillBig runs the registered fill to completion on *big.Rat, writing
+// flow f's rate to rates[f]. remN mirrors remB's sign for the scan.
+func (k *kernel) fillBig(rates []*big.Rat) error {
+	if k.remB == nil {
+		k.remB = make([]big.Rat, len(k.capsBig))
+	}
+	for _, j := range k.touched {
+		k.remB[j].Set(k.capsBig[j])
+	}
+	level := new(big.Rat)
+	for k.left > 0 {
+		// With remB = p/q and a active flows, delta = p/(q·a), and
+		// d1 < d2 iff p1·q2·a2 < p2·q1·a1: no division per lane.
+		minJ := int32(-1)
+		for _, j := range k.touched {
+			if k.act[j] == 0 {
+				continue
+			}
+			if minJ >= 0 {
+				k.x.Mul(k.remB[j].Num(), k.remB[minJ].Denom())
+				k.x.Mul(&k.x, k.a.SetInt64(int64(k.act[minJ])))
+				k.y.Mul(k.remB[minJ].Num(), k.remB[j].Denom())
+				k.y.Mul(&k.y, k.a.SetInt64(int64(k.act[j])))
+				if k.x.Cmp(&k.y) >= 0 {
+					continue
+				}
+			}
+			minJ = j
+		}
+		if minJ < 0 {
+			return ErrUnboundedFlow
+		}
+		k.delta.Quo(&k.remB[minJ], k.actRat.SetInt64(int64(k.act[minJ])))
+		level.Add(level, &k.delta)
+		for _, j := range k.touched {
+			if k.act[j] != 0 {
+				k.tmp.Mul(&k.delta, k.actRat.SetInt64(int64(k.act[j])))
+				k.remN[j] = int64(k.remB[j].Sub(&k.remB[j], &k.tmp).Sign())
+			}
+		}
+		if err := k.freezeSaturated(); err != nil {
+			return err
+		}
+		at := rational.Copy(level)
+		for _, f := range k.froze {
+			rates[f] = at
+		}
+	}
+	return nil
+}
+
+// solve registers lanes and fills them: on the int64 lanes into rates
+// when fast is set, returning a nil Allocation, and otherwise — or on
+// overflow — on *big.Rat, returning the result.
+func (k *kernel) solve(lanes [][]int32, rates []rational.Rat64, fast bool) (Allocation, error) {
+	k.register(lanes)
+	if fast {
+		if ok, err := k.fill64(rates); ok || err != nil {
+			return nil, err
+		}
+		k.register(lanes)
+	}
+	a := make(Allocation, len(lanes))
+	return a, k.fillBig(a)
+}
+
+// allocOf materializes a rate lane as a fresh Allocation, sharing one
+// *big.Rat among the flows of each distinct level.
+func allocOf(lane []rational.Rat64) Allocation {
+	a := make(Allocation, len(lane))
+	firsts := make([]int, 0, 16)
+	for i, v := range lane {
+		for _, f := range firsts {
+			if lane[f] == v {
+				a[i] = a[f]
+				break
+			}
+		}
+		if a[i] == nil {
+			a[i] = v.Rat()
+			firsts = append(firsts, i)
+		}
+	}
+	return a
+}
+
+// mulNonNeg is the overflow-checked product of two non-negative int64s.
+func mulNonNeg(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	if a > math.MaxInt64/b {
+		return 0, false
+	}
+	return a * b, true
+}
+
+// gcdInt64 is Euclid's gcd for a ≥ 0, b > 0.
+func gcdInt64(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
-	"sort"
 
 	"closnet/internal/rational"
 	"closnet/internal/topology"
@@ -42,49 +40,21 @@ import (
 // exact, so the relaxed feasible region equals the real one and the
 // bound coincides with the exact evaluation.
 //
-// Like Evaluator, the hot path runs on the rational.Rat64 small-word
-// kernel over scratch reused across calls — only the varying links of
-// each fixed flow differ between nodes, so bounding a child costs a
-// scratch reset plus O(fixed) registration, not a fresh solve — with a
-// lossless *big.Rat fallback on overflow. A PartialEvaluator is NOT
-// safe for concurrent use.
+// Bound runs the package's water-filling kernel over the relaxed lanes
+// (the real links, then the trunk pools) on lane lists resolved at
+// construction. A PartialEvaluator is NOT safe for concurrent use.
 type PartialEvaluator struct {
-	nf     int
-	n      int
-	nLinks int // real links + trunk pools
+	k     *kernel
+	nf    int
+	n     int
+	cur   [][]int32 // the lane lists of the current call
+	rates []rational.Rat64
 
-	// staticOf[fi] lists the relaxed links flow fi occupies regardless
-	// of assignment: the real links shared by all of its candidate paths
-	// plus its charged trunks. varyingOf[fi][m-1] lists the real links
-	// flow fi additionally occupies when fixed to choice m.
-	staticOf  [][]int
-	varyingOf [][][]int
-
-	// Scratch reused across Bound calls, indexed by relaxed link ID.
-	// on holds the static flows-on-link lists (membership there never
-	// varies); varying on-lists are rebuilt per call from the fixed
-	// suffix.
-	active     []int
-	baseActive []int
-	frozen     []bool
-	on         [][]int
-	varyIDs    []int // real links appearing in some varyingOf, for the per-call on reset
-	finiteIDs  []int
-
-	caps64 []rational.Rat64
-	rem64  []rational.Rat64
-	fast   bool
-
+	// lanes[fi][0] lists the lanes flow fi occupies when free: the real
+	// links on all of its candidate paths plus its charged trunks.
+	// lanes[fi][m] adds the other real links of its path via choice m.
+	lanes    [][][]int32
 	forceBig bool
-
-	// big.Rat scratch for the promotion path, mirroring Evaluator.
-	remaining              []*big.Rat
-	caps                   []*big.Rat
-	actRat                 *big.Rat
-	delta                  *big.Rat
-	tmp                    *big.Rat
-	level                  *big.Rat
-	xInt, yInt, aInt, bInt *big.Int
 }
 
 // NewPartialEvaluator prepares repeated trunk-relaxation bounds of fs
@@ -93,207 +63,115 @@ type PartialEvaluator struct {
 func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, error) {
 	net := c.Network()
 	links := net.Links()
-	e := &PartialEvaluator{nf: len(fs), n: c.Size()}
+	e := &PartialEvaluator{nf: len(fs), n: c.Size(), cur: make([][]int32, len(fs)), rates: make([]rational.Rat64, len(fs))}
 	nReal := len(links)
+	caps := make([]*big.Rat, nReal)
 	for _, l := range links {
 		if l.Unbounded {
 			return nil, fmt.Errorf("partial: link %d is unbounded; the trunk relaxation needs finite capacities", l.ID)
 		}
-	}
-
-	// Candidate paths, one per flow and choice.
-	paths := make([][]topology.Path, len(fs))
-	for fi, f := range fs {
-		paths[fi] = make([]topology.Path, e.n)
-		for m := 1; m <= e.n; m++ {
-			p, err := c.Path(f.Src, f.Dst, m)
-			if err != nil {
-				return nil, fmt.Errorf("partial: flow %d: %w", fi, err)
-			}
-			paths[fi][m-1] = p
-		}
+		caps[l.ID] = l.Capacity
 	}
 
 	// Trunk pools: the fabric-interior out-link and in-link bundles of
-	// every switch. Links incident to a server stay out of pools (they
-	// are exact per-flow constraints already), and singleton bundles
-	// duplicate their one real constraint, so only pools of two or more
-	// interior links survive. Each real link belongs to at most one
-	// out-pool (keyed by its tail) and one in-pool (keyed by its head).
+	// every switch, in ascending switch order. Links incident to a server
+	// stay out of pools (they are exact per-flow constraints already),
+	// and singleton bundles duplicate their one real constraint, so only
+	// pools of two or more interior links survive. Each real link belongs
+	// to at most one out-pool (keyed by its tail) and one in-pool (keyed
+	// by its head); poolOf[side][l] is that pool's index, or -1.
 	isServer := func(id topology.NodeID) bool {
 		k := net.Node(id).Kind
 		return k == topology.KindSource || k == topology.KindDestination
 	}
-	outMembers := make(map[topology.NodeID][]int)
-	inMembers := make(map[topology.NodeID][]int)
-	for _, l := range links {
-		if isServer(l.From) || isServer(l.To) {
-			continue
+	var poolOf [2][]int
+	for side := range poolOf {
+		poolOf[side] = make([]int, nReal)
+		members := make([][]int, net.NumNodes())
+		for _, l := range links {
+			poolOf[side][l.ID] = -1
+			if !isServer(l.From) && !isServer(l.To) {
+				key := [2]topology.NodeID{l.From, l.To}[side]
+				members[key] = append(members[key], int(l.ID))
+			}
 		}
-		outMembers[l.From] = append(outMembers[l.From], int(l.ID))
-		inMembers[l.To] = append(inMembers[l.To], int(l.ID))
-	}
-	outPoolOf := make([]int, nReal)
-	inPoolOf := make([]int, nReal)
-	for i := range outPoolOf {
-		outPoolOf[i] = -1
-		inPoolOf[i] = -1
-	}
-	var poolLinks [][]int
-	addPools := func(members map[topology.NodeID][]int, poolOf []int) {
-		// Deterministic pool order: ascending key node ID.
-		keys := make([]int, 0, len(members))
-		for v := range members {
-			keys = append(keys, int(v))
-		}
-		sort.Ints(keys)
-		for _, v := range keys {
-			ids := members[topology.NodeID(v)]
+		for _, ids := range members {
 			if len(ids) < 2 {
 				continue
 			}
-			sort.Ints(ids)
+			pooled := new(big.Rat)
 			for _, id := range ids {
-				poolOf[id] = len(poolLinks)
+				poolOf[side][id] = len(caps) - nReal
+				pooled.Add(pooled, links[id].Capacity)
 			}
-			poolLinks = append(poolLinks, ids)
+			caps = append(caps, pooled)
 		}
 	}
-	addPools(outMembers, outPoolOf)
-	addPools(inMembers, inPoolOf)
-	e.nLinks = nReal + len(poolLinks)
+	e.k = newKernel(caps)
 
-	e.caps = make([]*big.Rat, e.nLinks)
-	e.caps64 = make([]rational.Rat64, e.nLinks)
-	e.rem64 = make([]rational.Rat64, e.nLinks)
-	e.remaining = make([]*big.Rat, e.nLinks)
-	e.fast = true
-	for _, l := range links {
-		id := int(l.ID)
-		e.caps[id] = l.Capacity
-		if c64, ok := l.Capacity64(); ok {
-			e.caps64[id] = c64
-		} else {
-			e.fast = false
-		}
-		e.finiteIDs = append(e.finiteIDs, id)
-		e.remaining[id] = new(big.Rat)
-	}
-	sort.Ints(e.finiteIDs)
-	for t, members := range poolLinks {
-		pooled := new(big.Rat)
-		for _, id := range members {
-			pooled.Add(pooled, links[id].Capacity)
-		}
-		tid := nReal + t
-		e.caps[tid] = pooled
-		if c64, ok := rational.FromRat(pooled); ok {
-			e.caps64[tid] = c64
-		} else {
-			e.fast = false
-		}
-		e.finiteIDs = append(e.finiteIDs, tid)
-		e.remaining[tid] = new(big.Rat)
-	}
-
-	// Per-flow static links, varying links and charged trunks. A trunk
-	// is charged exactly when every candidate path crosses its pool
-	// exactly once (then the flow consumes one unit of pool capacity
-	// under any completion).
-	e.staticOf = make([][]int, len(fs))
-	e.varyingOf = make([][][]int, len(fs))
-	isVarying := make([]bool, nReal)
+	// Per-flow lanes. A real link is static when it lies on every
+	// candidate path. A trunk is charged exactly when every candidate
+	// path crosses its pool exactly once (then the flow consumes one unit
+	// of pool capacity under any completion).
+	e.lanes = make([][][]int32, len(fs))
 	occ := make([]int, nReal)
-	for fi := range fs {
-		for _, p := range paths[fi] {
+	crossings := make([]int, len(caps)-nReal)
+	charged := make([]bool, len(caps)-nReal)
+	for fi, f := range fs {
+		paths := make([]topology.Path, e.n)
+		for q := range charged {
+			charged[q] = true
+		}
+		for m := range paths {
+			p, err := c.Path(f.Src, f.Dst, m+1)
+			if err != nil {
+				return nil, fmt.Errorf("partial: flow %d: %w", fi, err)
+			}
+			paths[m] = p
+			clear(crossings)
 			for _, l := range p {
 				occ[l]++
-			}
-		}
-		trunks := make(map[int]bool)
-		for pi, p := range paths[fi] {
-			cnt := make(map[int]int)
-			for _, l := range p {
-				if q := outPoolOf[l]; q >= 0 {
-					cnt[q]++
-				}
-				if q := inPoolOf[l]; q >= 0 {
-					cnt[q]++
-				}
-			}
-			if pi == 0 {
-				for q, crossings := range cnt {
-					if crossings == 1 {
-						trunks[q] = true
-					}
-				}
-			} else {
-				for q := range trunks {
-					if cnt[q] != 1 {
-						delete(trunks, q)
+				for _, q := range [2]int{poolOf[0][l], poolOf[1][l]} {
+					if q >= 0 {
+						crossings[q]++
 					}
 				}
 			}
-		}
-		e.varyingOf[fi] = make([][]int, e.n)
-		for m, p := range paths[fi] {
-			for _, l := range p {
-				if occ[l] == e.n {
-					continue // static: on every candidate path
-				}
-				e.varyingOf[fi][m] = append(e.varyingOf[fi][m], int(l))
-				isVarying[l] = true
+			for q, n := range crossings {
+				charged[q] = charged[q] && n == 1
 			}
 		}
-		var static []int
-		for _, l := range paths[fi][0] {
+		var free []int32
+		for _, l := range paths[0] {
 			if occ[l] == e.n {
-				static = append(static, int(l))
+				free = append(free, int32(l))
 			}
 		}
-		for _, p := range paths[fi] {
+		for q, ch := range charged {
+			if ch {
+				free = append(free, int32(nReal+q))
+			}
+		}
+		e.lanes[fi] = [][]int32{free}
+		for _, p := range paths {
+			lanes := append([]int32(nil), free...)
+			for _, l := range p {
+				if occ[l] != e.n {
+					lanes = append(lanes, int32(l))
+				}
+			}
+			e.lanes[fi] = append(e.lanes[fi], lanes)
+		}
+		for _, p := range paths {
 			for _, l := range p {
 				occ[l] = 0
 			}
 		}
-		trunkIDs := make([]int, 0, len(trunks))
-		for q := range trunks {
-			trunkIDs = append(trunkIDs, nReal+q)
-		}
-		sort.Ints(trunkIDs)
-		e.staticOf[fi] = append(static, trunkIDs...)
 	}
-
-	// Static membership: every flow sits on its static links and trunks
-	// for every partial assignment; varying links start empty and are
-	// filled per call with the fixed suffix.
-	e.on = make([][]int, e.nLinks)
-	e.baseActive = make([]int, e.nLinks)
-	e.active = make([]int, e.nLinks)
-	for fi := range fs {
-		for _, id := range e.staticOf[fi] {
-			e.on[id] = append(e.on[id], fi)
-			e.baseActive[id]++
-		}
-	}
-	for id, v := range isVarying {
-		if v {
-			e.varyIDs = append(e.varyIDs, id)
-		}
-	}
-	e.frozen = make([]bool, len(fs))
-	e.actRat = new(big.Rat)
-	e.delta = new(big.Rat)
-	e.tmp = new(big.Rat)
-	e.level = new(big.Rat)
-	e.xInt, e.yInt = new(big.Int), new(big.Int)
-	e.aInt, e.bInt = new(big.Int), new(big.Int)
 	return e, nil
 }
 
-// ForceBig pins Bound to the *big.Rat path when on is true, bypassing
-// the Rat64 kernel. The results are identical; it exists for
-// differential tests.
+// ForceBig pins Bound to the (identical) *big.Rat path when on.
 func (e *PartialEvaluator) ForceBig(on bool) { e.forceBig = on }
 
 // Bound computes the max-min fair allocation of the trunk relaxation in
@@ -310,202 +188,18 @@ func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (Allocation
 	if fixedFrom < 0 || fixedFrom > e.nf {
 		return nil, fmt.Errorf("partial: fixedFrom %d out of range [0, %d]", fixedFrom, e.nf)
 	}
-	for fi := fixedFrom; fi < e.nf; fi++ {
-		if m := ma[fi]; m < 1 || m > e.n {
-			return nil, fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
+	for fi := range e.cur {
+		m := 0
+		if fi >= fixedFrom {
+			if m = ma[fi]; m < 1 || m > e.n {
+				return nil, fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
+			}
 		}
+		e.cur[fi] = e.lanes[fi][m]
 	}
-	if e.fast && !e.forceBig {
-		rates, ok, err := e.bound64(ma, fixedFrom)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return rates, nil
-		}
+	a, err := e.k.solve(e.cur, e.rates, e.k.fast && !e.forceBig)
+	if a == nil && err == nil {
+		a = allocOf(e.rates)
 	}
-	return e.boundBig(ma, fixedFrom)
-}
-
-// register resets the varying scratch: varying on-lists are rebuilt for
-// the fixed suffix, active counts start from the static membership, and
-// the frozen flags clear. Static on-lists (shared links and trunks) are
-// shared across calls and never mutated.
-func (e *PartialEvaluator) register(ma MiddleAssignment, fixedFrom int) {
-	for _, id := range e.varyIDs {
-		e.on[id] = e.on[id][:0]
-	}
-	copy(e.active, e.baseActive)
-	for fi := range e.frozen {
-		e.frozen[fi] = false
-	}
-	for fi := fixedFrom; fi < e.nf; fi++ {
-		for _, id := range e.varyingOf[fi][ma[fi]-1] {
-			e.on[id] = append(e.on[id], fi)
-			e.active[id]++
-		}
-	}
-}
-
-// linksOf calls fn for every relaxed link flow fi occupies under the
-// partial assignment.
-func (e *PartialEvaluator) linksOf(fi, fixedFrom int, ma MiddleAssignment, fn func(id int)) {
-	for _, id := range e.staticOf[fi] {
-		fn(id)
-	}
-	if fi >= fixedFrom {
-		for _, id := range e.varyingOf[fi][ma[fi]-1] {
-			fn(id)
-		}
-	}
-}
-
-// bound64 is the small-word progressive filling of the relaxed system,
-// mirroring Evaluator.eval64: same bottleneck scan, same tie-breaking,
-// same exact arithmetic. The second result is false when an operation
-// overflowed int64; the caller then redoes the state on boundBig.
-func (e *PartialEvaluator) bound64(ma MiddleAssignment, fixedFrom int) (Allocation, bool, error) {
-	e.register(ma, fixedFrom)
-	for _, id := range e.finiteIDs {
-		e.rem64[id] = e.caps64[id]
-	}
-	rates := make(rational.Vec, e.nf)
-	if e.nf == 0 {
-		return rates, true, nil
-	}
-	level := rational.Zero64()
-	remainingFlows := e.nf
-	for remainingFlows > 0 {
-		minID := -1
-		var minDelta rational.Rat64
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
-				continue
-			}
-			d, ok := e.rem64[id].DivInt(int64(e.active[id]))
-			if !ok {
-				return nil, false, nil
-			}
-			if minID < 0 || d.Cmp(minDelta) < 0 {
-				minID = id
-				minDelta = d
-			}
-		}
-		if minID < 0 {
-			return nil, false, ErrUnboundedFlow
-		}
-		var ok bool
-		if level, ok = level.Add(minDelta); !ok {
-			return nil, false, nil
-		}
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
-				continue
-			}
-			used, ok := minDelta.MulInt(int64(e.active[id]))
-			if !ok {
-				return nil, false, nil
-			}
-			if e.rem64[id], ok = e.rem64[id].Sub(used); !ok {
-				return nil, false, nil
-			}
-		}
-		var levelRat *big.Rat
-		progressed := false
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 || !e.rem64[id].IsZero() {
-				continue
-			}
-			for _, fi := range e.on[id] {
-				if e.frozen[fi] {
-					continue
-				}
-				e.frozen[fi] = true
-				if levelRat == nil {
-					levelRat = level.Rat()
-				}
-				rates[fi] = levelRat
-				remainingFlows--
-				progressed = true
-				e.linksOf(fi, fixedFrom, ma, func(l int) { e.active[l]-- })
-			}
-		}
-		if !progressed {
-			return nil, false, errors.New("partial: no progress (internal invariant violated)")
-		}
-	}
-	return rates, true, nil
-}
-
-// boundBig is the exact progressive filling of the relaxed system on
-// *big.Rat, the promotion target of bound64 and the oracle of the
-// differential tests. It mirrors Evaluator.evalBig.
-func (e *PartialEvaluator) boundBig(ma MiddleAssignment, fixedFrom int) (Allocation, error) {
-	e.register(ma, fixedFrom)
-	for _, id := range e.finiteIDs {
-		e.remaining[id].Set(e.caps[id])
-	}
-	rates := make(rational.Vec, e.nf)
-	if e.nf == 0 {
-		return rates, nil
-	}
-	level := e.level.SetInt64(0)
-	remainingFlows := e.nf
-	for remainingFlows > 0 {
-		minID := -1
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
-				continue
-			}
-			if minID < 0 {
-				minID = id
-				continue
-			}
-			e.aInt.SetInt64(int64(e.active[minID]))
-			e.bInt.SetInt64(int64(e.active[id]))
-			e.xInt.Mul(e.remaining[id].Num(), e.remaining[minID].Denom())
-			e.xInt.Mul(e.xInt, e.aInt)
-			e.yInt.Mul(e.remaining[minID].Num(), e.remaining[id].Denom())
-			e.yInt.Mul(e.yInt, e.bInt)
-			if e.xInt.Cmp(e.yInt) < 0 {
-				minID = id
-			}
-		}
-		if minID < 0 {
-			return nil, ErrUnboundedFlow
-		}
-		e.actRat.SetInt64(int64(e.active[minID]))
-		e.delta.Quo(e.remaining[minID], e.actRat)
-
-		level.Add(level, e.delta)
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
-				continue
-			}
-			e.actRat.SetInt64(int64(e.active[id]))
-			e.tmp.Mul(e.delta, e.actRat)
-			e.remaining[id].Sub(e.remaining[id], e.tmp)
-		}
-
-		progressed := false
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 || e.remaining[id].Sign() != 0 {
-				continue
-			}
-			for _, fi := range e.on[id] {
-				if e.frozen[fi] {
-					continue
-				}
-				e.frozen[fi] = true
-				rates[fi] = rational.Copy(level)
-				remainingFlows--
-				progressed = true
-				e.linksOf(fi, fixedFrom, ma, func(l int) { e.active[l]-- })
-			}
-		}
-		if !progressed {
-			return nil, errors.New("partial: no progress (internal invariant violated)")
-		}
-	}
-	return rates, nil
+	return a, err
 }

@@ -41,13 +41,9 @@ func TestPartialBoundLeafExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(c, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ma := make(MiddleAssignment, len(fs))
 	forEachAssignment(ma, 0, len(fs), c.Size(), func() {
-		exact, err := ev.Eval(ma)
+		exact, err := ClosMaxMinFair(c, fs, ma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,10 +78,6 @@ func TestPartialBoundAdmissible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := NewEvaluator(c, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		nf := len(fs)
 		ma := make(MiddleAssignment, nf)
 		for fixedFrom := 0; fixedFrom <= nf; fixedFrom++ {
@@ -95,7 +87,7 @@ func TestPartialBoundAdmissible(t *testing.T) {
 					t.Fatal(err)
 				}
 				forEachAssignment(ma, 0, fixedFrom, tc.n, func() {
-					exact, err := ev.Eval(ma)
+					exact, err := ClosMaxMinFair(c, fs, ma)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -209,10 +201,6 @@ func FuzzPartialBoundAdmissible(f *testing.F) {
 			e.ForceBig(true)
 			return e
 		}()
-		ev, err := NewEvaluator(c, fs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		bound, err := pe.Bound(ma, fixedFrom)
 		if err != nil {
 			t.Fatalf("bound: %v", err)
@@ -225,7 +213,7 @@ func FuzzPartialBoundAdmissible(f *testing.F) {
 			t.Fatalf("fast %v != big %v", bound, bigBound)
 		}
 		forEachAssignment(ma, 0, fixedFrom, c.Size(), func() {
-			exact, err := ev.Eval(ma)
+			exact, err := ClosMaxMinFair(c, fs, ma)
 			if err != nil {
 				t.Fatal(err)
 			}

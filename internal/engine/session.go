@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"closnet/internal/codec"
@@ -113,7 +114,10 @@ type SessionStats struct {
 }
 
 // Sessions is the bounded, TTL-evicting session table. Safe for
-// concurrent use.
+// concurrent use. Lock order: the table's mu before any session's mu,
+// never the reverse — pruneLocked and lookup take s.mu under ss.mu, so
+// a path holding s.mu must not take ss.mu (the delta counter is atomic
+// for that reason).
 type Sessions struct {
 	mu    sync.Mutex
 	table map[string]*Session
@@ -121,7 +125,8 @@ type Sessions struct {
 	ttl   time.Duration
 	now   func() time.Time
 
-	opened, closed, expired, deltas int64
+	opened, closed, expired int64
+	deltas                  atomic.Int64
 
 	o        *obs.Obs
 	cOpened  *obs.Counter
@@ -324,9 +329,7 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 		s.flows[i].middle = d.Middle
 	}
 	s.seq++
-	ss.mu.Lock()
-	ss.deltas++
-	ss.mu.Unlock()
+	ss.deltas.Add(1)
 	ss.cDeltas.Inc()
 	return s.responseLocked(OpSessionDelta, arrived)
 }
@@ -367,7 +370,7 @@ func (ss *Sessions) Stats() SessionStats {
 		Opened:   ss.opened,
 		Closed:   ss.closed,
 		Expired:  ss.expired,
-		Deltas:   ss.deltas,
+		Deltas:   ss.deltas.Load(),
 	}
 }
 

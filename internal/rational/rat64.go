@@ -10,18 +10,17 @@ import (
 
 // Rat64 is an exact rational with a single machine word per component:
 // num/den with den ≥ 1 and gcd(|num|, den) = 1. It is the small-word
-// kernel of the allocation engine: every quantity the paper's
+// rate format of the allocation engine: every quantity the paper's
 // constructions produce (unit capacities, rates like 1/(k+1), 1/n,
-// (n-1)/2·(1+1/(k+1))) fits comfortably, so the water-filling hot path
-// runs on Rat64 values and falls back to *big.Rat only when an
-// operation reports overflow.
+// (n-1)/2·(1+1/(k+1))) fits comfortably, so rate lanes are Rat64 values
+// and the search screens them without materializing *big.Rat.
 //
-// Arithmetic methods return (result, ok). ok = false means the exact
-// result may not fit in an int64 fraction; the receiver and arguments
-// are unchanged and the caller must redo the computation on *big.Rat
-// (every Rat64 converts losslessly via Rat). Overflow detection is
-// conservative: an operation may report false even when the reduced
-// result would fit, which costs a promotion but never an inexact value.
+// Add returns (result, ok). ok = false means the exact sum may not
+// fit in an int64 fraction; the operands are unchanged and the caller
+// must redo the computation on *big.Rat (every Rat64 converts losslessly
+// via Rat). Overflow detection is conservative: Add may report false
+// even when the reduced sum would fit, which costs a fallback but never
+// an inexact value.
 //
 // The zero value is NOT a valid Rat64 (its denominator is 0); use
 // Zero64, Int64, Make64 or FromRat.
@@ -78,9 +77,6 @@ func (a Rat64) Sign() int {
 	}
 }
 
-// IsZero reports whether a equals 0.
-func (a Rat64) IsZero() bool { return a.num == 0 }
-
 // String formats a in lowest terms, using plain integers where possible.
 func (a Rat64) String() string {
 	if a.den == 1 {
@@ -89,9 +85,8 @@ func (a Rat64) String() string {
 	return fmt.Sprintf("%d/%d", a.num, a.den)
 }
 
-// Cmp compares a and b, returning -1, 0 or +1. Unlike the arithmetic
-// methods it can never overflow: the cross products are compared in
-// 128 bits.
+// Cmp compares a and b, returning -1, 0 or +1. Unlike Add it can never
+// overflow: the cross products are compared in 128 bits.
 func (a Rat64) Cmp(b Rat64) int {
 	sa, sb := a.Sign(), b.Sign()
 	switch {
@@ -135,29 +130,18 @@ func Sort64(v []Rat64) {
 }
 
 // Add returns a+b with ok = false on overflow.
-func (a Rat64) Add(b Rat64) (Rat64, bool) { return a.addSub(b, false) }
-
-// Sub returns a-b with ok = false on overflow.
-func (a Rat64) Sub(b Rat64) (Rat64, bool) { return a.addSub(b, true) }
-
-func (a Rat64) addSub(b Rat64, sub bool) (Rat64, bool) {
-	bn := b.num
-	if sub {
-		if bn == math.MinInt64 {
-			return Rat64{}, false
-		}
-		bn = -bn
-	}
-	// a.num/a.den + bn/b.den with the shared factor of the denominators
-	// divided out first (Knuth 4.5.1): with g = gcd(a.den, b.den), the
-	// sum is (a.num·(b.den/g) + bn·(a.den/g)) / (a.den·(b.den/g)).
+func (a Rat64) Add(b Rat64) (Rat64, bool) {
+	// a.num/a.den + b.num/b.den with the shared factor of the
+	// denominators divided out first (Knuth 4.5.1): with g = gcd(a.den,
+	// b.den), the sum is (a.num·(b.den/g) + b.num·(a.den/g)) /
+	// (a.den·(b.den/g)).
 	g := int64(gcd64(uint64(a.den), uint64(b.den)))
 	db := b.den / g
 	x, ok := mulI64(a.num, db)
 	if !ok {
 		return Rat64{}, false
 	}
-	y, ok := mulI64(bn, a.den/g)
+	y, ok := mulI64(b.num, a.den/g)
 	if !ok {
 		return Rat64{}, false
 	}
@@ -170,75 +154,6 @@ func (a Rat64) addSub(b Rat64, sub bool) (Rat64, bool) {
 		return Rat64{}, false
 	}
 	return norm64(p < 0, absU64(p), absU64(q))
-}
-
-// Mul returns a·b with ok = false on overflow.
-func (a Rat64) Mul(b Rat64) (Rat64, bool) {
-	// Cross-reduce before multiplying: since a and b are themselves in
-	// lowest terms, the result of the reduced products is too.
-	g1 := int64(gcd64(absU64(a.num), uint64(b.den)))
-	g2 := int64(gcd64(absU64(b.num), uint64(a.den)))
-	p, ok := mulI64(a.num/g1, b.num/g2)
-	if !ok {
-		return Rat64{}, false
-	}
-	q, ok := mulI64(a.den/g2, b.den/g1)
-	if !ok {
-		return Rat64{}, false
-	}
-	if p == math.MinInt64 {
-		return Rat64{}, false
-	}
-	return Rat64{p, q}, true
-}
-
-// Quo returns a/b with ok = false on overflow. It panics if b is zero,
-// matching big.Rat.Quo.
-func (a Rat64) Quo(b Rat64) (Rat64, bool) {
-	if b.num == 0 {
-		panic("rational: division by zero Rat64")
-	}
-	if b.num == math.MinInt64 {
-		return Rat64{}, false
-	}
-	inv := Rat64{b.den, b.num}
-	if inv.den < 0 {
-		inv.num, inv.den = -inv.num, -inv.den
-	}
-	return a.Mul(inv)
-}
-
-// MulInt returns a·k with ok = false on overflow.
-func (a Rat64) MulInt(k int64) (Rat64, bool) {
-	g := int64(gcd64(absU64(k), uint64(a.den)))
-	p, ok := mulI64(a.num, k/g)
-	if !ok || p == math.MinInt64 {
-		return Rat64{}, false
-	}
-	return Rat64{p, a.den / g}, true
-}
-
-// DivInt returns a/k with ok = false on overflow. It panics if k is
-// zero. It is the water-filling step remaining/active, so it avoids the
-// general Quo path: the denominator product is the only thing that can
-// grow.
-func (a Rat64) DivInt(k int64) (Rat64, bool) {
-	if k == 0 {
-		panic("rational: division of Rat64 by zero integer")
-	}
-	if k == math.MinInt64 || a.num == math.MinInt64 {
-		return Rat64{}, false
-	}
-	num := a.num
-	if k < 0 {
-		num, k = -num, -k
-	}
-	g := int64(gcd64(absU64(num), uint64(k)))
-	q, ok := mulI64(a.den, k/g)
-	if !ok {
-		return Rat64{}, false
-	}
-	return Rat64{num / g, q}, true
 }
 
 // norm64 builds the normalized Rat64 with the given sign and component

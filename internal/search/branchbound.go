@@ -10,8 +10,8 @@
 //
 //   - lex-max-min: the trunk relaxation of core.PartialEvaluator —
 //     free flows charged on aggregate per-ToR trunk capacity instead of
-//     per-middle links — water-filled on the Rat64 scratch, so a child
-//     bound costs one incremental fill, not a fresh solve;
+//     per-middle links — water-filled on the core kernel's reused
+//     scratch, so a child bound costs one fill, not a fresh setup;
 //   - throughput-max-min: the splittable maximum-throughput LP of
 //     lp.SplittableThroughputBound restricted to the prefix's paths,
 //     with its dual certificate re-verified (weak duality), capped by

@@ -6,7 +6,7 @@
 // Options.FullSpace — and shards contiguous rank ranges over worker
 // goroutines. Each worker decodes its first state from the rank itself
 // (no shared counter exists) and evaluates max-min fair allocations
-// with a private core.Evaluator whose Rat64 scratch is reused across
+// with a private core evaluator whose kernel scratch is reused across
 // states. Shard-local incumbents are merged with a deterministic
 // reduction: shards are visited in ascending rank order and an
 // incumbent is replaced only on strict improvement, so the merged

@@ -564,14 +564,14 @@ func (s *Server) serveOp(ctx context.Context, p *engine.Prepared) (status int, b
 // flight — including on rejection and error — so followers never block
 // past the leader's exit; a leader's 429 is shared with its followers,
 // which is exactly the load-shedding semantics we want (the work they
-// were waiting for is not going to happen).
-func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p *engine.Prepared) (int, []byte) {
+// were waiting for is not going to happen). A panicking compute is
+// recovered into a 500 that finishes the flight; the admission slot is
+// released by its deferred release either way.
+func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p *engine.Prepared) (status int, body []byte) {
 	asp, _ := obs.StartSpan(reqCtx, "server.admit")
 	err := s.admit.acquire(reqCtx)
 	asp.Attr("ok", err == nil).End()
 	if err != nil {
-		var status int
-		var body []byte
 		if errors.Is(err, errSaturated) {
 			s.mRejects.Inc()
 			status, body = http.StatusTooManyRequests, codec.ErrorBody("server saturated; retry later")
@@ -582,6 +582,12 @@ func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p 
 		return status, body
 	}
 	defer s.admit.release()
+	defer func() {
+		if r := recover(); r != nil {
+			status, body = http.StatusInternalServerError, codec.ErrorBody(fmt.Sprintf("internal error: compute panicked: %v", r))
+			s.flight.finish(key, call, body, status, nil)
+		}
+	}()
 	if s.computeStarted != nil {
 		s.computeStarted(p.Op)
 	}
@@ -592,8 +598,8 @@ func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p 
 		ctx, cancel = context.WithTimeout(reqCtx, t)
 		defer cancel()
 	}
-	body, err := s.eng.Compute(ctx, p)
-	status := http.StatusOK
+	body, err = s.eng.Compute(ctx, p)
+	status = http.StatusOK
 	if err != nil {
 		status, body = mapComputeError(err)
 	} else {

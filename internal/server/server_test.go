@@ -288,6 +288,36 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
+// TestComputePanicDoesNotPoisonFlight: a compute that panics must still
+// finish its flight (with a 500) and release its admission slot, so an
+// identical request afterwards computes afresh instead of joining a
+// flight that never ends.
+func TestComputePanicDoesNotPoisonFlight(t *testing.T) {
+	s, ts, _ := newTestServer(t, Options{Workers: 1})
+	var once sync.Once
+	s.computeStarted = func(string) {
+		once.Do(func() { panic("injected compute panic") })
+	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func() (int, []byte) {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/v1/evaluate", "application/json",
+			bytes.NewReader([]byte(scenarioBody)))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	if status, body := post(); status != http.StatusInternalServerError {
+		t.Fatalf("panicking compute: status %d, body %s; want 500", status, body)
+	}
+	if status, body := post(); status != http.StatusOK {
+		t.Fatalf("request after a panicked flight: status %d, body %s; want 200", status, body)
+	}
+}
+
 // TestCoalescing holds the flight leader at the compute gate while
 // followers pile onto the same content address, then releases it and
 // checks one computation served everyone byte-identically.

@@ -69,20 +69,6 @@ type Link struct {
 	From, To  NodeID
 	Capacity  *big.Rat
 	Unbounded bool
-
-	// cap64 is the small-word image of Capacity, precomputed at AddLink
-	// so allocator hot paths never re-inspect the big.Rat. cap64ok is
-	// false for unbounded links and for (pathological) capacities whose
-	// components exceed an int64.
-	cap64   rational.Rat64
-	cap64ok bool
-}
-
-// Capacity64 returns the capacity as an exact Rat64. ok is false when
-// the link is unbounded or the capacity does not fit in an int64
-// fraction; callers must then fall back to Capacity.
-func (l Link) Capacity64() (rational.Rat64, bool) {
-	return l.cap64, l.cap64ok
 }
 
 // Network is a directed graph with named nodes and capacitated links.
@@ -137,11 +123,7 @@ func (n *Network) addLink(from, to NodeID, capacity *big.Rat, unbounded bool) (L
 		return 0, fmt.Errorf("link %s->%s already exists", n.nodes[from].Name, n.nodes[to].Name)
 	}
 	id := LinkID(len(n.links))
-	l := Link{ID: id, From: from, To: to, Capacity: capacity, Unbounded: unbounded}
-	if !unbounded {
-		l.cap64, l.cap64ok = rational.FromRat(capacity)
-	}
-	n.links = append(n.links, l)
+	n.links = append(n.links, Link{ID: id, From: from, To: to, Capacity: capacity, Unbounded: unbounded})
 	n.out[from] = append(n.out[from], id)
 	n.linkByEnds[key] = id
 	return id, nil
