@@ -66,14 +66,16 @@ cover:
 	$(GO) test -cover ./...
 
 # Short fuzz pass over the allocator and its kernel drivers, the edge
-# colorer, the simplex and the codec.
+# colorer, the simplex (and its integer path against the big.Rat
+# tableau) and the codec.
 fuzz:
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzBlockEvalMatchesSingle -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIncrementalDeltas -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzPartialBoundAdmissible -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzEdgeColor -fuzztime=10s ./internal/coloring/
-	$(GO) test -fuzz=FuzzSimplex -fuzztime=10s ./internal/lp/
+	$(GO) test -fuzz='^FuzzSimplex$$' -fuzztime=10s ./internal/lp/
+	$(GO) test -fuzz=FuzzSimplexIntMatchesBig -fuzztime=10s ./internal/lp/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/codec/
 
 clean:

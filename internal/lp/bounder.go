@@ -1,0 +1,228 @@
+package lp
+
+import (
+	"math/big"
+	"slices"
+
+	"closnet/internal/core"
+	"closnet/internal/topology"
+)
+
+// ThroughputBounder computes the throughput branch-and-bound's node
+// bounds: Bound(ma, fixedFrom) equals SplittableThroughputBound over
+// PrefixPaths(c, fs, ma, fixedFrom) exactly, without rebuilding the LP
+// or touching *big.Rat on the way.
+//
+// Construction resolves, once, every (flow, middle) path as a list of
+// finite-link lanes (ascending LinkID order, one entry per traversal)
+// and the lane capacities as int64 numerators over one shared
+// denominator den. Bound then switches columns on per prefix — a fixed
+// flow gets only its own middle's column, a free flow all n — and
+// solves the LP on the integer fraction-free tableau (intTableau) in
+// reused scratch, with the same rows and columns, in the same order,
+// that ThroughputProblem builds. The dual solution is re-certified in
+// exact integers against the original incidence, not the tableau:
+// with Y_i the final reduced cost of row i's slack (y_i = Y_i/D, D the
+// last pivot), it checks Y_i ≥ 0 and Σ_i Y_i·a_ij ≥ D for every active
+// column, and returns the weak-duality value Σ_i Y_i·cap_i / (D·den).
+// A wrong pivot can therefore cost pruning power, never correctness.
+// Any int64 overflow, an unbounded or uncertified LP, or an invalid
+// argument falls back to SplittableThroughputBound, which also supplies
+// the error. A ThroughputBounder is NOT safe for concurrent use.
+type ThroughputBounder struct {
+	c     topology.Fabric
+	fs    core.Collection
+	nf, n int
+
+	// paths[fi*n+m-1] lists the lanes of flow fi's path via middle m;
+	// capN[l]/den is lane l's capacity. fast is false when a path or a
+	// capacity could not be resolved: then every Bound falls back.
+	paths [][]int32
+	capN  []int64
+	den   int64
+	fast  bool
+
+	// Per-call scratch: the active columns (indices into paths) in LP
+	// variable order, the touched lanes in ascending order (the LP rows)
+	// and each lane's row (-1 when untouched).
+	t     intTableau
+	cols  []int32
+	rows  []int32
+	rowOf []int32
+}
+
+// NewThroughputBounder prepares repeated throughput bounds of fs over c.
+func NewThroughputBounder(c topology.Fabric, fs core.Collection) *ThroughputBounder {
+	n := c.Size()
+	b := &ThroughputBounder{c: c, fs: fs, nf: len(fs), n: n, den: 1, fast: true}
+	links := c.Network().Links()
+	laneOf := make([]int32, len(links))
+	var caps []*big.Rat
+	for _, l := range links {
+		laneOf[l.ID] = -1
+		if !l.Unbounded {
+			laneOf[l.ID] = int32(len(caps))
+			caps = append(caps, l.Capacity)
+			num, d := l.Capacity.Num(), l.Capacity.Denom()
+			if !num.IsInt64() || !d.IsInt64() || num.Sign() < 0 {
+				b.fast = false
+			} else if b.fast {
+				b.den, b.fast = lcmScale(b.den, d.Int64())
+			}
+		}
+	}
+	b.capN = make([]int64, len(caps))
+	for i, cp := range caps {
+		if b.fast {
+			b.capN[i], b.fast = mulNonNeg(cp.Num().Int64(), b.den/cp.Denom().Int64())
+		}
+	}
+	b.rowOf = make([]int32, len(caps))
+	for i := range b.rowOf {
+		b.rowOf[i] = -1
+	}
+	b.paths = make([][]int32, len(fs)*n)
+	for fi, f := range fs {
+		for m := 1; m <= n && b.fast; m++ {
+			p, err := c.Path(f.Src, f.Dst, m)
+			if err != nil {
+				b.fast = false
+				break
+			}
+			lanes := make([]int32, 0, len(p))
+			for _, l := range p {
+				if j := laneOf[l]; j >= 0 {
+					lanes = append(lanes, j)
+				}
+			}
+			b.paths[fi*n+m-1] = lanes
+		}
+	}
+	return b
+}
+
+// Bound returns the certified splittable maximum-throughput bound of
+// the partial assignment in which flows [fixedFrom, len(fs)) are routed
+// per ma and flows [0, fixedFrom) stay splittable over all n middles —
+// exactly SplittableThroughputBound(net, fs, PrefixPaths(c, fs, ma,
+// fixedFrom)). Only ma[fixedFrom:] is read; the result is freshly
+// allocated.
+func (b *ThroughputBounder) Bound(ma core.MiddleAssignment, fixedFrom int) (*big.Rat, error) {
+	if num, den, ok := b.bound64(ma, fixedFrom); ok {
+		return new(big.Rat).SetFrac64(num, den), nil
+	}
+	paths, err := PrefixPaths(b.c, b.fs, ma, fixedFrom)
+	if err != nil {
+		return nil, err
+	}
+	return SplittableThroughputBound(b.c.Network(), b.fs, paths)
+}
+
+// bound64 is Bound's integer path: the certified bound num/den, or
+// ok=false to fall back.
+func (b *ThroughputBounder) bound64(ma core.MiddleAssignment, fixedFrom int) (num, den int64, ok bool) {
+	if !b.activate(ma, fixedFrom) {
+		return 0, 0, false
+	}
+	defer b.deactivate()
+	if optimal, ok := b.solveLP(); !optimal || !ok {
+		return 0, 0, false
+	}
+	nv := len(b.cols)
+	return b.certify(b.t.z[nv:nv+len(b.rows)], b.t.d)
+}
+
+// activate switches on the columns of the prefix and the rows they
+// touch; it is false on an invalid argument. A true return must be
+// paired with deactivate.
+func (b *ThroughputBounder) activate(ma core.MiddleAssignment, fixedFrom int) bool {
+	if !b.fast || len(ma) != b.nf || fixedFrom < 0 || fixedFrom > b.nf {
+		return false
+	}
+	b.cols = b.cols[:0]
+	for fi := 0; fi < b.nf; fi++ {
+		if fi < fixedFrom {
+			for m := 0; m < b.n; m++ {
+				b.cols = append(b.cols, int32(fi*b.n+m))
+			}
+			continue
+		}
+		if m := ma[fi]; m < 1 || m > b.n {
+			return false
+		}
+		b.cols = append(b.cols, int32(fi*b.n+ma[fi]-1))
+	}
+	b.rows = b.rows[:0]
+	for _, pc := range b.cols {
+		for _, l := range b.paths[pc] {
+			if b.rowOf[l] < 0 {
+				b.rowOf[l] = 0
+				b.rows = append(b.rows, l)
+			}
+		}
+	}
+	slices.Sort(b.rows)
+	for i, l := range b.rows {
+		b.rowOf[l] = int32(i)
+	}
+	return true
+}
+
+// deactivate clears the row map for the next call.
+func (b *ThroughputBounder) deactivate() {
+	for _, l := range b.rows {
+		b.rowOf[l] = -1
+	}
+}
+
+// solveLP builds and solves the LP of the active columns and rows.
+func (b *ThroughputBounder) solveLP() (optimal, ok bool) {
+	t := &b.t
+	t.reset(len(b.rows), len(b.cols))
+	for j, pc := range b.cols {
+		t.z[j] = -1
+		for _, l := range b.paths[pc] {
+			t.a[int(b.rowOf[l])*t.w+j]++
+		}
+	}
+	for i, l := range b.rows {
+		t.a[i*t.w+t.w-1] = b.capN[l]
+	}
+	return t.solve()
+}
+
+// certify checks that ys, over the common denominator d, is a feasible
+// dual of the active LP — ys[i] ≥ 0 and Σ_i ys[i]·a_ij ≥ d for every
+// active column, against the lane incidence rather than the tableau —
+// and returns its weak-duality value num/den = Σ_i ys[i]·cap_i / (d·den).
+func (b *ThroughputBounder) certify(ys []int64, d int64) (num, den int64, ok bool) {
+	for _, y := range ys {
+		if y < 0 {
+			return 0, 0, false
+		}
+	}
+	for _, pc := range b.cols {
+		var s int64
+		for _, l := range b.paths[pc] {
+			if s, ok = addNonNeg(s, ys[b.rowOf[l]]); !ok {
+				return 0, 0, false
+			}
+		}
+		if s < d {
+			return 0, 0, false
+		}
+	}
+	for i, l := range b.rows {
+		yb, ok := mulNonNeg(ys[i], b.capN[l])
+		if !ok {
+			return 0, 0, false
+		}
+		if num, ok = addNonNeg(num, yb); !ok {
+			return 0, 0, false
+		}
+	}
+	if den, ok = mulNonNeg(d, b.den); !ok {
+		return 0, 0, false
+	}
+	return num, den, true
+}

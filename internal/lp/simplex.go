@@ -1,5 +1,6 @@
 // Package lp implements an exact linear-programming solver over rationals
-// (dense two-phase simplex with Bland's anti-cycling rule) together with
+// (dense two-phase simplex with Bland's anti-cycling rule, run on an
+// int64 fraction-free tableau whenever the problem allows) together with
 // the LP models of the splittable-flow relaxations that the paper
 // contrasts against: splittable maximum throughput and splittable max-min
 // fairness via progressive filling.
@@ -89,30 +90,57 @@ var ErrBadProblem = errors.New("lp: invalid problem")
 
 // Solve maximizes the problem exactly. It always terminates (Bland's
 // rule) and distinguishes optimal, infeasible and unbounded outcomes.
-func Solve(p Problem) (*Solution, error) {
+//
+// A problem whose rows are all LE with a non-negative RHS and whose
+// coefficients and objective are integers runs on the int64
+// fraction-free tableau (intTableau), which pivots exactly like the
+// *big.Rat tableau; everything else — and any int64 overflow — runs on
+// the *big.Rat tableau.
+func Solve(p Problem) (*Solution, error) { return solve(p, 0) }
+
+// solve is Solve with the integer path's failAt test hook: a positive
+// failAt makes that path report overflow at its failAt-th pivot.
+func solve(p Problem, failAt int) (*Solution, error) {
+	if err := validate(p); err != nil {
+		return nil, err
+	}
+	if sol, ok := solveInt(p, failAt); ok {
+		return sol, nil
+	}
+	return solveRat(p), nil
+}
+
+// validate rejects structurally invalid problems.
+func validate(p Problem) error {
 	n := p.NumVars
 	if n < 0 || len(p.Objective) > n {
-		return nil, fmt.Errorf("%w: %d variables, %d objective coefficients", ErrBadProblem, n, len(p.Objective))
+		return fmt.Errorf("%w: %d variables, %d objective coefficients", ErrBadProblem, n, len(p.Objective))
 	}
 	for i, c := range p.Constraints {
 		if len(c.Coeffs) > n {
-			return nil, fmt.Errorf("%w: constraint %d has %d coefficients for %d variables", ErrBadProblem, i, len(c.Coeffs), n)
+			return fmt.Errorf("%w: constraint %d has %d coefficients for %d variables", ErrBadProblem, i, len(c.Coeffs), n)
 		}
 		if c.Rel != LE && c.Rel != GE && c.Rel != EQ {
-			return nil, fmt.Errorf("%w: constraint %d has relation %d", ErrBadProblem, i, c.Rel)
+			return fmt.Errorf("%w: constraint %d has relation %d", ErrBadProblem, i, c.Rel)
 		}
 		if c.RHS == nil {
-			return nil, fmt.Errorf("%w: constraint %d has nil RHS", ErrBadProblem, i)
+			return fmt.Errorf("%w: constraint %d has nil RHS", ErrBadProblem, i)
 		}
 	}
+	return nil
+}
 
+// solveRat solves a validated problem on the *big.Rat tableau: the
+// integer path's fallback and its differential oracle.
+func solveRat(p Problem) *Solution {
+	n := p.NumVars
 	t := newTableau(p)
 	if !t.phase1() {
-		return &Solution{Status: Infeasible}, nil
+		return &Solution{Status: Infeasible}
 	}
 	t.dropArtificials()
 	if !t.phase2(p) {
-		return &Solution{Status: Unbounded}, nil
+		return &Solution{Status: Unbounded}
 	}
 
 	x := make([]*big.Rat, n)
@@ -130,7 +158,7 @@ func Solve(p Problem) (*Solution, error) {
 			obj.Add(obj, rational.Mul(p.Objective[j], x[j]))
 		}
 	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Duals: t.duals()}, nil
+	return &Solution{Status: Optimal, Objective: obj, X: x, Duals: t.duals()}
 }
 
 // duals reads the constraint multipliers off the final reduced-cost row:

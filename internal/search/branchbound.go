@@ -12,10 +12,11 @@
 //     free flows charged on aggregate per-ToR trunk capacity instead of
 //     per-middle links — water-filled on the core kernel's reused
 //     scratch, so a child bound costs one fill, not a fresh setup;
-//   - throughput-max-min: the splittable maximum-throughput LP of
-//     lp.SplittableThroughputBound restricted to the prefix's paths,
-//     with its dual certificate re-verified (weak duality), capped by
-//     the Lemma 3.2 matching bound.
+//   - throughput-max-min: the splittable maximum-throughput LP
+//     restricted to the prefix's paths, solved by lp.ThroughputBounder
+//     on the integer simplex's reused scratch with its dual certificate
+//     re-verified (weak duality), capped by the Lemma 3.2 matching
+//     bound.
 //
 // Nodes expand best-bound-first so the incumbent tightens early; a
 // branch is pruned when its bound cannot beat the incumbent. Pruning
@@ -360,17 +361,13 @@ func throughputBranchBound(c topology.Fabric, fs core.Collection, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	net := c.Network()
+	tb := lp.NewThroughputBounder(c, fs)
 	obj := bbObjective{
 		leafValue: func(a core.Allocation) rational.Vec {
 			return rational.Vec{core.Throughput(a)}
 		},
 		bound: func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error) {
-			paths, err := lp.PrefixPaths(c, fs, ma, fixedFrom)
-			if err != nil {
-				return nil, err
-			}
-			bound, err := lp.SplittableThroughputBound(net, fs, paths)
+			bound, err := tb.Bound(ma, fixedFrom)
 			if err != nil {
 				return nil, err
 			}

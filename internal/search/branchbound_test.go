@@ -150,20 +150,47 @@ func TestPrunedC5Reduction(t *testing.T) {
 }
 
 // TestThroughputBoundAdmissiblePrefixes cross-checks the LP bound the
-// throughput branch-and-bound prunes on: at every depth, for every
-// fixed suffix, the certified splittable bound (capped by the matching
-// bound, exactly as throughputBranchBound computes it) must dominate
+// throughput branch-and-bound prunes on, on a Clos and a fat-tree
+// instance: at every depth, for every sampled fixed suffix, the
+// lp.ThroughputBounder bound must exactly equal the certified
+// splittable bound over lp.PrefixPaths, both capped by the matching
+// bound exactly as throughputBranchBound caps them, and must dominate
 // the throughput of every completion.
 func TestThroughputBoundAdmissiblePrefixes(t *testing.T) {
 	c, fs := journalInstance()
-	n := c.Size()
-	nf := len(fs)
-	ub, err := maxMatchingSize(fs)
+	ft, err := topology.NewFatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ubRat := rational.Int(int64(ub))
+	ftFlows := core.Collection{}.
+		Add(ft.Source(1, 1), ft.Dest(3, 1), 1).
+		Add(ft.Source(2, 1), ft.Dest(3, 2), 1).
+		Add(ft.Source(3, 2), ft.Dest(1, 1), 1).
+		Add(ft.Source(5, 1), ft.Dest(1, 2), 1)
+	for _, tc := range []struct {
+		name string
+		c    topology.Fabric
+		fs   core.Collection
+	}{{"clos3", c, fs}, {"fattree4", ft, ftFlows}} {
+		t.Run(tc.name, func(t *testing.T) { checkThroughputBoundPrefixes(t, tc.c, tc.fs) })
+	}
+}
+
+func checkThroughputBoundPrefixes(t *testing.T, c topology.Fabric, fs core.Collection) {
+	n := c.Size()
+	nf := len(fs)
+	ubRat, err := matchingBound(c, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := func(b *big.Rat) *big.Rat {
+		if ubRat != nil && b.Cmp(ubRat) > 0 {
+			return new(big.Rat).Set(ubRat)
+		}
+		return b
+	}
 	net := c.Network()
+	tb := lp.NewThroughputBounder(c, fs)
 	ev, err := core.NewEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
@@ -175,12 +202,18 @@ func TestThroughputBoundAdmissiblePrefixes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bound, err := lp.SplittableThroughputBound(net, fs, paths)
+			ref, err := lp.SplittableThroughputBound(net, fs, paths)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bound.Cmp(ubRat) > 0 {
-				bound = new(big.Rat).Set(ubRat)
+			bound := capped(ref)
+			got, err := tb.Bound(ma, fixedFrom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(ref) != 0 || capped(got).Cmp(bound) != 0 {
+				t.Fatalf("fixedFrom=%d ma=%v: bounder %s, reference %s (capped %s)",
+					fixedFrom, ma, rational.String(got), rational.String(ref), rational.String(bound))
 			}
 			// Every completion of the fixed suffix stays below the bound.
 			comp := make(core.MiddleAssignment, nf)
@@ -207,11 +240,14 @@ func TestThroughputBoundAdmissiblePrefixes(t *testing.T) {
 		}
 	}
 	// Sample the suffix space: all assignments of the two highest flows,
-	// lowest flows pinned to 1 — 9 suffixes x 5 depths x up to 81
-	// completions keeps the LP count bounded.
+	// lower flows pinned to 1 — n² suffixes x |F|+1 depths x up to
+	// n^|F| completions keeps the LP count bounded.
 	for v2 := 1; v2 <= n; v2++ {
 		for v3 := 1; v3 <= n; v3++ {
-			ma[0], ma[1], ma[2], ma[3] = 1, 1, v2, v3
+			for i := range ma {
+				ma[i] = 1
+			}
+			ma[nf-2], ma[nf-1] = v2, v3
 			walk()
 		}
 	}

@@ -80,9 +80,13 @@ type Options struct {
 	// configuration of the loadgen benchmark).
 	CacheSize int
 	// Timeout is the per-request compute deadline (0 = DefaultTimeout,
-	// negative = none). It parents the request's own context, so client
-	// disconnects cancel the computation too. Batch items are bounded
-	// individually, like the single calls they mirror.
+	// negative = none). A coalesced computation is bounded by it from
+	// the moment its leader queues for admission, and keeps running when
+	// the leader's client disconnects, since its followers still want
+	// the result; a follower waits at most Timeout. Session requests
+	// are bounded after admission and stop when their client goes.
+	// Batch items are bounded individually, like the single calls they
+	// mirror.
 	Timeout time.Duration
 	// SearchWorkers is the enumeration worker count each search op uses
 	// (0 = 1, the serving default: parallelism comes from serving many
@@ -199,9 +203,10 @@ type Server struct {
 	mLatency    *obs.Timer
 
 	// computeStarted, when non-nil, runs on the flight leader after
-	// admission and before the computation — a test hook for making
-	// coalescing and drain scenarios deterministic.
-	computeStarted func(op string)
+	// admission and before the computation, with the leader's request
+	// context — a test hook for making coalescing, drain and
+	// disconnect scenarios deterministic.
+	computeStarted func(reqCtx context.Context, op string)
 }
 
 // New builds a Server from opts.
@@ -547,11 +552,16 @@ func (s *Server) serveOp(ctx context.Context, p *engine.Prepared) (status int, b
 	call, leader := s.flight.join(key)
 	if !leader {
 		s.mCoalesced.Inc()
-		wsp, _ := obs.StartSpan(ctx, "server.coalesce_wait")
-		respBody, status, err := call.wait(ctx)
+		// A follower waits no longer than the server deadline, even when
+		// its client set none.
+		wctx, cancel := s.withTimeout(ctx)
+		defer cancel()
+		wsp, _ := obs.StartSpan(wctx, "server.coalesce_wait")
+		respBody, status, err := call.wait(wctx)
 		wsp.Attr("ok", err == nil).End()
 		if err != nil {
-			return http.StatusServiceUnavailable, codec.ErrorBody(err.Error()), ""
+			status, respBody = mapComputeError(err)
+			return status, respBody, ""
 		}
 		return status, respBody, "coalesced"
 	}
@@ -566,10 +576,15 @@ func (s *Server) serveOp(ctx context.Context, p *engine.Prepared) (status int, b
 // which is exactly the load-shedding semantics we want (the work they
 // were waiting for is not going to happen). A panicking compute is
 // recovered into a 500 that finishes the flight; the admission slot is
-// released by its deferred release either way.
+// released by its deferred release either way. The flight serves every
+// follower, not just the leader's client, so it runs detached from the
+// leader's cancellation (a disconnecting leader does not fail the
+// followers), bounded by the server deadline.
 func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p *engine.Prepared) (status int, body []byte) {
-	asp, _ := obs.StartSpan(reqCtx, "server.admit")
-	err := s.admit.acquire(reqCtx)
+	ctx, cancel := s.withTimeout(context.WithoutCancel(reqCtx))
+	defer cancel()
+	asp, _ := obs.StartSpan(ctx, "server.admit")
+	err := s.admit.acquire(ctx)
 	asp.Attr("ok", err == nil).End()
 	if err != nil {
 		if errors.Is(err, errSaturated) {
@@ -589,14 +604,7 @@ func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p 
 		}
 	}()
 	if s.computeStarted != nil {
-		s.computeStarted(p.Op)
-	}
-
-	ctx := reqCtx
-	if t := s.opts.Timeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(reqCtx, t)
-		defer cancel()
+		s.computeStarted(reqCtx, p.Op)
 	}
 	body, err = s.eng.Compute(ctx, p)
 	status = http.StatusOK
@@ -607,6 +615,14 @@ func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p 
 	}
 	s.flight.finish(key, call, body, status, nil)
 	return status, body
+}
+
+// withTimeout bounds ctx by the server's compute deadline, if any.
+func (s *Server) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if t := s.opts.Timeout; t > 0 {
+		return context.WithTimeout(ctx, t)
+	}
+	return ctx, func() {}
 }
 
 // mapComputeError maps a computation failure to its HTTP shape:

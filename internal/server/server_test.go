@@ -295,7 +295,7 @@ func TestHealthAndStats(t *testing.T) {
 func TestComputePanicDoesNotPoisonFlight(t *testing.T) {
 	s, ts, _ := newTestServer(t, Options{Workers: 1})
 	var once sync.Once
-	s.computeStarted = func(string) {
+	s.computeStarted = func(context.Context, string) {
 		once.Do(func() { panic("injected compute panic") })
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -326,7 +326,7 @@ func TestCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan string, 8)
 	s, ts, reg := newTestServer(t, Options{Workers: 4})
-	s.computeStarted = func(op string) {
+	s.computeStarted = func(_ context.Context, op string) {
 		started <- op
 		<-gate
 	}
@@ -400,13 +400,134 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestLeaderDisconnectDoesNotFailFollowers: the flight leader's client
+// disconnects while a follower waits on the same key. The shared
+// computation must not inherit the leader's cancellation: the follower
+// gets 200 with exactly the body a later request reads from the cache.
+func TestLeaderDisconnectDoesNotFailFollowers(t *testing.T) {
+	started := make(chan struct{})
+	s, ts, reg := newTestServer(t, Options{Workers: 2})
+	var once sync.Once
+	s.computeStarted = func(reqCtx context.Context, _ string) {
+		once.Do(func() {
+			close(started)
+			<-reqCtx.Done() // hold the flight until the leader's client is gone
+		})
+	}
+	url := ts.URL + "/v1/search?objective=lex"
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		req, err := http.NewRequestWithContext(leaderCtx, http.MethodPost, url, bytes.NewReader([]byte(scenarioBody)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("leader never reached the compute gate")
+	}
+
+	type outcome struct {
+		status int
+		body   []byte
+	}
+	follower := make(chan outcome, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(scenarioBody)))
+		if err != nil {
+			t.Errorf("follower POST: %v", err)
+			follower <- outcome{}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		follower <- outcome{resp.StatusCode, body}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot().Counters["server.coalesced"] < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelLeader()
+	<-leaderDone
+
+	var got outcome
+	select {
+	case got = <-follower:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower still waiting after the leader disconnected")
+	}
+	if got.status != http.StatusOK {
+		t.Fatalf("follower: status %d, body %s; want 200", got.status, got.body)
+	}
+	resp, cached := post(t, url, scenarioBody)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Closnet-Cache") != "hit" {
+		t.Fatalf("after the flight: status %d, cache %q; want a 200 cache hit",
+			resp.StatusCode, resp.Header.Get("X-Closnet-Cache"))
+	}
+	if !bytes.Equal(got.body, cached) {
+		t.Errorf("follower body differs from the cached body:\n%s\n%s", got.body, cached)
+	}
+}
+
+// TestFollowerWaitBounded: on a server whose clients set no deadline, a
+// follower waits on a stuck flight no longer than the server Timeout.
+func TestFollowerWaitBounded(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	started := make(chan struct{})
+	s, ts, reg := newTestServer(t, Options{Workers: 2, Timeout: 200 * time.Millisecond})
+	var once sync.Once
+	s.computeStarted = func(context.Context, string) {
+		once.Do(func() {
+			close(started)
+			<-gate // a compute that ignores its deadline
+		})
+	}
+	url := ts.URL + "/v1/evaluate"
+	go func() {
+		if resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(scenarioBody))); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("leader never reached the compute gate")
+	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(url, "application/json", bytes.NewReader([]byte(scenarioBody)))
+	if err != nil {
+		t.Fatalf("follower of a stuck flight on a 200ms server deadline: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("follower of a stuck flight: status %d, body %s; want 504", resp.StatusCode, body)
+	}
+	if reg.Snapshot().Counters["server.coalesced"] != 1 {
+		t.Errorf("server.coalesced = %d, want 1", reg.Snapshot().Counters["server.coalesced"])
+	}
+}
+
 // TestSaturation429 fills the single worker slot and asserts the next
 // distinct request is shed immediately with 429 + Retry-After.
 func TestSaturation429(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan string, 1)
 	s, ts, reg := newTestServer(t, Options{Workers: 1, QueueDepth: -1})
-	s.computeStarted = func(op string) {
+	s.computeStarted = func(_ context.Context, op string) {
 		started <- op
 		<-gate
 	}
@@ -462,7 +583,7 @@ func TestDrain(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan string, 1)
 	s, ts, _ := newTestServer(t, Options{Workers: 2})
-	s.computeStarted = func(op string) {
+	s.computeStarted = func(_ context.Context, op string) {
 		started <- op
 		<-gate
 	}
