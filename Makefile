@@ -67,7 +67,8 @@ cover:
 
 # Short fuzz pass over the allocator and its kernel drivers, the edge
 # colorer, the simplex (and its integer path against the big.Rat
-# tableau) and the codec.
+# tableau), the codec (its fast paths against encoding/json and
+# big.Rat) and the serving handler.
 fuzz:
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzBlockEvalMatchesSingle -fuzztime=10s ./internal/core/
@@ -76,7 +77,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzEdgeColor -fuzztime=10s ./internal/coloring/
 	$(GO) test -fuzz='^FuzzSimplex$$' -fuzztime=10s ./internal/lp/
 	$(GO) test -fuzz=FuzzSimplexIntMatchesBig -fuzztime=10s ./internal/lp/
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz=FuzzDecodeFastMatchesJSON -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz=FuzzDecodeBatchMatchesJSON -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz=FuzzCanonicalEncodeMatchesJSON -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz=FuzzNormalizeDemandMatchesBigRat -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz=FuzzServe -fuzztime=10s ./internal/server/
 
 clean:
 	$(GO) clean ./...

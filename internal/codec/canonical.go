@@ -1,12 +1,17 @@
 package codec
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Canonical returns the canonical form of a scenario: the unique
@@ -31,99 +36,30 @@ import (
 // of the instance as stated, and evaluation results are reported in
 // canonical flow order.
 func Canonical(s *Scenario) (*Scenario, error) {
-	perm, demands, err := canonicalPerm(s)
-	if err != nil {
-		return nil, err
-	}
-	c := &Scenario{
-		Topology: s.Topology,
-		Tors:     s.Tors,
-		Servers:  s.Servers,
-		Middles:  s.Middles,
-	}
-	// "clos" and "" denote the same family; the canonical form uses the
-	// empty spelling so pre-family content addresses are preserved.
-	if c.Topology == "clos" {
-		c.Topology = ""
-	}
-	c.Flows = make([]FlowJSON, len(s.Flows))
-	for i, fi := range perm {
-		c.Flows[i] = s.Flows[fi]
-	}
-	if s.Demands != nil {
-		c.Demands = make([]string, len(demands))
-		for i, fi := range perm {
-			c.Demands[i] = demands[fi]
-		}
-	}
-	if s.Assignment != nil {
-		c.Assignment = make([]int, len(s.Assignment))
-		for i, fi := range perm {
-			c.Assignment[i] = s.Assignment[fi]
-		}
-	}
-	return c, nil
+	f, err := canonicalize(s, 0)
+	return f.Scenario, err
 }
 
-// CanonicalPerm returns the permutation Canonical applies to the flow
-// list: perm[i] is the index in s.Flows of the i-th canonical flow.
-// Callers that track per-flow state keyed by original position (the
-// session layer of internal/engine) use it to report rates in the same
-// canonical order the scenario's content address commits to.
-func CanonicalPerm(s *Scenario) ([]int, error) {
-	perm, _, err := canonicalPerm(s)
-	return perm, err
+// CanonicalForm is the outcome of one canonicalization pass.
+type CanonicalForm struct {
+	// Scenario is the canonical form (Canonical).
+	Scenario *Scenario
+	// Perm is the permutation applied to the flow list: Perm[i] is the
+	// index in the input of the i-th canonical flow. Callers that track
+	// per-flow state by original position (the session layer of
+	// internal/engine) use it to report in canonical order.
+	Perm []int
+	// Hash is the content address (CanonicalHash).
+	Hash [32]byte
+	// TopoHash is the topology address (TopologyHash).
+	TopoHash [32]byte
 }
 
-// canonicalPerm validates s and computes the canonical flow permutation
-// together with the normalized demand strings (RatString form), which
-// both Canonical and CanonicalPerm need.
-func canonicalPerm(s *Scenario) (perm []int, demands []string, err error) {
-	if err := s.validate(); err != nil {
-		return nil, nil, err
-	}
-	demands = make([]string, len(s.Demands))
-	for fi, str := range s.Demands {
-		r, ok := new(big.Rat).SetString(str)
-		if !ok {
-			return nil, nil, fmt.Errorf("codec: flow %d demand %q is not a rational", fi, str)
-		}
-		if r.Sign() < 0 {
-			return nil, nil, fmt.Errorf("codec: flow %d demand %q is negative", fi, str)
-		}
-		demands[fi] = r.RatString()
-	}
-
-	perm = make([]int, len(s.Flows))
-	for i := range perm {
-		perm[i] = i
-	}
-	flowLess := func(a, b int) bool {
-		fa, fb := s.Flows[a], s.Flows[b]
-		switch {
-		case fa.SrcSwitch != fb.SrcSwitch:
-			return fa.SrcSwitch < fb.SrcSwitch
-		case fa.SrcServer != fb.SrcServer:
-			return fa.SrcServer < fb.SrcServer
-		case fa.DstSwitch != fb.DstSwitch:
-			return fa.DstSwitch < fb.DstSwitch
-		case fa.DstServer != fb.DstServer:
-			return fa.DstServer < fb.DstServer
-		}
-		if len(demands) > 0 && demands[a] != demands[b] {
-			// Compare numerically, not textually: the strings are already
-			// normalized, but "2" vs "11" must order as rationals.
-			ra, _ := new(big.Rat).SetString(demands[a])
-			rb, _ := new(big.Rat).SetString(demands[b])
-			return ra.Cmp(rb) < 0
-		}
-		if len(s.Assignment) > 0 && s.Assignment[a] != s.Assignment[b] {
-			return s.Assignment[a] < s.Assignment[b]
-		}
-		return false
-	}
-	sort.SliceStable(perm, func(i, j int) bool { return flowLess(perm[i], perm[j]) })
-	return perm, demands, nil
+// Canonicalize validates and canonicalizes s once and returns the
+// canonical form, its permutation and both addresses, hashed from one
+// encoding of the canonical form.
+func Canonicalize(s *Scenario) (CanonicalForm, error) {
+	return canonicalize(s, wantHash|wantTopoHash)
 }
 
 // Hash returns the SHA-256 content address of the scenario: the hash
@@ -137,18 +73,10 @@ func (s *Scenario) Hash() ([32]byte, error) {
 }
 
 // CanonicalHash canonicalizes s once and returns both the canonical
-// form and its content address — the serving layer needs the pair and
-// must not pay for two canonicalization passes on its hot path.
+// form and its content address.
 func CanonicalHash(s *Scenario) (*Scenario, [32]byte, error) {
-	c, err := Canonical(s)
-	if err != nil {
-		return nil, [32]byte{}, err
-	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		return nil, [32]byte{}, fmt.Errorf("codec: %w", err)
-	}
-	return c, sha256.Sum256(data), nil
+	f, err := canonicalize(s, wantHash)
+	return f.Scenario, f.Hash, err
 }
 
 // TopologyHash returns the SHA-256 address of the scenario's topology:
@@ -165,22 +93,252 @@ func CanonicalHash(s *Scenario) (*Scenario, [32]byte, error) {
 // sees — is uniquely determined by the hashed value: equal hashes can
 // never alias two different flow collections.
 func TopologyHash(s *Scenario) ([32]byte, error) {
-	c, err := Canonical(s)
-	if err != nil {
-		return [32]byte{}, err
+	f, err := canonicalize(s, wantTopoHash)
+	return f.TopoHash, err
+}
+
+// The addresses canonicalize computes.
+const (
+	wantHash = 1 << iota
+	wantTopoHash
+)
+
+// canonicalize is the one canonicalization pass behind every exported
+// entry point: validate, normalize the demands, sort the flows, build
+// the canonical form, and hash the addresses in want.
+func canonicalize(s *Scenario, want int) (CanonicalForm, error) {
+	if err := s.validate(); err != nil {
+		return CanonicalForm{}, err
 	}
-	stripped := &Scenario{
-		Topology: c.Topology,
-		Tors:     c.Tors,
-		Servers:  c.Servers,
-		Middles:  c.Middles,
-		Flows:    c.Flows,
+	var demands []string
+	if s.Demands != nil {
+		demands = make([]string, len(s.Demands))
+		for fi, str := range s.Demands {
+			d, err := normDemand(str)
+			if err != nil {
+				return CanonicalForm{}, fmt.Errorf("codec: flow %d demand %q %v", fi, str, err)
+			}
+			demands[fi] = d
+		}
 	}
-	data, err := json.Marshal(stripped)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("codec: %w", err)
+
+	n := len(s.Flows)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
 	}
-	return sha256.Sum256(data), nil
+	order := func(a, b int) int {
+		fa, fb := &s.Flows[a], &s.Flows[b]
+		switch {
+		case fa.SrcSwitch != fb.SrcSwitch:
+			return cmp.Compare(fa.SrcSwitch, fb.SrcSwitch)
+		case fa.SrcServer != fb.SrcServer:
+			return cmp.Compare(fa.SrcServer, fb.SrcServer)
+		case fa.DstSwitch != fb.DstSwitch:
+			return cmp.Compare(fa.DstSwitch, fb.DstSwitch)
+		case fa.DstServer != fb.DstServer:
+			return cmp.Compare(fa.DstServer, fb.DstServer)
+		case len(demands) > 0 && demands[a] != demands[b]:
+			// Normalized spellings are equal exactly when the values are,
+			// but "2" vs "11" must order as rationals, not as text.
+			return cmpDemands(demands[a], demands[b])
+		case len(s.Assignment) > 0:
+			return cmp.Compare(s.Assignment[a], s.Assignment[b])
+		}
+		return 0
+	}
+	sorted := slices.IsSortedFunc(perm, order)
+	if !sorted {
+		slices.SortStableFunc(perm, order)
+	}
+
+	c := &Scenario{
+		Topology: s.Topology,
+		Tors:     s.Tors,
+		Servers:  s.Servers,
+		Middles:  s.Middles,
+		Flows:    make([]FlowJSON, n),
+	}
+	// "clos" and "" denote the same family; the canonical form uses the
+	// empty spelling so pre-family content addresses are preserved.
+	if c.Topology == "clos" {
+		c.Topology = ""
+	}
+	for i, fi := range perm {
+		c.Flows[i] = s.Flows[fi]
+	}
+	if demands != nil {
+		c.Demands = demands
+		if !sorted {
+			c.Demands = make([]string, n)
+			for i, fi := range perm {
+				c.Demands[i] = demands[fi]
+			}
+		}
+	}
+	if s.Assignment != nil {
+		c.Assignment = make([]int, n)
+		for i, fi := range perm {
+			c.Assignment[i] = s.Assignment[fi]
+		}
+	}
+	f := CanonicalForm{Scenario: c, Perm: perm}
+	if want != 0 {
+		f.Hash, f.TopoHash = hashCanonical(c, want)
+	}
+	return f, nil
+}
+
+// normDemand returns the canonical spelling of a demand: big.Rat's
+// RatString. A plain p or p/q (no sign, no leading zero, int64 terms,
+// q > 0) is reduced in integers; every other spelling goes through
+// big.Rat, whose reading is the definition. Leading zeros must take
+// that path: big.Rat reads a fraction's terms with base prefixes, so
+// "010/3" is 8/3, while "010" is the decimal 10.
+func normDemand(str string) (string, error) {
+	if p, q, ok := parseRat64(str); ok {
+		g := gcd(p, q)
+		if g == 1 && (q != 1 || !strings.Contains(str, "/")) {
+			return str, nil // already in lowest terms, spelled canonically
+		}
+		p, q = p/g, q/g
+		var buf [40]byte
+		b := strconv.AppendUint(buf[:0], p, 10)
+		if q != 1 {
+			b = append(b, '/')
+			b = strconv.AppendUint(b, q, 10)
+		}
+		return string(b), nil
+	}
+	r, ok := new(big.Rat).SetString(str)
+	if !ok {
+		return "", errNotRational
+	}
+	if r.Sign() < 0 {
+		return "", errNegative
+	}
+	return r.RatString(), nil
+}
+
+// normDemand's errors, completed by canonicalize with the flow and the
+// spelling.
+var (
+	errNotRational = errors.New("is not a rational")
+	errNegative    = errors.New("is negative")
+)
+
+// parseRat64 parses p or p/q with p matching 0|[1-9][0-9]*, q matching
+// [1-9][0-9]*, both at most MaxInt64.
+func parseRat64(s string) (p, q uint64, ok bool) {
+	num, den, frac := strings.Cut(s, "/")
+	if p, ok = parseUint63(num); !ok {
+		return 0, 0, false
+	}
+	if !frac {
+		return p, 1, true
+	}
+	if q, ok = parseUint63(den); !ok || q == 0 {
+		return 0, 0, false
+	}
+	return p, q, true
+}
+
+// parseUint63 parses 0|[1-9][0-9]* up to MaxInt64.
+func parseUint63(s string) (uint64, bool) {
+	if s == "" || (s[0] == '0' && len(s) > 1) {
+		return 0, false
+	}
+	var u uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d := uint64(c - '0')
+		if u > (1<<63-1-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	return u, true
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// cmpDemands orders two normalized demand spellings by value: in
+// 128-bit integers when both parse as int64 terms, in big.Rat
+// otherwise.
+func cmpDemands(x, y string) int {
+	xp, xq, okx := parseRat64(x)
+	yp, yq, oky := parseRat64(y)
+	if okx && oky {
+		// x < y ⇔ xp·yq < yp·xq; both sides are exact in 128 bits.
+		lh, ll := bits.Mul64(xp, yq)
+		rh, rl := bits.Mul64(yp, xq)
+		if c := cmp.Compare(lh, rh); c != 0 {
+			return c
+		}
+		return cmp.Compare(ll, rl)
+	}
+	rx, _ := new(big.Rat).SetString(x)
+	ry, _ := new(big.Rat).SetString(y)
+	return rx.Cmp(ry)
+}
+
+// hashCanonical hashes the addresses in want of a canonical scenario
+// from its streamed encoding: the topology preimage is the content
+// preimage cut after the flow list, closed with '}'. When a string
+// would need escaping (never for a validated canonical form: its only
+// strings are a known family name and normalized demands), it falls
+// back to json.Marshal, whose output the encoder reproduces.
+func hashCanonical(c *Scenario, want int) (sum, topo [32]byte) {
+	e := getEncoder()
+	defer putEncoder(e)
+	e.head(c)
+	if want&wantTopoHash != 0 {
+		if want&wantHash != 0 {
+			e.fork()
+			e.topo.Write(closeBrace)
+			topo = e.sum(e.topo)
+		} else {
+			e.buf = append(e.buf, '}')
+			e.flush(0)
+			topo = e.sum(e.h)
+		}
+	}
+	if want&wantHash != 0 {
+		e.tail(c)
+		e.flush(0)
+		sum = e.sum(e.h)
+	}
+	if !e.ok {
+		return marshalHashes(c, want)
+	}
+	return sum, topo
+}
+
+// marshalHashes is hashCanonical by json.Marshal.
+func marshalHashes(c *Scenario, want int) (sum, topo [32]byte) {
+	if want&wantHash != 0 {
+		data, _ := json.Marshal(c) // a Scenario always marshals
+		sum = sha256.Sum256(data)
+	}
+	if want&wantTopoHash != 0 {
+		data, _ := json.Marshal(&Scenario{
+			Topology: c.Topology,
+			Tors:     c.Tors,
+			Servers:  c.Servers,
+			Middles:  c.Middles,
+			Flows:    c.Flows,
+		})
+		topo = sha256.Sum256(data)
+	}
+	return sum, topo
 }
 
 // LoadFile reads and decodes a scenario file — the one JSON-reading

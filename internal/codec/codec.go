@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"slices"
+	"strings"
 
 	"closnet/internal/adversary"
 	"closnet/internal/core"
@@ -81,33 +83,121 @@ func Encode(s *Scenario) ([]byte, error) {
 	return out, nil
 }
 
-// Decode unmarshals and structurally validates a scenario.
+// Size caps, enforced by Decode so that a small body cannot request a
+// huge fabric: every shape field, the fabric's port count tors ×
+// (servers + middles), the flow count, and flows × middles, the number
+// of paths an evaluator resolves. The demand caps bound a demand's
+// spelling and the exponent of one spelled with an e or p exponent,
+// which big.Rat.SetString materializes in full: "1e99999999" is ten
+// bytes.
+const (
+	MaxTors        = 1 << 12
+	MaxServers     = 1 << 12
+	MaxMiddles     = 1 << 12
+	MaxFabricPorts = 1 << 16
+	MaxFlows       = 1 << 16
+	MaxFlowPaths   = 1 << 17
+	MaxDemandLen   = 256
+	MaxDemandExp   = 1000
+)
+
+// Decode unmarshals, size-checks and structurally validates a scenario.
+// Input in the fast subset of scan.go is decoded without reflection;
+// everything else goes through encoding/json, which produces every
+// decode error. Both paths decode the same input to the same value.
 func Decode(data []byte) (*Scenario, error) {
+	if s, ok := decodeFast(data); ok {
+		return checked(s)
+	}
+	return decodeJSON(data)
+}
+
+// decodeJSON is Decode's encoding/json path: the fallback for input
+// outside the fast subset, and the fast path's oracle.
+func decodeJSON(data []byte) (*Scenario, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
+	return checked(&s)
+}
+
+// checked applies Decode's checks to a decoded scenario.
+func checked(s *Scenario) (*Scenario, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	if err := s.checkSize(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
+
+// checkSize enforces the size caps on a validated scenario. The shape
+// caps come first, so the products cannot overflow.
+func (s *Scenario) checkSize() error {
+	switch {
+	case s.Tors > MaxTors:
+		return fmt.Errorf("codec: %d tors exceed the cap of %d", s.Tors, MaxTors)
+	case s.Servers > MaxServers:
+		return fmt.Errorf("codec: %d servers exceed the cap of %d", s.Servers, MaxServers)
+	case s.Middles > MaxMiddles:
+		return fmt.Errorf("codec: %d middles exceed the cap of %d", s.Middles, MaxMiddles)
+	case s.Tors*(s.Servers+s.Middles) > MaxFabricPorts:
+		return fmt.Errorf("codec: shape (%d, %d, %d) exceeds the cap of %d fabric ports", s.Tors, s.Servers, s.Middles, MaxFabricPorts)
+	case len(s.Flows) > MaxFlows:
+		return fmt.Errorf("codec: %d flows exceed the cap of %d", len(s.Flows), MaxFlows)
+	case len(s.Flows)*s.Middles > MaxFlowPaths:
+		return fmt.Errorf("codec: %d flows over %d middles exceed the cap of %d flow paths", len(s.Flows), s.Middles, MaxFlowPaths)
+	}
+	for fi, d := range s.Demands {
+		if len(d) > MaxDemandLen {
+			return fmt.Errorf("codec: flow %d demand is %d bytes, past the cap of %d", fi, len(d), MaxDemandLen)
+		}
+		if demandExp(d) > MaxDemandExp {
+			return fmt.Errorf("codec: flow %d demand %q has an exponent past the cap of %d", fi, d, MaxDemandExp)
+		}
+	}
+	return nil
+}
+
+// demandExp returns the magnitude of the exponent of a demand in
+// big.Rat's floating-point spelling (after an e or p; a hexadecimal
+// mantissa has only p), or 0. A fraction a/b takes no exponent. Digits
+// are read past signs and '_' separators, so that every exponent
+// big.Rat accepts is counted in full; the count stops once it passes
+// the cap.
+func demandExp(d string) int {
+	if strings.Contains(d, "/") {
+		return 0
+	}
+	m := strings.TrimLeft(d, "+-")
+	markers := "eEpP"
+	if strings.HasPrefix(m, "0x") || strings.HasPrefix(m, "0X") {
+		markers = "pP"
+	}
+	i := strings.IndexAny(m, markers)
+	if i < 0 {
+		return 0
+	}
+	exp := 0
+	for j := i + 1; j < len(m) && exp <= MaxDemandExp; j++ {
+		if c := m[j]; c >= '0' && c <= '9' {
+			exp = exp*10 + int(c-'0')
+		}
+	}
+	return exp
+}
+
+// knownFamilies is topology.FamilyNames, computed once.
+var knownFamilies = topology.FamilyNames()
 
 func (s *Scenario) validate() error {
 	if s.Tors < 1 || s.Servers < 1 || s.Middles < 1 {
 		return fmt.Errorf("codec: invalid shape (%d, %d, %d)", s.Tors, s.Servers, s.Middles)
 	}
-	if s.Topology != "" {
-		known := false
-		for _, f := range topology.FamilyNames() {
-			if s.Topology == f {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("codec: unknown topology family %q", s.Topology)
-		}
+	if s.Topology != "" && !slices.Contains(knownFamilies, s.Topology) {
+		return fmt.Errorf("codec: unknown topology family %q", s.Topology)
 	}
 	for fi, f := range s.Flows {
 		if f.SrcSwitch < 1 || f.SrcSwitch > s.Tors || f.DstSwitch < 1 || f.DstSwitch > s.Tors {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -55,8 +56,9 @@ func TestDeltaValidate(t *testing.T) {
 	}
 }
 
-// TestCanonicalPermMatchesCanonical: applying the permutation to the
-// original flow list must reproduce Canonical's flow order.
+// TestCanonicalPermMatchesCanonical: applying Canonicalize's
+// permutation to the original flow list must reproduce Canonical's flow
+// order, and its addresses must be CanonicalHash's and TopologyHash's.
 func TestCanonicalPermMatchesCanonical(t *testing.T) {
 	s := &Scenario{
 		Tors: 3, Servers: 2, Middles: 3,
@@ -69,13 +71,24 @@ func TestCanonicalPermMatchesCanonical(t *testing.T) {
 		},
 		Assignment: []int{1, 2, 3, 1, 2},
 	}
-	perm, err := CanonicalPerm(s)
+	form, err := Canonicalize(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Canonical(s)
+	perm := form.Perm
+	c, hash, err := CanonicalHash(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	topo, err := TopologyHash(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if form.Hash != hash || form.TopoHash != topo {
+		t.Fatal("Canonicalize's addresses differ from CanonicalHash and TopologyHash")
+	}
+	if !reflect.DeepEqual(form.Scenario, c) {
+		t.Fatalf("Canonicalize's form %+v differs from Canonical's %+v", form.Scenario, c)
 	}
 	if len(perm) != len(s.Flows) {
 		t.Fatalf("perm length %d", len(perm))
@@ -88,7 +101,7 @@ func TestCanonicalPermMatchesCanonical(t *testing.T) {
 			t.Fatalf("perm[%d]=%d: assignment %d != canonical %d", i, fi, s.Assignment[fi], c.Assignment[i])
 		}
 	}
-	if _, err := CanonicalPerm(&Scenario{Tors: 0}); err == nil {
+	if _, err := Canonicalize(&Scenario{Tors: 0}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }

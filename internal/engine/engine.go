@@ -7,7 +7,7 @@
 // duplicated per transport:
 //
 //   - canonicalization: every computation runs on the canonical form of
-//     its scenario (codec.CanonicalHash), so semantically equal requests
+//     its scenario (codec.Canonicalize), so semantically equal requests
 //     share one content address and one response body;
 //   - deterministic encoding: each op produces a single-line compact
 //     JSON body (codec.MarshalBody) that is byte-identical across
@@ -77,12 +77,15 @@ type Request struct {
 }
 
 // Prepared is a canonicalized, content-addressed request: the validated
-// op, the canonical scenario, and its SHA-256 content hash. Transports
-// that cache or coalesce key on (Op, Hash) before computing.
+// op, the canonical scenario, its SHA-256 content hash and its topology
+// hash, both hashed from one encoding of the canonical form. Transports
+// that cache or coalesce key on (Op, Hash) before computing; the
+// evaluator pool keys on TopoHash.
 type Prepared struct {
-	Op    string
-	Canon *codec.Scenario
-	Hash  [32]byte
+	Op       string
+	Canon    *codec.Scenario
+	Hash     [32]byte
+	TopoHash [32]byte
 }
 
 // Response is one computed result: the op, the content address of the
@@ -94,10 +97,10 @@ type Response struct {
 }
 
 // computeFunc is one registered operation: it computes over the
-// canonical scenario and returns the encoded response body. It must
-// honor ctx and must be deterministic — same canonical scenario, same
-// bytes.
-type computeFunc func(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error)
+// prepared canonical scenario and returns the encoded response body. It
+// must honor ctx and must be deterministic — same canonical scenario,
+// same bytes.
+type computeFunc func(ctx context.Context, e *Engine, p *Prepared) ([]byte, error)
 
 // Engine dispatches requests through the op registry. Create with New;
 // an Engine is immutable and safe for concurrent use.
@@ -105,8 +108,9 @@ type Engine struct {
 	opts Options
 	ops  map[string]computeFunc
 	// evals shares prepared block evaluators across requests with equal
-	// codec.TopologyHash — batch items sweeping assignments over one
-	// topology build the SoA evaluator once (evalpool.go).
+	// topology hashes (Prepared.TopoHash) — batch items sweeping
+	// assignments over one topology build the SoA evaluator once
+	// (evalpool.go).
 	evals *evalPool
 	// sessions is the stateful session table behind the session:* op
 	// family; it lives outside the Prepare/Compute registry (session.go).
@@ -174,8 +178,8 @@ func (e *Engine) SearchOptions(ctx context.Context) search.Options {
 }
 
 // Prepare validates the op against the registry and canonicalizes the
-// scenario, returning the content-addressed request. It does no
-// computation.
+// scenario in one codec pass, returning the content-addressed request.
+// It does no computation.
 func (e *Engine) Prepare(req Request) (*Prepared, error) {
 	if _, ok := e.ops[req.Op]; !ok {
 		switch req.Op {
@@ -187,11 +191,11 @@ func (e *Engine) Prepare(req Request) (*Prepared, error) {
 	if req.Scenario == nil {
 		return nil, fmt.Errorf("engine: op %q without a scenario", req.Op)
 	}
-	canon, hash, err := codec.CanonicalHash(req.Scenario)
+	form, err := codec.Canonicalize(req.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Op: req.Op, Canon: canon, Hash: hash}, nil
+	return &Prepared{Op: req.Op, Canon: form.Scenario, Hash: form.Hash, TopoHash: form.TopoHash}, nil
 }
 
 // Compute runs one prepared request through the op registry and
@@ -206,7 +210,7 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 	sp, ctx := obs.StartSpan(ctx, "engine.compute")
 	sp.Attr("op", p.Op)
 	start := time.Now()
-	body, err := fn(ctx, e, p.Canon, p.Hash)
+	body, err := fn(ctx, e, p)
 	elapsed := time.Since(start)
 	sp.Attr("ok", err == nil).End()
 	e.mComputes.Inc()

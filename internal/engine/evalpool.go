@@ -21,8 +21,9 @@ const maxPooledTopologies = 64
 const maxPooledPerKey = 16
 
 // evalPool shares prepared core.BlockEvaluators across requests whose
-// scenarios have the same codec.TopologyHash: the same (Clos,
-// Collection) pair up to canonical order, differing only in demands or
+// scenarios have the same topology hash (Prepared.TopoHash, the value
+// of codec.TopologyHash): the same (Clos, Collection) pair up to
+// canonical order, differing only in demands or
 // assignment. Building an evaluator walks every flow's paths and
 // allocates the SoA lanes; batch items sweeping assignments over one
 // topology would otherwise rebuild identical state per item.
@@ -109,15 +110,12 @@ func (p *evalPool) put(key [32]byte, bev *core.BlockEvaluator) {
 	p.free[key] = append(stack, bev)
 }
 
-// acquire checks an evaluator for canon's topology out of the pool,
-// building (and instrumenting) a fresh one on a miss. The returned put
-// func returns the evaluator for reuse; callers must not touch the
-// evaluator or any scratch-aliasing BlockResult views after put.
-func (p *evalPool) acquire(canon *codec.Scenario, o *obs.Obs) (*core.BlockEvaluator, func(), error) {
-	key, err := codec.TopologyHash(canon)
-	if err != nil {
-		return nil, nil, err
-	}
+// acquire checks an evaluator for canon's topology, whose topology hash
+// is key, out of the pool, building (and instrumenting) a fresh one on
+// a miss. The returned put func returns the evaluator for reuse;
+// callers must not touch the evaluator or any scratch-aliasing
+// BlockResult views after put.
+func (p *evalPool) acquire(key [32]byte, canon *codec.Scenario, o *obs.Obs) (*core.BlockEvaluator, func(), error) {
 	if bev := p.get(key); bev != nil {
 		p.reuses.Inc()
 		return bev, func() { p.put(key, bev) }, nil

@@ -18,7 +18,11 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 		Tors: 2, Servers: 1, Middles: 2,
 		Flows: []codec.FlowJSON{{SrcSwitch: 1, SrcServer: 1, DstSwitch: 2, DstServer: 1}},
 	}
-	bevA, putA, err := p.acquire(scen, nil)
+	key, err := codec.TopologyHash(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bevA, putA, err := p.acquire(key, scen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +40,7 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 	}
 
 	putA()
-	bevA2, putA2, err := p.acquire(scen, nil)
+	bevA2, putA2, err := p.acquire(key, scen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

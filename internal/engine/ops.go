@@ -24,14 +24,15 @@ type evalResponse struct {
 	Throughput string   `json:"throughput"`
 }
 
-func computeEvaluate(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error) {
+func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// Requests sharing a topology hash share one prepared block
 	// evaluator: a pool hit skips canon.Build() and the SoA lane
 	// construction entirely, and only the assignment below varies.
-	bev, put, err := e.evals.acquire(canon, e.opts.Obs)
+	canon := p.Canon
+	bev, put, err := e.evals.acquire(p.TopoHash, canon, e.opts.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func computeEvaluate(ctx context.Context, e *Engine, canon *codec.Scenario, hash
 	}
 	a := res.Alloc(0)
 	resp := evalResponse{
-		Hash:       hex.EncodeToString(hash[:]),
+		Hash:       hex.EncodeToString(p.Hash[:]),
 		Flows:      len(canon.Flows),
 		Assignment: []int(ma),
 		Rates:      codec.RateStrings(a),
@@ -78,14 +79,14 @@ type searchResponse struct {
 // registry entries are instances of this closure, so adding an
 // objective is one constructor call in New.
 func searchOp(objective string, pruned bool) computeFunc {
-	return func(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error) {
-		c, fs, demands, _, err := canon.Build()
+	return func(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
+		c, fs, demands, _, err := p.Canon.Build()
 		if err != nil {
 			return nil, err
 		}
 		opts := e.SearchOptions(ctx)
 		opts.Pruned = pruned
-		resp := searchResponse{Hash: hex.EncodeToString(hash[:]), Objective: objective}
+		resp := searchResponse{Hash: hex.EncodeToString(p.Hash[:]), Objective: objective}
 		if pruned {
 			resp.Strategy = "pruned"
 		}
@@ -134,8 +135,8 @@ type doomResponse struct {
 	Throughput string   `json:"throughput"`
 }
 
-func computeDoom(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error) {
-	c, fs, _, _, err := canon.Build()
+func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
+	c, fs, _, _, err := p.Canon.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +151,7 @@ func computeDoom(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32
 		return nil, err
 	}
 	resp := doomResponse{
-		Hash:       hex.EncodeToString(hash[:]),
+		Hash:       hex.EncodeToString(p.Hash[:]),
 		Assignment: []int(res.Assignment),
 		DoomMiddle: res.DoomMiddle,
 		Matched:    res.MatchedCount(),

@@ -402,21 +402,18 @@ func (s *Session) responseLocked(op string, arrived *int) (*SessionResponse, err
 			scen.Assignment[i] = sf.middle
 		}
 	}
-	canon, hash, err := codec.CanonicalHash(scen)
+	form, err := codec.Canonicalize(scen)
 	if err != nil {
 		return nil, err
 	}
-	perm, err := codec.CanonicalPerm(scen)
-	if err != nil {
-		return nil, err
-	}
+	perm := form.Perm
 	resp := &SessionResponse{
 		Session:    s.id,
 		Op:         op,
 		Seq:        s.seq,
-		Hash:       hex.EncodeToString(hash[:]),
+		Hash:       hex.EncodeToString(form.Hash[:]),
 		Flows:      make([]int, len(perm)),
-		Assignment: canon.Assignment,
+		Assignment: form.Scenario.Assignment,
 		Rates:      make([]string, len(perm)),
 		Throughput: "0",
 		Arrived:    arrived,

@@ -639,23 +639,6 @@ func mapComputeError(err error) (int, []byte) {
 	return http.StatusUnprocessableEntity, codec.ErrorBody(err.Error())
 }
 
-// batchItem is one /v1/batch work item: an engine op name plus the
-// scenario it runs on. An item without an op inherits the envelope
-// default.
-type batchItem struct {
-	Op       string          `json:"op,omitempty"`
-	Scenario json.RawMessage `json:"scenario"`
-}
-
-// batchRequest is the POST /v1/batch envelope: a default op plus the
-// items to compute. The response body is the concatenation of the
-// per-item response bodies (one JSON document per line), in request
-// order — exactly the bytes N single calls would have returned.
-type batchRequest struct {
-	Op    string      `json:"op,omitempty"`
-	Items []batchItem `json:"items"`
-}
-
 // statusError carries a per-item HTTP outcome through engine.RunBatch,
 // whose error slots are how a batch item reports failure without
 // stopping its siblings.
@@ -667,12 +650,15 @@ type statusError struct {
 func (e *statusError) Error() string { return fmt.Sprintf("status %d", e.status) }
 
 // handleBatch is the POST /v1/batch transport adapter: decode the
-// envelope, fan the items out through engine.RunBatch with each item
-// routed through the same cache → singleflight → admission pipeline as
-// a single call, and concatenate the bodies in request order. All items
-// succeeded → 200; otherwise 207 with the failing slots carrying the
-// single-call error body they would have gotten alone, and the
-// X-Closnet-Batch-Errors header counting them.
+// envelope ({"op": default, "items": [{"op": ..., "scenario": ...}]})
+// and its items in one pass (codec.DecodeBatch), fan the items out
+// through engine.RunBatch with each item routed through the same cache
+// → singleflight → admission pipeline as a single call, and concatenate
+// the bodies in request order — exactly the bytes N single calls would
+// have returned. An item without an op inherits the envelope default.
+// All items succeeded → 200; otherwise 207 with the failing slots
+// carrying the single-call error body they would have gotten alone, and
+// the X-Closnet-Batch-Errors header counting them.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -692,8 +678,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody()
-	var breq batchRequest
-	if err := json.Unmarshal(body, &breq); err != nil {
+	breq, err := codec.DecodeBatch(body)
+	if err != nil {
 		s.reply(w, "batch", http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 		return
 	}
@@ -710,22 +696,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		breq.Op = "evaluate"
 	}
 
-	// Decode up front so the fan-out only sees well-formed requests;
-	// a malformed item fails its own slot, exactly as the single call
-	// would have failed with 400.
+	// The fan-out only sees well-formed requests; a malformed item fails
+	// its own slot, exactly as the single call would have failed with
+	// 400.
 	reqs := make([]engine.Request, len(breq.Items))
 	itemErr := make([]*statusError, len(breq.Items))
 	for i, it := range breq.Items {
+		if it.Err != nil {
+			itemErr[i] = &statusError{http.StatusBadRequest, codec.ErrorBody(it.Err.Error())}
+			continue
+		}
 		op := it.Op
 		if op == "" {
 			op = breq.Op
 		}
-		scen, err := codec.Decode(it.Scenario)
-		if err != nil {
-			itemErr[i] = &statusError{http.StatusBadRequest, codec.ErrorBody(err.Error())}
-			continue
-		}
-		reqs[i] = engine.Request{Op: op, Scenario: scen}
+		reqs[i] = engine.Request{Op: op, Scenario: it.Scenario}
 	}
 
 	run := func(ctx context.Context, i int, req engine.Request) (*engine.Response, error) {
