@@ -75,12 +75,16 @@ func serve(ctx context.Context, args []string, stderr io.Writer) error {
 		maxSessions   = fl.Int("max-sessions", 0, "max concurrently open /v1/session sessions (0 = engine default)")
 		sessionTTL    = fl.Duration("session-ttl", 0, "idle session lifetime before eviction (0 = engine default)")
 		drainTimeout  = fl.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
-		conn          = connLimits{}
-		ob            = obs.AddFlags(fl)
+		// The connection limits bound what a slow or hostile client can
+		// hold: headers dribbled past the timeout close the connection,
+		// an idle keep-alive one is closed after idle-timeout, and headers
+		// past max-header-bytes get a 431. Bodies are bounded in size by
+		// the server's MaxBody.
+		readHeaderTimeout = fl.Duration("read-header-timeout", 10*time.Second, "max time a client may take to send its request headers (0 = none)")
+		idleTimeout       = fl.Duration("idle-timeout", 2*time.Minute, "max time an idle keep-alive connection is kept open (0 = none)")
+		maxHeaderBytes    = fl.Int("max-header-bytes", 64<<10, "max size of a request's headers in bytes")
+		ob                = obs.AddFlags(fl)
 	)
-	fl.DurationVar(&conn.readHeaderTimeout, "read-header-timeout", 10*time.Second, "max time a client may take to send its request headers (0 = none)")
-	fl.DurationVar(&conn.idleTimeout, "idle-timeout", 2*time.Minute, "max time an idle keep-alive connection is kept open (0 = none)")
-	fl.IntVar(&conn.maxHeaderBytes, "max-header-bytes", 64<<10, "max size of a request's headers in bytes")
 	if err := fl.Parse(args); err != nil {
 		return err
 	}
@@ -114,7 +118,12 @@ func serve(ctx context.Context, args []string, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stderr, "closnetd: listening on http://%s\n", ln.Addr())
-	httpSrv := conn.server(srv.Handler())
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: *readHeaderTimeout,
+		IdleTimeout:       *idleTimeout,
+		MaxHeaderBytes:    *maxHeaderBytes,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -136,26 +145,6 @@ func serve(ctx context.Context, args []string, stderr io.Writer) error {
 	<-serveErr // http.ErrServerClosed after a clean Shutdown
 	fmt.Fprintln(stderr, "closnetd: shutdown complete")
 	return nil
-}
-
-// connLimits bound what a slow or hostile client can hold: a
-// connection dribbling its headers is closed after readHeaderTimeout,
-// an idle keep-alive one after idleTimeout, and headers past
-// maxHeaderBytes get a 431. Bodies are bounded in size by the server's
-// MaxBody.
-type connLimits struct {
-	readHeaderTimeout time.Duration
-	idleTimeout       time.Duration
-	maxHeaderBytes    int
-}
-
-func (c connLimits) server(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: c.readHeaderTimeout,
-		IdleTimeout:       c.idleTimeout,
-		MaxHeaderBytes:    c.maxHeaderBytes,
-	}
 }
 
 // noneIfZero maps the CLI convention (0 disables) onto the Options

@@ -21,6 +21,19 @@ func TestGenerateAndEvaluateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEvaluateOverCapScenario: a file closscen writes reads back, even
+// past the fabric-port cap that guards the daemon's decode sites —
+// C_129 has 258 × (129 + 129) = 66564 fabric ports.
+func TestEvaluateOverCapScenario(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.json")
+	if err := run([]string{"-family", "theorem34", "-n", "129", "-o", path}); err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	if err := run([]string{"-eval", path}); err != nil {
+		t.Fatalf("evaluate: %v", err)
+	}
+}
+
 func TestGenerateAllFamilies(t *testing.T) {
 	for _, family := range []string{"example23", "example53", "theorem34", "theorem42", "theorem43", "theorem54"} {
 		if err := run([]string{"-family", family, "-n", "3", "-k", "2", "-o", filepath.Join(t.TempDir(), "s.json")}); err != nil {

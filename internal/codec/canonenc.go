@@ -25,8 +25,7 @@ type encoder struct {
 	// h receives buf whenever it grows past flushAt; with h nil, the
 	// whole encoding stays in buf.
 	h hash.Hash
-	// topo receives a copy of h's state at the end of the flow list,
-	// when both addresses are wanted.
+	// topo receives a copy of h's state at the end of the flow list.
 	topo   hash.Hash
 	ok     bool
 	digest [sha256.Size]byte

@@ -36,7 +36,7 @@ import (
 // of the instance as stated, and evaluation results are reported in
 // canonical flow order.
 func Canonical(s *Scenario) (*Scenario, error) {
-	f, err := canonicalize(s, 0)
+	f, err := canonicalize(s, false)
 	return f.Scenario, err
 }
 
@@ -59,7 +59,7 @@ type CanonicalForm struct {
 // canonical form, its permutation and both addresses, hashed from one
 // encoding of the canonical form.
 func Canonicalize(s *Scenario) (CanonicalForm, error) {
-	return canonicalize(s, wantHash|wantTopoHash)
+	return canonicalize(s, true)
 }
 
 // Hash returns the SHA-256 content address of the scenario: the hash
@@ -73,9 +73,9 @@ func (s *Scenario) Hash() ([32]byte, error) {
 }
 
 // CanonicalHash canonicalizes s once and returns both the canonical
-// form and its content address.
+// form and its content address (Canonicalize's Scenario and Hash).
 func CanonicalHash(s *Scenario) (*Scenario, [32]byte, error) {
-	f, err := canonicalize(s, wantHash)
+	f, err := Canonicalize(s)
 	return f.Scenario, f.Hash, err
 }
 
@@ -93,20 +93,14 @@ func CanonicalHash(s *Scenario) (*Scenario, [32]byte, error) {
 // sees — is uniquely determined by the hashed value: equal hashes can
 // never alias two different flow collections.
 func TopologyHash(s *Scenario) ([32]byte, error) {
-	f, err := canonicalize(s, wantTopoHash)
+	f, err := Canonicalize(s)
 	return f.TopoHash, err
 }
 
-// The addresses canonicalize computes.
-const (
-	wantHash = 1 << iota
-	wantTopoHash
-)
-
 // canonicalize is the one canonicalization pass behind every exported
 // entry point: validate, normalize the demands, sort the flows, build
-// the canonical form, and hash the addresses in want.
-func canonicalize(s *Scenario, want int) (CanonicalForm, error) {
+// the canonical form, and, when hash is set, hash both addresses.
+func canonicalize(s *Scenario, hash bool) (CanonicalForm, error) {
 	if err := s.validate(); err != nil {
 		return CanonicalForm{}, err
 	}
@@ -183,8 +177,8 @@ func canonicalize(s *Scenario, want int) (CanonicalForm, error) {
 		}
 	}
 	f := CanonicalForm{Scenario: c, Perm: perm}
-	if want != 0 {
-		f.Hash, f.TopoHash = hashCanonical(c, want)
+	if hash {
+		f.Hash, f.TopoHash = hashCanonical(c)
 	}
 	return f, nil
 }
@@ -290,63 +284,50 @@ func cmpDemands(x, y string) int {
 	return rx.Cmp(ry)
 }
 
-// hashCanonical hashes the addresses in want of a canonical scenario
-// from its streamed encoding: the topology preimage is the content
-// preimage cut after the flow list, closed with '}'. When a string
-// would need escaping (never for a validated canonical form: its only
-// strings are a known family name and normalized demands), it falls
-// back to json.Marshal, whose output the encoder reproduces.
-func hashCanonical(c *Scenario, want int) (sum, topo [32]byte) {
+// hashCanonical hashes both addresses of a canonical scenario from its
+// streamed encoding: the topology preimage is the content preimage cut
+// after the flow list, closed with '}'. When a string would need
+// escaping (never for a validated canonical form: its only strings are
+// a known family name and normalized demands), it falls back to
+// json.Marshal, whose output the encoder reproduces.
+func hashCanonical(c *Scenario) (sum, topo [32]byte) {
 	e := getEncoder()
 	defer putEncoder(e)
 	e.head(c)
-	if want&wantTopoHash != 0 {
-		if want&wantHash != 0 {
-			e.fork()
-			e.topo.Write(closeBrace)
-			topo = e.sum(e.topo)
-		} else {
-			e.buf = append(e.buf, '}')
-			e.flush(0)
-			topo = e.sum(e.h)
-		}
-	}
-	if want&wantHash != 0 {
-		e.tail(c)
-		e.flush(0)
-		sum = e.sum(e.h)
-	}
+	e.fork()
+	e.topo.Write(closeBrace)
+	topo = e.sum(e.topo)
+	e.tail(c)
+	e.flush(0)
+	sum = e.sum(e.h)
 	if !e.ok {
-		return marshalHashes(c, want)
+		return marshalHashes(c)
 	}
 	return sum, topo
 }
 
 // marshalHashes is hashCanonical by json.Marshal.
-func marshalHashes(c *Scenario, want int) (sum, topo [32]byte) {
-	if want&wantHash != 0 {
-		data, _ := json.Marshal(c) // a Scenario always marshals
-		sum = sha256.Sum256(data)
-	}
-	if want&wantTopoHash != 0 {
-		data, _ := json.Marshal(&Scenario{
-			Topology: c.Topology,
-			Tors:     c.Tors,
-			Servers:  c.Servers,
-			Middles:  c.Middles,
-			Flows:    c.Flows,
-		})
-		topo = sha256.Sum256(data)
-	}
-	return sum, topo
+func marshalHashes(c *Scenario) (sum, topo [32]byte) {
+	data, _ := json.Marshal(c) // a Scenario always marshals
+	sum = sha256.Sum256(data)
+	data, _ = json.Marshal(&Scenario{
+		Topology: c.Topology,
+		Tors:     c.Tors,
+		Servers:  c.Servers,
+		Middles:  c.Middles,
+		Flows:    c.Flows,
+	})
+	return sum, sha256.Sum256(data)
 }
 
-// LoadFile reads and decodes a scenario file — the one JSON-reading
-// path shared by the CLIs and the closnetd daemon.
+// LoadFile reads and validates a scenario file — the one JSON-reading
+// path of the CLIs. The size caps guard bytes from the network
+// (Decode), not files a local user chose, so every scenario the tools
+// write reads back; the shape check still applies.
 func LoadFile(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
-	return Decode(data)
+	return decodeTrusted(data)
 }

@@ -101,10 +101,11 @@ const (
 	MaxDemandExp   = 1000
 )
 
-// Decode unmarshals, size-checks and structurally validates a scenario.
-// Input in the fast subset of scan.go is decoded without reflection;
-// everything else goes through encoding/json, which produces every
-// decode error. Both paths decode the same input to the same value.
+// Decode unmarshals, structurally validates and size-checks a
+// scenario: the entry point for untrusted bytes. Input in the fast
+// subset of scan.go is decoded without reflection; everything else
+// goes through encoding/json, which produces every decode error. Both
+// paths decode the same input to the same value.
 func Decode(data []byte) (*Scenario, error) {
 	if s, ok := decodeFast(data); ok {
 		return checked(s)
@@ -128,6 +129,22 @@ func checked(s *Scenario) (*Scenario, error) {
 		return nil, err
 	}
 	if err := s.checkSize(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decodeTrusted is Decode without the size caps, for bytes a local
+// user chose to load: the shape check of validate still applies.
+func decodeTrusted(data []byte) (*Scenario, error) {
+	s, ok := decodeFast(data)
+	if !ok {
+		s = new(Scenario)
+		if err := json.Unmarshal(data, s); err != nil {
+			return nil, fmt.Errorf("codec: %w", err)
+		}
+	}
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -198,6 +215,9 @@ func (s *Scenario) validate() error {
 	}
 	if s.Topology != "" && !slices.Contains(knownFamilies, s.Topology) {
 		return fmt.Errorf("codec: unknown topology family %q", s.Topology)
+	}
+	if err := topology.CheckShape(s.Topology, s.Tors, s.Servers, s.Middles); err != nil {
+		return fmt.Errorf("codec: %w", err)
 	}
 	for fi, f := range s.Flows {
 		if f.SrcSwitch < 1 || f.SrcSwitch > s.Tors || f.DstSwitch < 1 || f.DstSwitch > s.Tors {

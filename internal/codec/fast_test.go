@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -261,7 +263,7 @@ func FuzzCanonicalEncodeMatchesJSON(f *testing.F) {
 		if h, _ := TopologyHash(&s); h != topo {
 			t.Fatal("TopologyHash differs from json.Marshal's")
 		}
-		if s2, h2 := marshalHashes(ref, wantHash|wantTopoHash); s2 != sum || h2 != topo {
+		if s2, h2 := marshalHashes(ref); s2 != sum || h2 != topo {
 			t.Fatal("the json.Marshal fallback differs from the oracle")
 		}
 	})
@@ -437,5 +439,57 @@ func TestDecodeSizeCaps(t *testing.T) {
 	huge := &Scenario{Tors: 100000, Servers: 100000, Middles: 1}
 	if _, err := Canonical(huge); err != nil {
 		t.Errorf("the caps bind Decode only, Canonical rejected: %v", err)
+	}
+	// One parameter fixes a fat-tree's or a Benes network's whole shape.
+	// A small body naming a shape its family cannot have — servers 4096
+	// would build a 8192-pod fat-tree — is rejected by the shape check
+	// before anything is built, on the capped and the uncapped path.
+	for _, body := range []string{
+		`{"topology":"fattree","tors":1,"servers":4096,"middles":1,"flows":[]}`,
+		`{"topology":"fattree","tors":8,"servers":2,"middles":5,"flows":[]}`,
+		`{"topology":"fattree","tors":4611686018427387904,"servers":2147483648,"middles":1,"flows":[]}`,
+		`{"topology":"benes","tors":4096,"servers":2,"middles":1,"flows":[]}`,
+		`{"topology":"benes","tors":3,"servers":2,"middles":3,"flows":[]}`,
+		`{"topology":"benes","tors":4,"servers":3,"middles":4,"flows":[]}`,
+	} {
+		if _, err := Decode([]byte(body)); err == nil || !strings.Contains(err.Error(), "shape") {
+			t.Errorf("Decode(%s) = %v, want a shape error", body, err)
+		}
+		var s Scenario
+		if err := json.Unmarshal([]byte(body), &s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Canonical(&s); err == nil || !strings.Contains(err.Error(), "shape") {
+			t.Errorf("Canonical(%s) = %v, want a shape error", body, err)
+		}
+	}
+	for _, body := range []string{
+		`{"topology":"fattree","tors":8,"servers":2,"middles":4,"flows":[]}`,
+		`{"topology":"benes","tors":4,"servers":2,"middles":4,"flows":[]}`,
+	} {
+		if _, err := Decode([]byte(body)); err != nil {
+			t.Errorf("Decode(%s) rejected a buildable shape: %v", body, err)
+		}
+	}
+}
+
+// TestLoadFileSkipsSizeCaps: the size caps guard the server's decode
+// sites, not files a local user wrote. LoadFile reads a scenario past
+// the fabric-port cap that Decode rejects.
+func TestLoadFileSkipsSizeCaps(t *testing.T) {
+	body := []byte(`{"tors":258,"servers":129,"middles":129,"flows":[{"srcSwitch":1,"srcServer":1,"dstSwitch":258,"dstServer":129}]}`)
+	if _, err := Decode(body); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("Decode = %v, want the fabric-port cap", err)
+	}
+	path := filepath.Join(t.TempDir(), "big.json")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("LoadFile: %v", err)
+	}
+	if s.Tors != 258 || len(s.Flows) != 1 {
+		t.Errorf("LoadFile = %+v", s)
 	}
 }

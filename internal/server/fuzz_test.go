@@ -24,6 +24,7 @@ const fuzzTimeout = 2 * time.Second
 func FuzzServe(f *testing.F) {
 	f.Add(false, []byte(scenarioBody))
 	f.Add(false, []byte(`{"tors":100000,"servers":100000,"middles":1,"flows":[]}`))
+	f.Add(false, []byte(`{"topology":"fattree","tors":1,"servers":4096,"middles":1,"flows":[]}`))
 	f.Add(false, []byte(`{"tors":2,"servers":1,"middles":1,"flows":[{"srcSwitch":1,"srcServer":1,"dstSwitch":2,"dstServer":1}],"demands":["1e99999999"]}`))
 	f.Add(false, []byte(`{"Tors":2,"servers":1,"middles":2,"name":"é","flows":[{"srcSwitch":2,"srcServer":1,"dstSwitch":1,"dstServer":1},{"srcSwitch":1,"srcServer":1,"dstSwitch":2,"dstServer":1}],"demands":["2/4","010/3"]}`))
 	f.Add(false, []byte(`{"topology":"fattree","tors":8,"servers":2,"middles":4,"flows":[{"srcSwitch":1,"srcServer":1,"dstSwitch":8,"dstServer":2}],"assignment":[4]}`))
@@ -78,20 +79,25 @@ func FuzzServe(f *testing.F) {
 }
 
 // TestSizeCapsRejectSmallBody: a 55-byte body asking for a fabric with
-// 10^10 servers per side gets a 400 naming the cap, and nothing is
-// built or computed.
+// 10^10 servers per side gets a 400 naming the cap, a 69-byte one
+// asking for an 8192-pod fat-tree a 400 naming the shape, and nothing
+// is built or computed.
 func TestSizeCapsRejectSmallBody(t *testing.T) {
 	_, ts, reg := newTestServer(t, Options{Workers: 1})
-	body := `{"tors":100000,"servers":100000,"middles":1,"flows":[]}`
-	for _, path := range []string{"/v1/evaluate", "/v1/search", "/v1/doom", "/v1/session"} {
-		resp, got := post(t, ts.URL+path, body)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), "cap") {
-			t.Errorf("%s: %d %s, want 400 naming the size cap", path, resp.StatusCode, got)
+	for body, want := range map[string]string{
+		`{"tors":100000,"servers":100000,"middles":1,"flows":[]}`:               "cap",
+		`{"topology":"fattree","tors":1,"servers":4096,"middles":1,"flows":[]}`: "shape",
+	} {
+		for _, path := range []string{"/v1/evaluate", "/v1/search", "/v1/doom", "/v1/session"} {
+			resp, got := post(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), want) {
+				t.Errorf("%s: %d %s, want 400 naming the %s", path, resp.StatusCode, got, want)
+			}
 		}
-	}
-	resp, got := post(t, ts.URL+"/v1/batch", `{"items":[{"scenario":`+body+`}]}`)
-	if resp.StatusCode != http.StatusMultiStatus || !strings.Contains(string(got), "cap") {
-		t.Errorf("batch: %d %s, want 207 with the item's size-cap error", resp.StatusCode, got)
+		resp, got := post(t, ts.URL+"/v1/batch", `{"items":[{"scenario":`+body+`}]}`)
+		if resp.StatusCode != http.StatusMultiStatus || !strings.Contains(string(got), want) {
+			t.Errorf("batch: %d %s, want 207 with the item's %s error", resp.StatusCode, got, want)
+		}
 	}
 	counters := reg.Snapshot().Counters
 	if counters["engine.computes"] != 0 || counters["engine.evaluator_builds"] != 0 || counters["engine.sessions.opened"] != 0 {

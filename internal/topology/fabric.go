@@ -73,39 +73,51 @@ func FamilyNames() []string {
 }
 
 // BuildFamily constructs the named topology family from a scenario
-// shape (tors, servers, middles = path choices) and verifies the shape
-// is consistent with the family's structure, so a decoded scenario
-// can never disagree with the fabric it evaluates on. The empty family
-// name means Clos.
+// shape (tors, servers, middles = path choices) after CheckShape has
+// verified the shape is consistent with the family's structure, so a
+// decoded scenario can never disagree with the fabric it evaluates on.
+// The empty family name means Clos.
 func BuildFamily(family string, tors, servers, middles int) (Fabric, error) {
+	if err := CheckShape(family, tors, servers, middles); err != nil {
+		return nil, err
+	}
+	switch family {
+	case FamilyFatTree:
+		return NewFatTree(2 * servers)
+	case FamilyBenes:
+		return NewBenes(2 * tors)
+	default:
+		return NewGeneralClos(tors, servers, middles)
+	}
+}
+
+// CheckShape reports whether the named family has a member of shape
+// (tors, servers, middles), without building it. A Clos takes any
+// shape its constructor accepts; one parameter fixes the rest of the
+// other families: a k-pod fat-tree has servers = k/2, tors = 2·servers²
+// and middles = servers², and an N-port Benes network has tors = N/2
+// for a power of two N, servers = 2 and middles = tors. The arithmetic
+// cannot overflow, so a small scenario body cannot name a huge fabric.
+func CheckShape(family string, tors, servers, middles int) error {
 	switch family {
 	case "", FamilyClos:
-		return NewGeneralClos(tors, servers, middles)
+		return nil
 	case FamilyFatTree:
-		// ServersPerToR = k/2 determines k; the other two shape fields
-		// must agree with the derived structure.
-		ft, err := NewFatTree(2 * servers)
-		if err != nil {
-			return nil, err
+		// servers ≤ tors/2 keeps 2·servers and servers² in range.
+		s := servers
+		if s < 1 || s > tors/2 || tors%(2*s) != 0 || tors/(2*s) != s || middles != s*s {
+			return fmt.Errorf("topology: fat-tree shape mismatch: servers=%d per ToR needs tors=2·servers² and middles=servers², scenario says tors=%d middles=%d",
+				servers, tors, middles)
 		}
-		if ft.NumToRs() != tors || ft.Size() != middles {
-			return nil, fmt.Errorf("topology: fat-tree shape mismatch: k=%d has tors=%d choices=%d, scenario says tors=%d middles=%d",
-				ft.K(), ft.NumToRs(), ft.Size(), tors, middles)
-		}
-		return ft, nil
+		return nil
 	case FamilyBenes:
-		// NumToRs = N/2 determines N; servers per ToR is always 2.
-		b, err := NewBenes(2 * tors)
-		if err != nil {
-			return nil, err
+		if tors < 1 || tors&(tors-1) != 0 || servers != 2 || middles != tors {
+			return fmt.Errorf("topology: Benes shape mismatch: tors=%d needs a power of two, servers=2 and middles=tors, scenario says servers=%d middles=%d",
+				tors, servers, middles)
 		}
-		if b.ServersPerToR() != servers || b.Size() != middles {
-			return nil, fmt.Errorf("topology: Benes shape mismatch: N=%d has servers=%d choices=%d, scenario says servers=%d middles=%d",
-				b.Ports(), b.ServersPerToR(), b.Size(), servers, middles)
-		}
-		return b, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("topology: unknown family %q (known: %s)",
+		return fmt.Errorf("topology: unknown family %q (known: %s)",
 			family, strings.Join(FamilyNames(), ", "))
 	}
 }

@@ -169,9 +169,23 @@ func TestBuildFamily(t *testing.T) {
 		{FamilyFatTree, 7, 2, 4}, // ToR count mismatch
 		{FamilyBenes, 4, 3, 4},   // Benes always has 2 servers/ToR
 		{FamilyBenes, 3, 2, 3},   // not a power of two
+		// Shapes whose one parameter names a huge fabric: rejected by
+		// CheckShape before anything is built.
+		{FamilyFatTree, 1, 4096, 1},
+		{FamilyFatTree, 1 << 62, 1 << 31, 1}, // 2·servers² overflows
+		{FamilyFatTree, 2, 1 << 62, 1},
+		{FamilyBenes, 4096, 2, 1},
 	} {
 		if _, err := BuildFamily(bad.family, bad.tors, bad.servers, bad.middles); err == nil {
 			t.Errorf("BuildFamily(%q, %d, %d, %d) accepted", bad.family, bad.tors, bad.servers, bad.middles)
+		}
+		if err := CheckShape(bad.family, bad.tors, bad.servers, bad.middles); err == nil {
+			t.Errorf("CheckShape(%q, %d, %d, %d) accepted", bad.family, bad.tors, bad.servers, bad.middles)
+		}
+	}
+	for _, tc := range cases {
+		if err := CheckShape(tc.family, tc.tors, tc.servers, tc.middles); err != nil {
+			t.Errorf("CheckShape(%q, %d, %d, %d): %v", tc.family, tc.tors, tc.servers, tc.middles, err)
 		}
 	}
 }
