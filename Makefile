@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-block bench-delta verify experiments trace serve loadgen cover fuzz clean
+.PHONY: all build test vet race bench bench-json bench-delta verify experiments trace serve loadgen cover fuzz clean
 
 all: build vet test
 
@@ -25,11 +25,6 @@ bench:
 # Persist the search/evaluator perf numbers as a JSON artifact.
 bench-json:
 	$(GO) run ./cmd/closbench -o BENCH_search.json
-
-# The block-evaluator smoke pair: C_5 per-state baseline vs the SoA
-# block path, failing below the CI speedup bar.
-bench-block:
-	$(GO) run ./cmd/closbench -only-block -min-block-speedup 1.5
 
 # The incremental-evaluator smoke pair: full per-event recompute vs the
 # delta-aware water filling on the 64-event C_5 trace, failing below

@@ -174,12 +174,13 @@ func BenchmarkMatchingGreedy(b *testing.B) {
 
 // --- Ablation: Rat64 kernel vs big.Rat per-state evaluation ----------------
 
-// evaluatorBench measures one max-min fair evaluation per iteration on a
-// contended C_4 instance, cycling through a fixed set of assignments so
-// the scratch reuse is exercised.
+// evaluatorBench measures one max-min fair evaluation per iteration — a
+// block of one state, materialized — on a contended C_4 instance,
+// cycling through a fixed set of assignments so the scratch reuse is
+// exercised.
 func evaluatorBench(b *testing.B, forceBig bool) {
 	c, fs := enumInstance(b, 4, 8)
-	ev, err := core.NewEvaluator(c, fs)
+	ev, err := core.NewBlockEvaluator(c, fs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,14 +196,16 @@ func evaluatorBench(b *testing.B, forceBig bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.Eval(mas[i%len(mas)]); err != nil {
+		res, err := ev.EvalBlock(mas[i%len(mas)], 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		res.Alloc(0)
 	}
 }
 
-// BenchmarkEvaluator is the per-state hot path of the routing-space
-// search on the small-word Rat64 kernel.
+// BenchmarkEvaluator is the per-state evaluation on the small-word
+// Rat64 kernel.
 func BenchmarkEvaluator(b *testing.B) { evaluatorBench(b, false) }
 
 // BenchmarkEvaluatorBigRat pins the same evaluation to the *big.Rat

@@ -7,17 +7,14 @@
 // It covers the two perf-critical layers:
 //
 //   - per-state evaluation: the int64 shared-denominator kernel vs the
-//     pinned *big.Rat water filling (core.Evaluator)
+//     pinned *big.Rat water filling (core.BlockEvaluator, one state per
+//     block)
 //   - routing-space enumeration: the default symmetry-canonical space vs
 //     the full n^|F| space (search.LexMaxMin), including an n=5 instance
 //     where canonicalization shrinks 5^7 = 78125 states to 855
 //   - bound-guided pruning: the branch-and-bound mode (Options.Pruned)
 //     vs the exhaustive canonical scan on the same instances, with the
 //     pruned-over-exhaustive state ratio published per pair
-//   - block evaluation: the SoA batch water filling (core.BlockEvaluator,
-//     the default search path) vs the per-state path (BlockSize -1) on
-//     the same instances, with the ns/op ratio published as
-//     block_speedup_c5
 //   - delta evaluation: the incremental evaluator replaying a seeded
 //     64-event C_5 arrival/departure trace (core.IncrementalEvaluator)
 //     vs per-event full recompute, with the ns/op ratio published as
@@ -28,8 +25,6 @@
 //	closbench                 print the JSON to stdout
 //	closbench -o BENCH.json   write it to a file
 //	closbench -o BENCH.json -force   overwrite even if the report shrinks
-//	closbench -only-block -min-block-speedup 1.5   CI smoke: C_5
-//	    block-vs-per-state pair only, non-zero exit below the bar
 //	closbench -only-delta -min-delta-speedup 2   CI smoke: C_5
 //	    incremental-vs-full delta pair only, non-zero exit below the bar
 //
@@ -94,14 +89,9 @@ type Report struct {
 	// the same 7-flow C_5 instance — the headline gain of the pruned
 	// search mode. The acceptance bar is ≥ 5.
 	PruneReductionC5 float64 `json:"prune_reduction_c5"`
-	// BlockSpeedupC5 is the per-state canonical search ns/op over the
-	// SoA block-evaluation search ns/op on the same 7-flow C_5 instance
-	// (identical state count, bit-identical result). The acceptance bar
-	// is ≥ 2.
-	BlockSpeedupC5 float64 `json:"block_speedup_c5"`
 	// DeltaSpeedup is the full-recompute ns/op over the incremental
 	// ns/op on the same 64-event C_5 arrival/departure trace: per event,
-	// the full path rebuilds a core.Evaluator and water-fills from
+	// the full path rebuilds a core.BlockEvaluator and water-fills from
 	// scratch, the incremental path replays the delta through one
 	// core.IncrementalEvaluator (both produce bit-identical rates; the
 	// core property tests pin that). The acceptance bar is ≥ 5.
@@ -135,11 +125,12 @@ func benchInstance(n, flows int) (*topology.Clos, core.Collection) {
 	return c, fs
 }
 
-// benchEvaluator measures one max-min fair evaluation per op on a
-// contended C_4 instance, on the int64 kernel or pinned to big.Rat.
+// benchEvaluator measures one max-min fair evaluation per op — a block
+// of one state, materialized — on a contended C_4 instance, on the
+// int64 kernel or pinned to big.Rat.
 func benchEvaluator(forceBig bool) (Bench, error) {
 	c, fs := benchInstance(4, 8)
-	ev, err := core.NewEvaluator(c, fs)
+	ev, err := core.NewBlockEvaluator(c, fs)
 	if err != nil {
 		return Bench{}, err
 	}
@@ -158,9 +149,11 @@ func benchEvaluator(forceBig bool) (Bench, error) {
 	}
 	return measure(name, 0, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.Eval(mas[i%len(mas)]); err != nil {
+			res, err := ev.EvalBlock(mas[i%len(mas)], 1)
+			if err != nil {
 				b.Fatal(err)
 			}
+			res.Alloc(0)
 		}
 	})
 }
@@ -254,8 +247,8 @@ func benchDeltaIncremental(c *topology.Clos, evs []deltaEvent) (Bench, error) {
 }
 
 // benchDeltaFull measures the same trace with the pre-incremental
-// discipline: after every event, build a fresh core.Evaluator over the
-// live flow set and water-fill from scratch.
+// discipline: after every event, build a fresh core.BlockEvaluator over
+// the live flow set and water-fill from scratch.
 func benchDeltaFull(c *topology.Clos, evs []deltaEvent) (Bench, error) {
 	return measure("DeltaEvalFullC5", 0, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -272,13 +265,15 @@ func benchDeltaFull(c *topology.Clos, evs []deltaEvent) (Bench, error) {
 				if len(flows) == 0 {
 					continue
 				}
-				ev2, err := core.NewEvaluator(c, flows)
+				ev2, err := core.NewBlockEvaluator(c, flows)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := ev2.Eval(ma); err != nil {
+				res, err := ev2.EvalBlock(ma, 1)
+				if err != nil {
 					b.Fatal(err)
 				}
+				res.Alloc(0)
 			}
 		}
 	})
@@ -310,8 +305,6 @@ func run(args []string) error {
 	fl := flag.NewFlagSet("closbench", flag.ContinueOnError)
 	out := fl.String("o", "", "write the JSON report to this file (default: stdout)")
 	force := fl.Bool("force", false, "overwrite -o even when the new report has fewer benchmarks than the existing file")
-	onlyBlock := fl.Bool("only-block", false, "run only the C_5 block-vs-per-state pair (the CI smoke subset)")
-	minBlockSpeedup := fl.Float64("min-block-speedup", 0, "exit non-zero when block_speedup_c5 falls below this (0 disables)")
 	onlyDelta := fl.Bool("only-delta", false, "run only the C_5 incremental-vs-full delta pair (the CI smoke subset)")
 	minDeltaSpeedup := fl.Float64("min-delta-speedup", 0, "exit non-zero when delta_speedup falls below this (0 disables)")
 	ob := obs.AddFlags(fl)
@@ -329,20 +322,11 @@ func run(args []string) error {
 	}()
 	o := orun.Obs
 	// The engine is the one place search options are assembled; each
-	// bench tweaks only its space, worker count and evaluation path.
-	// The per-state rows pin BlockSize -1 (the legacy path) so the
-	// LexSearchBlock* rows have an explicit baseline to beat; everything
-	// is bit-identical either way.
+	// bench tweaks only its space and worker count.
 	eng := engine.New(engine.Options{Obs: o})
-	searchOpts := func(fullSpace bool, workers int) search.Options {
+	searchOpts := func(full bool, workers int) search.Options {
 		opts := eng.SearchOptions(context.Background())
-		opts.FullSpace, opts.Workers = fullSpace, workers
-		opts.BlockSize = -1
-		return opts
-	}
-	blockOpts := func(workers int) search.Options {
-		opts := eng.SearchOptions(context.Background())
-		opts.Workers = workers // BlockSize 0 = the default block path
+		opts.FullSpace, opts.Workers = full, workers
 		return opts
 	}
 	prunedOpts := func() search.Options {
@@ -353,7 +337,8 @@ func run(args []string) error {
 
 	rep := Report{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 
-	if !*onlyBlock && !*onlyDelta {
+	c5, fs5 := benchInstance(5, 7)
+	if !*onlyDelta {
 		fast, err := benchEvaluator(false)
 		if err != nil {
 			return err
@@ -386,72 +371,44 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		blockEx, err := benchLexSearch("LexSearchBlockExample23",
-			ex.Clos, ex.Flows, blockOpts(1))
-		if err != nil {
-			return err
-		}
-		rep.Benches = append(rep.Benches, serialFull, serialCanon, prunedEx, blockEx)
-	}
+		rep.Benches = append(rep.Benches, serialFull, serialCanon, prunedEx)
 
-	c5, fs5 := benchInstance(5, 7)
-	var fullC5 Bench
-	if !*onlyBlock && !*onlyDelta {
-		fullC5, err = benchLexSearch("LexSearchFullC5", c5, fs5, searchOpts(true, 0))
+		fullC5, err := benchLexSearch("LexSearchFullC5", c5, fs5, searchOpts(true, 0))
 		if err != nil {
 			return err
 		}
-		rep.Benches = append(rep.Benches, fullC5)
-	}
-	if !*onlyDelta {
 		canonC5, err := benchLexSearch("LexSearchCanonicalC5", c5, fs5, searchOpts(false, 0))
 		if err != nil {
 			return err
 		}
-		blockC5, err := benchLexSearch("LexSearchBlockC5", c5, fs5, blockOpts(0))
+		prunedC5, err := benchLexSearch("LexSearchPrunedC5", c5, fs5, prunedOpts())
 		if err != nil {
 			return err
 		}
-		rep.Benches = append(rep.Benches, canonC5, blockC5)
-		if !*onlyBlock {
-			prunedC5, err := benchLexSearch("LexSearchPrunedC5", c5, fs5, prunedOpts())
-			if err != nil {
-				return err
-			}
-			rep.Benches = append(rep.Benches, prunedC5)
-			if canonC5.States > 0 {
-				rep.StateReductionC5 = float64(fullC5.States) / float64(canonC5.States)
-			}
-			if prunedC5.States > 0 {
-				rep.PruneReductionC5 = float64(canonC5.States) / float64(prunedC5.States)
-			}
+		rep.Benches = append(rep.Benches, fullC5, canonC5, prunedC5)
+		if canonC5.States > 0 {
+			rep.StateReductionC5 = float64(fullC5.States) / float64(canonC5.States)
 		}
-		if blockC5.NsPerOp > 0 {
-			rep.BlockSpeedupC5 = float64(canonC5.NsPerOp) / float64(blockC5.NsPerOp)
-		}
-		if *minBlockSpeedup > 0 && rep.BlockSpeedupC5 < *minBlockSpeedup {
-			return fmt.Errorf("block_speedup_c5 = %.2f is below the -min-block-speedup bar %.2f",
-				rep.BlockSpeedupC5, *minBlockSpeedup)
+		if prunedC5.States > 0 {
+			rep.PruneReductionC5 = float64(canonC5.States) / float64(prunedC5.States)
 		}
 	}
-	if !*onlyBlock {
-		trace := deltaTrace(c5, 64)
-		incC5, err := benchDeltaIncremental(c5, trace)
-		if err != nil {
-			return err
-		}
-		fullDeltaC5, err := benchDeltaFull(c5, trace)
-		if err != nil {
-			return err
-		}
-		rep.Benches = append(rep.Benches, incC5, fullDeltaC5)
-		if incC5.NsPerOp > 0 {
-			rep.DeltaSpeedup = float64(fullDeltaC5.NsPerOp) / float64(incC5.NsPerOp)
-		}
-		if *minDeltaSpeedup > 0 && rep.DeltaSpeedup < *minDeltaSpeedup {
-			return fmt.Errorf("delta_speedup = %.2f is below the -min-delta-speedup bar %.2f",
-				rep.DeltaSpeedup, *minDeltaSpeedup)
-		}
+	trace := deltaTrace(c5, 64)
+	incC5, err := benchDeltaIncremental(c5, trace)
+	if err != nil {
+		return err
+	}
+	fullDeltaC5, err := benchDeltaFull(c5, trace)
+	if err != nil {
+		return err
+	}
+	rep.Benches = append(rep.Benches, incC5, fullDeltaC5)
+	if incC5.NsPerOp > 0 {
+		rep.DeltaSpeedup = float64(fullDeltaC5.NsPerOp) / float64(incC5.NsPerOp)
+	}
+	if *minDeltaSpeedup > 0 && rep.DeltaSpeedup < *minDeltaSpeedup {
+		return fmt.Errorf("delta_speedup = %.2f is below the -min-delta-speedup bar %.2f",
+			rep.DeltaSpeedup, *minDeltaSpeedup)
 	}
 
 	if reg := o.Registry(); reg != nil {
@@ -477,7 +434,7 @@ func run(args []string) error {
 // guardOverwrite refuses to replace an existing report with one that
 // would lose information — fewer benchmark entries, or a published
 // headline scalar (any "*speedup*" or "*reduction*" key, e.g.
-// evaluator_speedup, block_speedup_c5, prune_reduction_c5) dropping to
+// evaluator_speedup, delta_speedup, prune_reduction_c5) dropping to
 // zero or disappearing. Both are the signature of a partial run
 // clobbering a complete artifact; force overrides. A missing or
 // unparseable existing file never blocks the write.

@@ -65,7 +65,7 @@ func TestGuardOverwrite(t *testing.T) {
 
 // TestGuardOverwriteScalars: a report whose headline speedup/reduction
 // scalars would silently drop to zero (the signature of a partial run,
-// e.g. -only-block writing over the full artifact) is refused even when
+// e.g. -only-delta writing over the full artifact) is refused even when
 // the benchmark count holds steady.
 func TestGuardOverwriteScalars(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_search.json")
@@ -73,7 +73,7 @@ func TestGuardOverwriteScalars(t *testing.T) {
 		r.EvaluatorSpeedup = 10.5
 		r.StateReductionC5 = 91.4
 		r.PruneReductionC5 = 6.2
-		r.BlockSpeedupC5 = 2.4
+		r.DeltaSpeedup = 5.6
 	}
 	writeBlob(t, path, reportBlob(t, 3, full))
 
@@ -85,10 +85,10 @@ func TestGuardOverwriteScalars(t *testing.T) {
 		{"all scalars kept", full, true},
 		{"scalars changed but non-zero", func(r *Report) {
 			full(r)
-			r.BlockSpeedupC5 = 3.1
+			r.DeltaSpeedup = 6.1
 			r.PruneReductionC5 = 5.0
 		}, true},
-		{"block speedup zeroed", func(r *Report) { full(r); r.BlockSpeedupC5 = 0 }, false},
+		{"delta speedup zeroed", func(r *Report) { full(r); r.DeltaSpeedup = 0 }, false},
 		{"prune reduction zeroed", func(r *Report) { full(r); r.PruneReductionC5 = 0 }, false},
 		{"evaluator speedup zeroed", func(r *Report) { full(r); r.EvaluatorSpeedup = 0 }, false},
 		{"state reduction zeroed", func(r *Report) { full(r); r.StateReductionC5 = 0 }, false},
@@ -104,7 +104,7 @@ func TestGuardOverwriteScalars(t *testing.T) {
 	}
 
 	// -force overrides the scalar guard too.
-	if err := guardOverwrite(path, reportBlob(t, 3, func(r *Report) { full(r); r.BlockSpeedupC5 = 0 }), true); err != nil {
+	if err := guardOverwrite(path, reportBlob(t, 3, func(r *Report) { full(r); r.DeltaSpeedup = 0 }), true); err != nil {
 		t.Errorf("-force did not override the scalar guard: %v", err)
 	}
 

@@ -20,18 +20,28 @@ func evaluatorCollection(c *topology.Clos) Collection {
 	return fs
 }
 
-// TestEvaluatorMatchesClosMaxMinFair: Eval must return exactly the
-// allocation ClosMaxMinFair returns — same rationals, not merely equal
-// floats — over every assignment of a small instance, on both the Rat64
-// kernel and the pinned big.Rat fallback.
+// eval1 evaluates one assignment as a block of k = 1 — the per-state
+// use of a BlockEvaluator — and materializes its allocation.
+func eval1(b *BlockEvaluator, ma MiddleAssignment) (Allocation, error) {
+	res, err := b.EvalBlock(ma, 1)
+	if err != nil {
+		return nil, err
+	}
+	return res.Alloc(0), nil
+}
+
+// TestEvaluatorMatchesClosMaxMinFair: a k = 1 block must return exactly
+// the allocation ClosMaxMinFair returns — same rationals, not merely
+// equal floats — over every assignment of a small instance, on both the
+// Rat64 kernel and the pinned big.Rat fallback.
 func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {
 	c := topology.MustClos(2)
 	fs := evaluatorCollection(c) // 4 flows: 2^4 = 16 assignments
-	ev, err := NewEvaluator(c, fs)
+	ev, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evBig, err := NewEvaluator(c, fs)
+	evBig, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +57,14 @@ func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
-		got, err := ev.Eval(ma)
+		got, err := eval1(ev, ma)
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 		if !got.Equal(want) {
 			t.Errorf("rank %d (%v): Eval = %v, ClosMaxMinFair = %v", rank, ma, got, want)
 		}
-		big, err := evBig.Eval(ma)
+		big, err := eval1(evBig, ma)
 		if err != nil {
 			t.Fatalf("rank %d big: %v", rank, err)
 		}
@@ -70,15 +80,15 @@ func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesRandom cross-checks scratch reuse on a larger
-// instance with pseudo-random assignments: a stale buffer from a prior
-// call would surface as a mismatch. The same evaluator alternates
-// between the Rat64 kernel and the big.Rat path to prove the two share
-// scratch without interference.
+// TestEvaluatorMatchesRandom cross-checks scratch reuse across k = 1
+// blocks on a larger instance with pseudo-random assignments: a stale
+// buffer from a prior call would surface as a mismatch. The same
+// evaluator alternates between the Rat64 kernel and the big.Rat path to
+// prove the two share scratch without interference.
 func TestEvaluatorMatchesRandom(t *testing.T) {
 	c := topology.MustClos(4)
 	fs := evaluatorCollection(c)
-	ev, err := NewEvaluator(c, fs)
+	ev, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ func TestEvaluatorMatchesRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		ev.ForceBig(trial%3 == 2)
-		got, err := ev.Eval(ma)
+		got, err := eval1(ev, ma)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -109,59 +119,60 @@ func TestEvaluatorMatchesRandom(t *testing.T) {
 func TestEvaluatorErrors(t *testing.T) {
 	c := topology.MustClos(2)
 	fs := evaluatorCollection(c)
-	ev, err := NewEvaluator(c, fs)
+	ev, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Eval(MiddleAssignment{1}); err == nil {
+	if _, err := eval1(ev, MiddleAssignment{1}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	bad := UniformAssignment(len(fs), 1)
 	bad[0] = 3
-	if _, err := ev.Eval(bad); err == nil {
+	if _, err := eval1(ev, bad); err == nil {
 		t.Error("out-of-range middle accepted")
 	}
-	if _, err := NewEvaluator(c, Collection{{Src: c.Input(1), Dst: c.Dest(1, 1)}}); err == nil {
+	if _, err := NewBlockEvaluator(c, Collection{{Src: c.Input(1), Dst: c.Dest(1, 1)}}); err == nil {
 		t.Error("non-server source accepted")
 	}
 }
 
 // TestEvaluatorDisabledObsAllocParity pins the observability layer's
-// zero-overhead contract on the evaluator hot path: an evaluator
-// instrumented with a nil Obs (nil handles everywhere) allocates exactly
-// as much per Eval as one never instrumented at all.
+// zero-overhead contract on the per-state path: a block evaluator
+// instrumented with a nil Obs (nil handles everywhere) allocates
+// exactly as much per k = 1 evaluation as one never instrumented.
 func TestEvaluatorDisabledObsAllocParity(t *testing.T) {
 	c := topology.MustClos(4)
 	fs := evaluatorCollection(c)
-	plain, err := NewEvaluator(c, fs)
+	plain, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := NewEvaluator(c, fs)
+	instr, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	instr.Instrument(nil)
 	ma := UniformAssignment(len(fs), 1)
-	evalAllocs := func(ev *Evaluator) float64 {
+	evalAllocs := func(ev *BlockEvaluator) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if _, err := ev.Eval(ma); err != nil {
+			if _, err := eval1(ev, ma); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	base, withNil := evalAllocs(plain), evalAllocs(instr)
 	if base != withNil {
-		t.Errorf("Eval allocs/op: uninstrumented %.1f, nil-instrumented %.1f — disabled observability must be free", base, withNil)
+		t.Errorf("k = 1 allocs/op: uninstrumented %.1f, nil-instrumented %.1f — disabled observability must be free", base, withNil)
 	}
 }
 
-// TestEvaluatorInstrumented: with a live registry the evaluator counts
-// fills, fast-path completions and scratch reuses.
+// TestEvaluatorInstrumented: with a live registry, per-state
+// evaluation counts one fill per state, gauges a block size of 1, and
+// never promotes on unit capacities.
 func TestEvaluatorInstrumented(t *testing.T) {
 	c := topology.MustClos(2)
 	fs := evaluatorCollection(c)
-	ev, err := NewEvaluator(c, fs)
+	ev, err := NewBlockEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,21 +181,18 @@ func TestEvaluatorInstrumented(t *testing.T) {
 	ma := UniformAssignment(len(fs), 1)
 	const evals = 5
 	for i := 0; i < evals; i++ {
-		if _, err := ev.Eval(ma); err != nil {
+		if _, err := eval1(ev, ma); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["core.eval.fills"]; got != evals {
-		t.Errorf("core.eval.fills = %d, want %d", got, evals)
+	if got := snap.Counters["core.block_fills"]; got != evals {
+		t.Errorf("core.block_fills = %d, want %d", got, evals)
 	}
-	if got := snap.Counters["core.eval.fast"]; got != evals {
-		t.Errorf("core.eval.fast = %d, want %d (unit capacities never promote)", got, evals)
+	if got := snap.Gauges["core.block_size"]; got != 1 {
+		t.Errorf("core.block_size = %d, want 1", got)
 	}
-	if got := snap.Counters["core.eval.scratch_reuses"]; got != evals-1 {
-		t.Errorf("core.eval.scratch_reuses = %d, want %d", got, evals-1)
-	}
-	if got := snap.Counters["core.eval.promotions"]; got != 0 {
-		t.Errorf("core.eval.promotions = %d, want 0", got)
+	if got := snap.Counters["core.block_promotions"]; got != 0 {
+		t.Errorf("core.block_promotions = %d, want 0", got)
 	}
 }

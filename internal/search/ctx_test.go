@@ -9,29 +9,32 @@ import (
 
 	"closnet/internal/adversary"
 	"closnet/internal/core"
+	"closnet/internal/rational"
 	"closnet/internal/topology"
 )
 
-// cancellingObjective cancels its context after a fixed number of
-// candidate evaluations — a deterministic stand-in for an abandoned
-// request cancelling mid-enumeration. The counter is shared across the
-// per-worker objective clones, so it is atomic.
-type cancellingObjective struct {
-	inner  objective
-	cancel context.CancelFunc
-	after  int64
-	seen   *atomic.Int64
-}
-
-func (o *cancellingObjective) improves(a core.Allocation) bool {
-	if o.seen.Add(1) == o.after {
-		o.cancel()
+// cancellingObjective wraps the lex objective so that it cancels its
+// context after a fixed number of value computations — a deterministic
+// stand-in for an abandoned request cancelling mid-enumeration. The
+// screen is dropped so every state computes its value; the counter is
+// shared across the scan's workers, so it is atomic.
+func cancellingObjective(t *testing.T, c topology.Fabric, fs core.Collection, cancel context.CancelFunc, after int64) *objective {
+	t.Helper()
+	obj, err := lexObjective(c, fs, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return o.inner.improves(a)
+	var seen atomic.Int64
+	value := obj.value
+	obj.screen = nil
+	obj.value = func(a core.Allocation) rational.Vec {
+		if seen.Add(1) == after {
+			cancel()
+		}
+		return value(a)
+	}
+	return obj
 }
-
-func (o *cancellingObjective) install(a core.Allocation) { o.inner.install(a) }
-func (o *cancellingObjective) optimal() bool             { return o.inner.optimal() }
 
 // ctxTestInstance is a C_3 instance with 6 flows: 3^6 = 729 full states
 // (canonical 122), enough for the periodic ctx poll (every 64 states) to
@@ -74,10 +77,8 @@ func TestEngineCancelledMidRun(t *testing.T) {
 	c, fs := ctxTestInstance(t)
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var seen atomic.Int64
-		res, err := runEngine(c, fs, Options{Ctx: ctx, Workers: workers}, func() objective {
-			return &cancellingObjective{inner: &lexObjective{}, cancel: cancel, after: 3, seen: &seen}
-		})
+		obj := cancellingObjective(t, c, fs, cancel, 3)
+		res, err := run(c, fs, Options{Ctx: ctx, Workers: workers}, obj, scanBlock)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -88,19 +89,19 @@ func TestEngineCancelledMidRun(t *testing.T) {
 	}
 }
 
+// TestEngineSerialLegacyCancelledMidRun: the full space at one worker
+// cancels like every other schedule.
 func TestEngineSerialLegacyCancelledMidRun(t *testing.T) {
 	c, fs := ctxTestInstance(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	var seen atomic.Int64
-	res, err := runEngine(c, fs, Options{Ctx: ctx, Workers: 1, FullSpace: true}, func() objective {
-		return &cancellingObjective{inner: &lexObjective{}, cancel: cancel, after: 3, seen: &seen}
-	})
+	obj := cancellingObjective(t, c, fs, cancel, 3)
+	res, err := run(c, fs, Options{Ctx: ctx, Workers: 1, FullSpace: true}, obj, scanBlock)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Errorf("partial incumbent %v escaped the serial legacy path", res)
+		t.Errorf("partial incumbent %v escaped the full-space scan", res)
 	}
 }
 

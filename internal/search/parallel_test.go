@@ -88,10 +88,9 @@ func checkSameResult(t *testing.T, name string, workers int, serial, par *Result
 }
 
 // TestLexMaxMinParallelEquivalence: the parallel engine returns the
-// bit-identical assignment, allocation and state count as the serial
-// path, for every worker count, on both enumeration spaces — and the
-// canonical optimizer expands back to exactly the incumbent the legacy
-// full-space serial scan reports.
+// bit-identical assignment, allocation and state count as one worker,
+// for every worker count, on both enumeration spaces — and both spaces
+// return exactly the incumbent of the full-space oracle.
 func TestLexMaxMinParallelEquivalence(t *testing.T) {
 	for name, in := range equivalenceInstances(t) {
 		for _, fullSpace := range []bool{false, true} {
@@ -108,12 +107,15 @@ func TestLexMaxMinParallelEquivalence(t *testing.T) {
 			}
 		}
 		// Cross-space bit-identity: the canonical incumbent IS the one the
-		// legacy full-space serial scan reports (min-rank optimum), not
-		// merely an isomorphic relabeling of it.
-		oracle, err := LexMaxMin(in.c, in.fs, Options{Workers: 1, FullSpace: true})
+		// full-space oracle reports (min-rank optimum), not merely an
+		// isomorphic relabeling of it; the full-space scan matches the
+		// oracle's States too.
+		oracle := oracleLex(t, in.c, in.fs)
+		full, err := LexMaxMin(in.c, in.fs, Options{Workers: 1, FullSpace: true})
 		if err != nil {
-			t.Fatalf("%s oracle: %v", name, err)
+			t.Fatalf("%s full space: %v", name, err)
 		}
+		checkSameResult(t, name+"/full-space oracle", 1, oracle, full)
 		canon, err := LexMaxMin(in.c, in.fs, Options{})
 		if err != nil {
 			t.Fatalf("%s canonical: %v", name, err)
@@ -135,14 +137,17 @@ func TestLexMaxMinParallelEquivalence(t *testing.T) {
 
 // TestThroughputMaxMinCanonicalOracle: same cross-space bit-identity for
 // the early-exit objective — the canonical optimizer's incumbent matches
-// the full-space serial scan on assignment and allocation (States counts
-// the spaces' own deterministic prefixes, so it legitimately differs).
+// the full-space oracle on assignment and allocation (States counts the
+// spaces' own deterministic prefixes, so it legitimately differs), and
+// the full-space scan matches it States included.
 func TestThroughputMaxMinCanonicalOracle(t *testing.T) {
 	for name, in := range equivalenceInstances(t) {
-		oracle, err := ThroughputMaxMin(in.c, in.fs, Options{Workers: 1, FullSpace: true})
+		oracle := oracleThroughput(t, in.c, in.fs)
+		full, err := ThroughputMaxMin(in.c, in.fs, Options{Workers: 1, FullSpace: true})
 		if err != nil {
-			t.Fatalf("%s oracle: %v", name, err)
+			t.Fatalf("%s full space: %v", name, err)
 		}
+		checkSameResult(t, name+"/full-space oracle", 1, oracle, full)
 		canon, err := ThroughputMaxMin(in.c, in.fs, Options{})
 		if err != nil {
 			t.Fatalf("%s canonical: %v", name, err)
@@ -286,30 +291,11 @@ func TestFeasibleRoutingParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestEnumerateAborts: a visitor returning false must stop the walk
-// immediately (the serial early-exit bugfix) — no further states are
-// visited.
-func TestEnumerateAborts(t *testing.T) {
-	for _, stopAfter := range []int{1, 3, 7} {
-		visited := 0
-		err := enumerate(3, 4, Options{}, func(core.MiddleAssignment) bool {
-			visited++
-			return visited < stopAfter
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if visited != stopAfter {
-			t.Errorf("stopAfter=%d: visited %d states", stopAfter, visited)
-		}
-	}
-}
-
 // spaceOrder collects the whole space by walking a single cursor from
 // rank 0.
-func spaceOrder(s enumSpace, numFlows int) []core.MiddleAssignment {
+func spaceOrder(s *space, numFlows int) []core.MiddleAssignment {
 	ma := make(core.MiddleAssignment, numFlows)
-	cur := s.cursor(0, ma)
+	cur := s.seek(0, ma)
 	order := make([]core.MiddleAssignment, 0, s.total())
 	for rank := 0; rank < s.total(); rank++ {
 		order = append(order, ma.Copy())
@@ -334,66 +320,93 @@ func isCanonical(ma core.MiddleAssignment) bool {
 	return true
 }
 
-// TestSpaceDecodeMatchesEnumerate: for both spaces, cursor(rank) yields
+// TestSpaceDecodeMatchesEnumerate: for both spaces, seek(rank) yields
 // exactly the rank-th assignment of the reference enumeration order, and
-// advance agrees with cursor(rank+1) — the invariants the shard split
-// depends on. The canonical reference order is the serial full-space
-// order filtered to orbit-minimum representatives, which also proves the
-// canonical space visits representatives in ascending full-space rank.
+// advance agrees with seek(rank+1) — the invariants the shard split
+// depends on. The canonical reference order is the oracle's full-space
+// order filtered to orbit-minimum representatives, which also proves
+// the canonical space visits representatives in ascending full-space
+// rank.
 func TestSpaceDecodeMatchesEnumerate(t *testing.T) {
-	const n, numFlows = 3, 4
-	var fullOrder []core.MiddleAssignment
-	if err := enumerate(n, numFlows, Options{}, func(ma core.MiddleAssignment) bool {
-		fullOrder = append(fullOrder, ma.Copy())
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var canonOrder []core.MiddleAssignment
-	for _, ma := range fullOrder {
-		if isCanonical(ma) {
-			canonOrder = append(canonOrder, ma)
+	for _, shape := range []struct{ n, numFlows, canonical int }{{3, 4, 14}, {4, 5, 51}, {2, 1, 1}} {
+		n, numFlows := shape.n, shape.numFlows
+		var fullOrder []core.MiddleAssignment
+		if err := enumerate(n, numFlows, Options{}, func(ma core.MiddleAssignment) bool {
+			fullOrder = append(fullOrder, ma.Copy())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var canonOrder []core.MiddleAssignment
+		for _, ma := range fullOrder {
+			if isCanonical(ma) {
+				canonOrder = append(canonOrder, ma)
+			}
+		}
+		// Σ_{k≤n} S(numFlows, k) orbit representatives.
+		if len(canonOrder) != shape.canonical {
+			t.Fatalf("n=%d: %d canonical states of %d, want %d", n, len(canonOrder), len(fullOrder), shape.canonical)
+		}
+		for _, tc := range []struct {
+			name      string
+			canonical bool
+			order     []core.MiddleAssignment
+		}{
+			{"full", false, fullOrder},
+			{"canonical", true, canonOrder},
+		} {
+			s, err := newSpace(n, numFlows, tc.canonical, DefaultMaxStates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.total() != len(tc.order) {
+				t.Fatalf("%s n=%d: space says %d states, reference has %d", tc.name, n, s.total(), len(tc.order))
+			}
+			// seek(rank) must land on the rank-th reference state.
+			decoded := make(core.MiddleAssignment, numFlows)
+			for rank := range tc.order {
+				s.seek(rank, decoded)
+				if !sameAssignment(decoded, tc.order[rank]) {
+					t.Fatalf("%s n=%d rank %d: seek %v, reference %v", tc.name, n, rank, decoded, tc.order[rank])
+				}
+			}
+			// A single cursor advanced through the space must trace the
+			// same order, and wrap back to rank 0.
+			order := spaceOrder(s, numFlows)
+			for rank, ma := range order {
+				if !sameAssignment(ma, tc.order[rank]) {
+					t.Fatalf("%s n=%d rank %d: advance %v, reference %v", tc.name, n, rank, ma, tc.order[rank])
+				}
+			}
+			ma := make(core.MiddleAssignment, numFlows)
+			cur := s.seek(s.total()-1, ma)
+			cur.advance()
+			if !sameAssignment(ma, tc.order[0]) {
+				t.Errorf("%s n=%d: advance past the last rank gave %v, want rank 0 %v", tc.name, n, ma, tc.order[0])
+			}
 		}
 	}
-	// Σ_{k≤3} S(4,k) = 1 + 7 + 6 = 14 orbit representatives.
-	if len(canonOrder) != 14 {
-		t.Fatalf("%d canonical states of %d, want 14", len(canonOrder), len(fullOrder))
-	}
+}
 
-	fullS, err := newFullSpace(n, numFlows, DefaultMaxStates)
-	if err != nil {
-		t.Fatal(err)
+// TestFullSpaceCapFailsFast: a full space past the state cap errors
+// before its suffix-count table is built — 4096^64 would otherwise be
+// checked only after allocating 65 rows of 4097 entries.
+func TestFullSpaceCapFailsFast(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := newSpace(4096, 64, false, DefaultMaxStates); err == nil {
+			t.Fatal("full space past the cap accepted")
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("rejecting the full space allocated %.0f times", allocs)
 	}
-	canonS, err := newCanonSpace(n, numFlows, DefaultMaxStates)
-	if err != nil {
-		t.Fatal(err)
+	_, err := newSpace(3, 20, false, 1000)
+	if want := "search: routing space exceeds state cap: 3^20 > 1000"; err == nil || err.Error() != want {
+		t.Errorf("full-space error = %v, want %q", err, want)
 	}
-	for _, tc := range []struct {
-		name  string
-		s     enumSpace
-		order []core.MiddleAssignment
-	}{
-		{"full", fullS, fullOrder},
-		{"canonical", canonS, canonOrder},
-	} {
-		if tc.s.total() != len(tc.order) {
-			t.Fatalf("%s: space says %d states, reference has %d", tc.name, tc.s.total(), len(tc.order))
-		}
-		// cursor(rank) must land on the rank-th reference state.
-		decoded := make(core.MiddleAssignment, numFlows)
-		for rank := range tc.order {
-			tc.s.cursor(rank, decoded)
-			if !sameAssignment(decoded, tc.order[rank]) {
-				t.Fatalf("%s rank %d: cursor %v, reference %v", tc.name, rank, decoded, tc.order[rank])
-			}
-		}
-		// A single cursor advanced through the space must trace the same
-		// order.
-		for rank, ma := range spaceOrder(tc.s, numFlows) {
-			if !sameAssignment(ma, tc.order[rank]) {
-				t.Fatalf("%s rank %d: advance %v, reference %v", tc.name, rank, ma, tc.order[rank])
-			}
-		}
+	_, err = newSpace(3, 20, true, 1000)
+	if want := "search: routing space exceeds state cap: canonical space of 20 flows in C_3 > 1000"; err == nil || err.Error() != want {
+		t.Errorf("canonical-space error = %v, want %q", err, want)
 	}
 }
 

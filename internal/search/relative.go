@@ -39,28 +39,6 @@ func minRatio(a core.Allocation, target rational.Vec) *big.Rat {
 	return worst
 }
 
-// ratioObjective orders allocations by their minimum network/target
-// ratio, caching the incumbent's ratio so it is recomputed only on
-// improvement.
-type ratioObjective struct {
-	target rational.Vec
-	best   *big.Rat
-	cand   *big.Rat
-}
-
-func (o *ratioObjective) improves(a core.Allocation) bool {
-	r := minRatio(a, o.target)
-	if o.best != nil && r.Cmp(o.best) <= 0 {
-		return false
-	}
-	o.cand = r
-	return true
-}
-
-func (o *ratioObjective) install(core.Allocation) { o.best = o.cand }
-
-func (o *ratioObjective) optimal() bool { return false }
-
 // RelativeMaxMin maximizes, over all routings, the minimum per-flow
 // ratio between the max-min fair rate in the Clos network and a target
 // rate (typically the flow's macro-switch rate) — the relative-max-min
@@ -85,7 +63,9 @@ func RelativeMaxMin(c topology.Fabric, fs core.Collection, target rational.Vec, 
 			States:     1,
 		}, nil
 	}
-	res, err := runEngine(c, fs, opts, func() objective { return &ratioObjective{target: target} })
+	// The minimum ratio has no Rat64 screen: every state is materialized.
+	obj := &objective{value: func(a core.Allocation) rational.Vec { return rational.Vec{minRatio(a, target)} }}
+	res, err := run(c, fs, opts, obj, scanBlock)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@
 //
 // The exhaustive optimizers enumerate in parallel by default, sharding
 // the ranked assignment space over worker goroutines (see engine.go);
-// the reduction is deterministic, so the result is bit-identical to the
-// serial path for every worker count.
+// the reduction is deterministic, so the result is bit-identical for
+// every worker count.
 //
 // Finding a lex-max-min fair allocation is NP-complete in general
 // (Kleinberg–Tardos–Rabani [22]), so the exact optimizers guard against
@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"closnet/internal/core"
+	"closnet/internal/lp"
 	"closnet/internal/matching"
 	"closnet/internal/obs"
 	"closnet/internal/rational"
@@ -37,12 +38,6 @@ var ErrTooManyStates = errors.New("search: routing space exceeds state cap")
 // DefaultMaxStates bounds exhaustive enumeration: n^|F| assignments.
 const DefaultMaxStates = 1 << 21
 
-// DefaultBlockSize is the number of states the enumeration hands the
-// block evaluator per call when Options.BlockSize is 0. It matches the
-// cancellation polling cadence (ctxCheckMask + 1), so block mode polls
-// Options.Ctx exactly as often as the per-state path.
-const DefaultBlockSize = ctxCheckMask + 1
-
 // Options tunes the exhaustive optimizers.
 type Options struct {
 	// MaxStates caps the number of enumerated assignments
@@ -51,10 +46,10 @@ type Options struct {
 	// full space n^|F| overflows the cap remain searchable as long as
 	// their canonical orbit count fits.
 	MaxStates int
-	// FullSpace disables the symmetry-canonical enumeration (canon.go)
+	// FullSpace disables the symmetry-canonical enumeration (space.go)
 	// and scans all n^|F| assignments. Both spaces produce bit-identical
-	// results; the full space exists as the independent oracle the
-	// equivalence tests cross-check canonicalization against.
+	// results; the equivalence tests cross-check canonicalization
+	// against the full space.
 	FullSpace bool
 	// Pruned enables the bound-guided branch-and-bound over the
 	// canonical space (branchbound.go): partial assignments are bounded
@@ -67,19 +62,9 @@ type Options struct {
 	// (the canonical rank blocks are what the bound prunes).
 	Pruned bool
 	// Workers is the number of enumeration worker goroutines: 0 runs one
-	// worker per available core, 1 forces the exact legacy serial path,
-	// and k ≥ 2 uses exactly k workers. Every setting returns
-	// bit-identical results (see engine.go).
+	// worker per available core, and k ≥ 1 uses exactly k workers. Every
+	// setting returns bit-identical results (see engine.go).
 	Workers int
-	// BlockSize is the number of states each enumeration worker hands
-	// the block evaluator per core.BlockEvaluator.EvalBlock call: 0 uses
-	// DefaultBlockSize, k ≥ 2 exactly k, and a negative value (or 1)
-	// disables block evaluation, restoring the per-state evaluation
-	// path — kept as the baseline the block benchmarks compare against.
-	// Every setting returns bit-identical results (see engine.go);
-	// objectives without a Rat64 candidate screen (relative-max-min)
-	// always evaluate per state.
-	BlockSize int
 	// Obs attaches the runtime observability layer to the search: state
 	// and incumbent counters in the metrics registry, shard/merge/stop
 	// events in the journal (see internal/obs). nil disables all
@@ -87,7 +72,7 @@ type Options struct {
 	// state and allocates nothing.
 	Obs *obs.Obs
 	// Ctx, when non-nil, bounds the search: the enumeration loop polls
-	// it periodically (every ctxCheckMask+1 states per worker) and a
+	// it periodically (once per block of states per worker) and a
 	// cancelled run returns ctx.Err() with the partial incumbent
 	// discarded — no Result escapes a cancelled search, for any worker
 	// count. nil means context.Background() (never cancelled).
@@ -99,19 +84,6 @@ func (o Options) maxStates() int {
 		return DefaultMaxStates
 	}
 	return o.MaxStates
-}
-
-// blockSize resolves the Options.BlockSize policy to the per-EvalBlock
-// state count; 1 means the per-state path.
-func (o Options) blockSize() int {
-	switch {
-	case o.BlockSize < 0:
-		return 1
-	case o.BlockSize == 0:
-		return DefaultBlockSize
-	default:
-		return o.BlockSize
-	}
 }
 
 func (o Options) context() context.Context {
@@ -132,185 +104,127 @@ type Result struct {
 	States     int
 }
 
-// stateCount returns n^flows, or -1 on overflow past cap.
-func stateCount(n, flows, cap int) int {
-	count := 1
-	for i := 0; i < flows; i++ {
-		count *= n
-		if count > cap || count <= 0 {
-			return -1
-		}
-	}
-	return count
-}
-
-func tooManyStatesError(n, free, cap int) error {
-	return fmt.Errorf("%w: %d^%d > %d", ErrTooManyStates, n, free, cap)
-}
-
-// enumerate calls visit for every middle assignment of numFlows flows in
-// C_n, in rank order. The assignment passed to visit is reused across
-// calls; visit must copy it to retain it. Returning false from visit
-// aborts the walk immediately — no further states are generated or
-// visited.
-func enumerate(n, numFlows int, opts Options, visit func(core.MiddleAssignment) bool) error {
-	if stateCount(n, numFlows, opts.maxStates()) < 0 {
-		return tooManyStatesError(n, numFlows, opts.maxStates())
-	}
-	ma := core.UniformAssignment(numFlows, 1)
-	if !visit(ma) {
-		return nil
-	}
-	for {
-		// Increment the base-n counter over positions [0, numFlows).
-		pos := 0
-		for pos < numFlows {
-			if ma[pos] < n {
-				ma[pos]++
-				break
-			}
-			ma[pos] = 1
-			pos++
-		}
-		if pos == numFlows {
-			return nil
-		}
-		if !visit(ma) {
-			return nil
-		}
-	}
-}
-
-// lexObjective orders allocations by their sorted vectors (Definition
-// 2.4). The incumbent's sorted vector is cached, so each improvement
-// sorts once instead of the incumbent being re-sorted against every
-// candidate. Sorting works on a reused pointer buffer aliasing the
-// candidate's elements — candidates are freshly allocated per state and
-// never mutated afterwards, so no rationals are copied per comparison.
-type lexObjective struct {
-	bestSorted rational.Vec
-	candSorted rational.Vec
-	scratch64  []rational.Rat64
-}
-
-// fastImproves is the lex objective's Rat64 screen (blockCapable): the
-// candidate lane is sorted into a reused scratch and lex-compared
-// against the incumbent's sorted vector with allocation-free
-// Rat64-vs-big.Rat comparisons. The verdict is exact (ok is always
-// true: Rat64 comparison cannot overflow), so a rejection here is
-// final and the allocation is never materialized.
-func (o *lexObjective) fastImproves(rates []rational.Rat64) (bool, bool) {
-	s := append(o.scratch64[:0], rates...)
-	rational.Sort64(s)
-	o.scratch64 = s
-	if o.bestSorted == nil {
-		return true, true
-	}
-	for i, r := range s {
-		if i >= len(o.bestSorted) {
-			return true, true
-		}
-		if c := r.CmpRat(o.bestSorted[i]); c != 0 {
-			return c > 0, true
-		}
-	}
-	return false, true
-}
-
-func (o *lexObjective) improves(cand core.Allocation) bool {
-	s := append(o.candSorted[:0], cand...)
-	sort.Slice(s, func(i, j int) bool { return rational.Cmp(s[i], s[j]) < 0 })
-	o.candSorted = s
-	if o.bestSorted != nil && rational.LexCompare(s, o.bestSorted) <= 0 {
-		return false
-	}
-	return true
-}
-
-func (o *lexObjective) install(core.Allocation) {
-	// Swap buffers: the candidate's sorted view becomes the incumbent's,
-	// and the old incumbent backing is recycled as the next scratch.
-	o.bestSorted, o.candSorted = o.candSorted, o.bestSorted[:0]
-}
-
-func (o *lexObjective) optimal() bool { return false }
-
 // LexMaxMin finds a lex-max-min fair allocation (Definition 2.4): the
 // max-min fair allocation whose sorted vector is lexicographically
 // maximum over all routings. By default it enumerates exhaustively;
 // with Options.Pruned it runs the bound-guided branch-and-bound, which
 // returns the bit-identical incumbent while visiting fewer states.
 func LexMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Result, error) {
-	if opts.Pruned {
-		if opts.FullSpace {
-			return nil, errors.New("search: Pruned and FullSpace are mutually exclusive")
-		}
-		return lexBranchBound(c, fs, opts)
-	}
-	return runEngine(c, fs, opts, func() objective { return &lexObjective{} })
-}
-
-// throughputObjective orders allocations by total throughput, caching
-// the incumbent's throughput, and stops the search once the incumbent
-// reaches the Lemma 3.2 matching upper bound.
-type throughputObjective struct {
-	ub   *big.Rat
-	best *big.Rat
-	cand *big.Rat
-}
-
-// fastImproves is the throughput objective's Rat64 screen
-// (blockCapable): the candidate's total throughput is summed on Rat64.
-// An overflowing sum reports ok = false, deferring to the exact
-// improves on the materialized allocation.
-func (o *throughputObjective) fastImproves(rates []rational.Rat64) (bool, bool) {
-	sum := rational.Zero64()
-	for _, r := range rates {
-		var ok bool
-		if sum, ok = sum.Add(r); !ok {
-			return false, false
-		}
-	}
-	if o.best == nil {
-		return true, true
-	}
-	return sum.CmpRat(o.best) > 0, true
-}
-
-func (o *throughputObjective) improves(a core.Allocation) bool {
-	t := core.Throughput(a)
-	if o.best != nil && t.Cmp(o.best) <= 0 {
-		return false
-	}
-	o.cand = t
-	return true
-}
-
-func (o *throughputObjective) install(core.Allocation) { o.best = o.cand }
-
-func (o *throughputObjective) optimal() bool {
-	return o.ub != nil && o.best != nil && o.best.Cmp(o.ub) >= 0
-}
-
-// ThroughputMaxMin finds a throughput-max-min fair allocation
-// (Definition 2.5) by exhaustive enumeration: the max-min fair allocation
-// whose throughput is maximum over all routings. The enumeration stops
-// early once the throughput reaches the maximum matching size of G^MS,
-// which upper-bounds T^T-MmF via T^T-MmF ≤ T^T-MT = T^MT (Lemma 5.2 and
-// Lemma 3.2); the abort propagates to every enumeration worker, so the
-// states after the stopping one are never evaluated.
-func ThroughputMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Result, error) {
-	if opts.Pruned {
-		if opts.FullSpace {
-			return nil, errors.New("search: Pruned and FullSpace are mutually exclusive")
-		}
-		return throughputBranchBound(c, fs, opts)
-	}
-	ubRat, err := matchingBound(c, fs)
+	obj, err := lexObjective(c, fs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return runEngine(c, fs, opts, func() objective { return &throughputObjective{ub: ubRat} })
+	return run(c, fs, opts, obj, scanBlock)
+}
+
+// lexObjective orders allocations by their sorted vectors. The value
+// sorts a view aliasing the allocation's elements — allocations are
+// never mutated after materialization — and the screen sorts the rate
+// lane and compares it with the incumbent's sorted vector without
+// allocating. Pruned mode bounds a prefix by the trunk relaxation of
+// core.PartialEvaluator.
+func lexObjective(c topology.Fabric, fs core.Collection, opts Options) (*objective, error) {
+	if err := checkPruned(opts); err != nil {
+		return nil, err
+	}
+	obj := &objective{
+		value: func(a core.Allocation) rational.Vec {
+			s := append(rational.Vec(nil), a...)
+			sort.Slice(s, func(i, j int) bool { return rational.Cmp(s[i], s[j]) < 0 })
+			return s
+		},
+		screen: func(lane []rational.Rat64, inc rational.Vec) (int, bool) {
+			rational.Sort64(lane)
+			for i, r := range lane {
+				if c := r.CmpRat(inc[i]); c != 0 {
+					return c, true
+				}
+			}
+			return 0, true
+		},
+	}
+	if opts.Pruned {
+		pe, err := core.NewPartialEvaluator(c, fs)
+		if err != nil {
+			return nil, err
+		}
+		obj.bound = func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error) {
+			b, err := pe.Bound(ma, fixedFrom)
+			if err != nil {
+				return nil, err
+			}
+			return b.SortedCopy(), nil
+		}
+	}
+	return obj, nil
+}
+
+// ThroughputMaxMin finds a throughput-max-min fair allocation
+// (Definition 2.5): the max-min fair allocation whose throughput is
+// maximum over all routings. The exhaustive scan stops early once the
+// throughput reaches the maximum matching size of G^MS, which
+// upper-bounds T^T-MmF via T^T-MmF ≤ T^T-MT = T^MT (Lemma 5.2 and
+// Lemma 3.2); the abort propagates to every enumeration worker, so the
+// states after the stopping one are never evaluated.
+func ThroughputMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Result, error) {
+	obj, err := throughputObjective(c, fs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return run(c, fs, opts, obj, scanBlock)
+}
+
+// throughputObjective orders allocations by total throughput, screened
+// as a Rat64 sum of the lane (an overflowing sum defers to the exact
+// value), with the Lemma 3.2 matching bound as its ceiling. Pruned mode
+// bounds a prefix by the certified splittable LP over its paths,
+// capped by the same ceiling.
+func throughputObjective(c topology.Fabric, fs core.Collection, opts Options) (*objective, error) {
+	if err := checkPruned(opts); err != nil {
+		return nil, err
+	}
+	// ub is nil when the matching ceiling's unit-endpoint premise fails;
+	// the LP bound alone is always admissible.
+	ub, err := matchingBound(c, fs)
+	if err != nil {
+		return nil, err
+	}
+	obj := &objective{
+		value: func(a core.Allocation) rational.Vec { return rational.Vec{core.Throughput(a)} },
+		screen: func(lane []rational.Rat64, inc rational.Vec) (int, bool) {
+			sum := rational.Zero64()
+			for _, r := range lane {
+				var ok bool
+				if sum, ok = sum.Add(r); !ok {
+					return 0, false
+				}
+			}
+			return sum.CmpRat(inc[0]), true
+		},
+	}
+	if ub != nil {
+		obj.ceiling = rational.Vec{ub}
+	}
+	if opts.Pruned {
+		tb := lp.NewThroughputBounder(c, fs)
+		obj.bound = func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error) {
+			b, err := tb.Bound(ma, fixedFrom)
+			if err != nil {
+				return nil, err
+			}
+			return rational.Vec{b}, nil
+		}
+	}
+	return obj, nil
+}
+
+// checkPruned rejects the option combination the pruned mode does not
+// support: the bound prunes canonical rank blocks.
+func checkPruned(opts Options) error {
+	if opts.Pruned && opts.FullSpace {
+		return errors.New("search: Pruned and FullSpace are mutually exclusive")
+	}
+	return nil
 }
 
 // matchingBound returns the Lemma 3.2 throughput ceiling |F'| when it
