@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-delta verify experiments trace serve loadgen cover fuzz clean
+.PHONY: all build test vet race bench bench-json bench-delta verify experiments trace serve cover fuzz clean
 
 all: build vet test
 
@@ -50,12 +50,6 @@ trace:
 # "Serving" section). Ctrl-C drains in-flight requests before exit.
 serve:
 	$(GO) run ./cmd/closnetd -addr localhost:8427 -metrics
-
-# The serving benchmark: replay the C_4 corpus against an in-process
-# daemon, warm cache then cold path.
-loadgen:
-	$(GO) run ./cmd/closnetd loadgen -duration 5s
-	$(GO) run ./cmd/closnetd loadgen -duration 5s -cold
 
 cover:
 	$(GO) test -cover ./...

@@ -165,56 +165,9 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 	}
 }
 
-// TestLoadgenSmoke replays a small fixed budget against an in-process
-// server and checks the report shape.
-func TestLoadgenSmoke(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"loadgen", "-requests", "40", "-conns", "4", "-n", "3"}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("loadgen: %v\nstdout: %s\nstderr: %s", err, stdout.String(), stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{"requests 40", "errors 0", "rate", "latency", "cache hits"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("loadgen report lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestLoadgenColdDisablesCache checks the cold configuration actually
-// bypasses the result cache.
-func TestLoadgenColdDisablesCache(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"loadgen", "-cold", "-requests", "20", "-conns", "2", "-n", "3"}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("loadgen -cold: %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "cache hits 0") {
-		t.Errorf("cold run reported cache hits:\n%s", stdout.String())
-	}
-}
-
 func TestBadFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-no-such-flag"}, &stdout, &stderr); err == nil {
+	var stderr bytes.Buffer
+	if err := run([]string{"-no-such-flag"}, &stderr); err == nil {
 		t.Fatal("unknown flag accepted")
-	}
-}
-
-// TestLoadgenRejectsBadValues: semantically invalid load settings exit
-// non-zero with a diagnostic instead of silently measuring nothing.
-func TestLoadgenRejectsBadValues(t *testing.T) {
-	for name, args := range map[string][]string{
-		"zero conns":     {"loadgen", "-conns", "0", "-requests", "1"},
-		"negative conns": {"loadgen", "-conns", "-3", "-requests", "1"},
-		"negative rps":   {"loadgen", "-rps", "-1", "-requests", "1"},
-		"negative reqs":  {"loadgen", "-requests", "-5"},
-		"zero window":    {"loadgen", "-duration", "0s"},
-		"bad duration":   {"loadgen", "-duration", "fast"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err == nil {
-			t.Errorf("%s (%v): accepted", name, args)
-		}
 	}
 }

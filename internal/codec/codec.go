@@ -254,6 +254,22 @@ func (s *Scenario) Build() (topology.Fabric, core.Collection, rational.Vec, core
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
+	demands, err := s.DemandVec()
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	var ma core.MiddleAssignment
+	if s.Assignment != nil {
+		ma = append(core.MiddleAssignment(nil), s.Assignment...)
+	}
+	return c, s.FlowsOn(c), demands, ma, nil
+}
+
+// FlowsOn resolves the scenario's flows on c, a fabric of the
+// scenario's family and shape — typically a shared one — reading
+// neither demands nor assignment. The scenario must be valid (as every
+// canonical scenario is): indices out of c's range panic.
+func (s *Scenario) FlowsOn(c topology.Fabric) core.Collection {
 	fs := make(core.Collection, len(s.Flows))
 	for fi, f := range s.Flows {
 		fs[fi] = core.Flow{
@@ -261,23 +277,24 @@ func (s *Scenario) Build() (topology.Fabric, core.Collection, rational.Vec, core
 			Dst: c.Dest(f.DstSwitch, f.DstServer),
 		}
 	}
-	var demands rational.Vec
-	if s.Demands != nil {
-		demands = make(rational.Vec, len(s.Demands))
-		for fi, str := range s.Demands {
-			r, ok := new(big.Rat).SetString(str)
-			if !ok {
-				return nil, nil, nil, nil, fmt.Errorf("codec: flow %d demand %q is not a rational", fi, str)
-			}
-			if r.Sign() < 0 {
-				return nil, nil, nil, nil, fmt.Errorf("codec: flow %d demand %q is negative", fi, str)
-			}
-			demands[fi] = r
+	return fs
+}
+
+// DemandVec parses the demands, or returns nil when there are none.
+func (s *Scenario) DemandVec() (rational.Vec, error) {
+	if s.Demands == nil {
+		return nil, nil
+	}
+	demands := make(rational.Vec, len(s.Demands))
+	for fi, str := range s.Demands {
+		r, ok := new(big.Rat).SetString(str)
+		if !ok {
+			return nil, fmt.Errorf("codec: flow %d demand %q is not a rational", fi, str)
 		}
+		if r.Sign() < 0 {
+			return nil, fmt.Errorf("codec: flow %d demand %q is negative", fi, str)
+		}
+		demands[fi] = r
 	}
-	var ma core.MiddleAssignment
-	if s.Assignment != nil {
-		ma = append(core.MiddleAssignment(nil), s.Assignment...)
-	}
-	return c, fs, demands, ma, nil
+	return demands, nil
 }

@@ -10,21 +10,21 @@ import (
 
 // BlockEvaluator water-fills a block of k middle assignments per call
 // on the package's kernel: every candidate path is resolved to its lane
-// list once at construction, and rates land in a k×|F| Rat64 lane, so a
-// block allocates nothing on the fast path. The search engine hands it
-// rank-contiguous blocks of canonical assignments; the serving layer
-// shares one prepared instance per topology hash. A state whose fast
-// fill overflows is re-registered and re-run on the kernel's *big.Rat
-// fill, which ForceBig pins; every state registers afresh, so a
-// promotion cannot poison the states after it. Either way the
-// allocations are exactly those of ClosMaxMinFair. A BlockEvaluator is
-// NOT safe for concurrent use.
+// list once at construction, into one flat buffer, and rates land in a
+// k×|F| Rat64 lane, so a block allocates nothing on the fast path. The
+// search engine hands it rank-contiguous blocks of canonical
+// assignments; the serving layer shares one prepared instance per
+// topology hash. A state whose fast fill overflows is re-registered and
+// re-run on the kernel's *big.Rat fill, which ForceBig pins; every
+// state registers afresh, so a promotion cannot poison the states
+// after it. Either way the allocations are exactly those of
+// ClosMaxMinFair. A BlockEvaluator is NOT safe for concurrent use.
 type BlockEvaluator struct {
 	k    *kernel
 	nf   int
 	n    int
-	cur  [][]int32   // the lane lists of the state being filled
-	path [][][]int32 // path[fi][m-1]: flow fi's lanes via middle m
+	cur  [][]int32 // the lane lists of the state being filled
+	path [][]int32 // path[fi·n+m-1]: flow fi's lanes via middle m
 
 	// Per-block outputs: the k×nf rate lane of the fast path and the
 	// allocations of promoted states (nil for fast states).
@@ -45,23 +45,16 @@ type BlockEvaluator struct {
 	jour        *obs.Journal
 }
 
-// NewBlockEvaluator prepares repeated block evaluations of fs over c.
-// It fails if any flow endpoint is not a server of c.
+// NewBlockEvaluator prepares repeated block evaluations of fs over c,
+// on c's prepared fabric (PrepareFabric). It fails if any flow endpoint
+// is not a server of c.
 func NewBlockEvaluator(c topology.Fabric, fs Collection) (*BlockEvaluator, error) {
-	k, laneOf := fabricKernel(c.Network().Links())
-	b := &BlockEvaluator{k: k, nf: len(fs), n: c.Size(), cur: make([][]int32, len(fs))}
-	b.path = make([][][]int32, len(fs))
-	for fi, f := range fs {
-		b.path[fi] = make([][]int32, b.n)
-		for m := 1; m <= b.n; m++ {
-			p, err := c.Path(f.Src, f.Dst, m)
-			if err != nil {
-				return nil, fmt.Errorf("evaluator: flow %d: %w", fi, err)
-			}
-			b.path[fi][m-1] = lanesOf(p, laneOf)
-		}
+	pf := PrepareFabric(c)
+	path, err := pf.PathLanes(fs)
+	if err != nil {
+		return nil, fmt.Errorf("evaluator: %w", err)
 	}
-	return b, nil
+	return &BlockEvaluator{k: pf.caps.newKernel(), nf: len(fs), n: pf.Size(), cur: make([][]int32, len(fs)), path: path}, nil
 }
 
 // ForceBig pins EvalBlock to the (identical) *big.Rat path when on.
@@ -104,7 +97,7 @@ func (b *BlockEvaluator) EvalBlock(mas []int, k int) (*BlockResult, error) {
 	overflowed, fast := 0, b.k.fast && !b.forceBig
 	for s := 0; s < k; s++ {
 		for fi, m := range mas[s*b.nf : (s+1)*b.nf] {
-			b.cur[fi] = b.path[fi][m-1]
+			b.cur[fi] = b.path[fi*b.n+m-1]
 		}
 		try := fast && (b.testOverflow == nil || !b.testOverflow(s))
 		a, err := b.k.solve(b.cur, b.rates[s*b.nf:(s+1)*b.nf], try)

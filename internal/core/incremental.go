@@ -45,9 +45,9 @@ type FlowID int
 // rebuild it. ForceBig pins the big.Rat path. An IncrementalEvaluator
 // is NOT safe for concurrent use.
 type IncrementalEvaluator struct {
-	fab    topology.Fabric
-	n      int     // path choices
-	laneOf []int32 // LinkID -> lane, -1 when unbounded
+	fab  *PreparedFabric
+	n    int           // path choices
+	path topology.Path // AppendPath scratch
 
 	// The kernel's lanes, on-lists and frozen flags are indexed by
 	// handle: its topology is the flow table itself.
@@ -100,10 +100,12 @@ type incRound struct {
 }
 
 // NewIncrementalEvaluator prepares incremental max-min fair evaluation
-// over fab, starting from the empty flow set.
+// over fab's prepared fabric (PrepareFabric), starting from the empty
+// flow set.
 func NewIncrementalEvaluator(fab topology.Fabric) *IncrementalEvaluator {
-	k, laneOf := fabricKernel(fab.Network().Links())
-	return &IncrementalEvaluator{fab: fab, n: fab.Size(), laneOf: laneOf, k: k, inAff: make([]bool, len(k.act))}
+	pf := PrepareFabric(fab)
+	k := pf.caps.newKernel()
+	return &IncrementalEvaluator{fab: pf, n: pf.Size(), k: k, inAff: make([]bool, len(k.act))}
 }
 
 // Instrument attaches the observability layer (the core.delta_*
@@ -130,11 +132,11 @@ func (ie *IncrementalEvaluator) lanes(f Flow, middle int) ([]int32, error) {
 	if middle < 1 || middle > ie.n {
 		return nil, fmt.Errorf("incremental: middle %d out of range [1, %d]", middle, ie.n)
 	}
-	path, err := ie.fab.Path(f.Src, f.Dst, middle)
-	if err != nil {
+	var err error
+	if ie.path, err = ie.fab.AppendPath(ie.path[:0], f.Src, f.Dst, middle); err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	return lanesOf(path, ie.laneOf), nil
+	return ie.fab.appendLanes(make([]int32, 0, len(ie.path)), ie.path), nil
 }
 
 // Arrive admits a flow on the path selected by middle and refills. On

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"closnet/internal/rational"
-	"closnet/internal/topology"
 )
 
 // errNoProgress is the internal-invariant error of the filling: a round
@@ -32,12 +31,8 @@ var errNoProgress = errors.New("waterfill: no progress (internal invariant viola
 // registered state (also every driver's ForceBig path), so a promotion
 // is a lossless re-run.
 type kernel struct {
-	// Per-lane constants: the capacity as a numerator over den0 (fast is
-	// false when a capacity or den0 does not fit) and as a *big.Rat.
-	seedN   []int64
-	den0    int64
-	fast    bool
-	capsBig []*big.Rat
+	// The per-lane constants, shared by every kernel over the same lanes.
+	capTemplate
 
 	// lanes[f] lists flow f's lanes, on[j] the flows crossing lane j.
 	// register builds on from lanes; a driver with a persistent flow
@@ -66,52 +61,42 @@ type kernel struct {
 	x, y, a            big.Int
 }
 
-// newKernel prepares a kernel over lanes with the given capacities.
-func newKernel(caps []*big.Rat) *kernel {
-	n := len(caps)
-	k := &kernel{seedN: make([]int64, n), den0: 1, fast: true, capsBig: caps,
-		on: make([][]int32, n), act: make([]int32, n), touched: make([]int32, 0, n),
-		remN: make([]int64, n)}
-	c64 := make([]rational.Rat64, n)
+// capTemplate holds a kernel's per-lane constants: each capacity as a
+// numerator over the shared den0 (fast is false when a capacity or den0
+// does not fit) and as a *big.Rat. A fill only reads it, so every
+// kernel over the same lanes shares one template.
+type capTemplate struct {
+	seedN   []int64
+	den0    int64
+	fast    bool
+	capsBig []*big.Rat
+}
+
+// newCapTemplate derives the template of lanes with the given
+// capacities.
+func newCapTemplate(caps []*big.Rat) capTemplate {
+	t := capTemplate{seedN: make([]int64, len(caps)), den0: 1, fast: true, capsBig: caps}
+	c64 := make([]rational.Rat64, len(caps))
 	for j, c := range caps {
 		var ok bool
 		if c64[j], ok = rational.FromRat(c); ok {
 			q := c64[j].Den()
-			k.den0, ok = mulNonNeg(k.den0/gcdInt64(k.den0, q), q)
+			t.den0, ok = mulNonNeg(t.den0/gcdInt64(t.den0, q), q)
 		}
-		k.fast = k.fast && ok
+		t.fast = t.fast && ok
 	}
-	for j := 0; j < n && k.fast; j++ {
-		k.seedN[j], k.fast = mulNonNeg(c64[j].Num(), k.den0/c64[j].Den())
+	for j := 0; j < len(caps) && t.fast; j++ {
+		t.seedN[j], t.fast = mulNonNeg(c64[j].Num(), t.den0/c64[j].Den())
 	}
-	return k
+	return t
 }
 
-// fabricKernel builds the kernel of a network's finite links, one lane
-// each in ascending LinkID order, and the LinkID → lane map (-1 for
-// unbounded links).
-func fabricKernel(links []topology.Link) (*kernel, []int32) {
-	laneOf := make([]int32, len(links))
-	var caps []*big.Rat
-	for _, l := range links {
-		laneOf[l.ID] = -1
-		if !l.Unbounded {
-			laneOf[l.ID] = int32(len(caps))
-			caps = append(caps, l.Capacity)
-		}
-	}
-	return newKernel(caps), laneOf
-}
-
-// lanesOf maps a path to its finite lanes.
-func lanesOf(p topology.Path, laneOf []int32) []int32 {
-	lanes := make([]int32, 0, len(p))
-	for _, l := range p {
-		if j := laneOf[l]; j >= 0 {
-			lanes = append(lanes, j)
-		}
-	}
-	return lanes
+// newKernel allocates a kernel's fill scratch over the template's
+// lanes; the template itself is shared, not copied.
+func (t *capTemplate) newKernel() *kernel {
+	n := len(t.seedN)
+	return &kernel{capTemplate: *t, on: make([][]int32, n), act: make([]int32, n),
+		touched: make([]int32, 0, n), remN: make([]int64, n)}
 }
 
 // register starts a fill of flows 0..len(lanes)-1 over the given lane

@@ -47,13 +47,17 @@ func TestKernelFractionalCapacities(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			k, laneOf := fabricKernel(net.Links())
+			laneOf, caps := finiteLanes(net)
+			tmpl := newCapTemplate(caps)
+			k := tmpl.newKernel()
 			if !k.fast || k.den0 != tc.den0 {
 				t.Fatalf("fast = %v, den0 = %d; want fast with den0 = %d", k.fast, k.den0, tc.den0)
 			}
 			lanes := make([][]int32, len(rt))
 			for fi, p := range rt {
-				lanes[fi] = lanesOf(p, laneOf)
+				for _, l := range p {
+					lanes[fi] = append(lanes[fi], laneOf[l])
+				}
 			}
 			rates := make([]rational.Rat64, len(fs))
 			k.register(lanes)

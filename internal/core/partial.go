@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"closnet/internal/rational"
 	"closnet/internal/topology"
@@ -42,7 +41,9 @@ import (
 //
 // Bound runs the package's water-filling kernel over the relaxed lanes
 // (the real links, then the trunk pools) on lane lists resolved at
-// construction. A PartialEvaluator is NOT safe for concurrent use.
+// construction. The pools and their capacity template depend on the
+// fabric alone: they are built once per prepared fabric, on the first
+// PartialEvaluator. A PartialEvaluator is NOT safe for concurrent use.
 type PartialEvaluator struct {
 	k     *kernel
 	nf    int
@@ -50,88 +51,53 @@ type PartialEvaluator struct {
 	cur   [][]int32 // the lane lists of the current call
 	rates []rational.Rat64
 
-	// lanes[fi][0] lists the lanes flow fi occupies when free: the real
-	// links on all of its candidate paths plus its charged trunks.
-	// lanes[fi][m] adds the other real links of its path via choice m.
-	lanes    [][][]int32
+	// lanes[fi·(n+1)] lists the lanes flow fi occupies when free: the
+	// real links on all of its candidate paths plus its charged trunks.
+	// lanes[fi·(n+1)+m] adds the other real links of its path via
+	// choice m. The lists share one flat buffer.
+	lanes    [][]int32
 	forceBig bool
 }
 
 // NewPartialEvaluator prepares repeated trunk-relaxation bounds of fs
-// over c. It fails if any flow endpoint is not a server of c or any
-// link capacity is unbounded (the relaxation pools concrete capacities).
+// over c's prepared fabric (PrepareFabric). It fails if any flow
+// endpoint is not a server of c or any link capacity is unbounded (the
+// relaxation pools concrete capacities).
 func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, error) {
-	net := c.Network()
-	links := net.Links()
-	e := &PartialEvaluator{nf: len(fs), n: c.Size(), cur: make([][]int32, len(fs)), rates: make([]rational.Rat64, len(fs))}
-	nReal := len(links)
-	caps := make([]*big.Rat, nReal)
-	for _, l := range links {
-		if l.Unbounded {
-			return nil, fmt.Errorf("partial: link %d is unbounded; the trunk relaxation needs finite capacities", l.ID)
-		}
-		caps[l.ID] = l.Capacity
+	pf := PrepareFabric(c)
+	rx, err := pf.relaxation()
+	if err != nil {
+		return nil, err
 	}
-
-	// Trunk pools: the fabric-interior out-link and in-link bundles of
-	// every switch, in ascending switch order. Links incident to a server
-	// stay out of pools (they are exact per-flow constraints already),
-	// and singleton bundles duplicate their one real constraint, so only
-	// pools of two or more interior links survive. Each real link belongs
-	// to at most one out-pool (keyed by its tail) and one in-pool (keyed
-	// by its head); poolOf[side][l] is that pool's index, or -1.
-	isServer := func(id topology.NodeID) bool {
-		k := net.Node(id).Kind
-		return k == topology.KindSource || k == topology.KindDestination
-	}
-	var poolOf [2][]int
-	for side := range poolOf {
-		poolOf[side] = make([]int, nReal)
-		members := make([][]int, net.NumNodes())
-		for _, l := range links {
-			poolOf[side][l.ID] = -1
-			if !isServer(l.From) && !isServer(l.To) {
-				key := [2]topology.NodeID{l.From, l.To}[side]
-				members[key] = append(members[key], int(l.ID))
-			}
-		}
-		for _, ids := range members {
-			if len(ids) < 2 {
-				continue
-			}
-			pooled := new(big.Rat)
-			for _, id := range ids {
-				poolOf[side][id] = len(caps) - nReal
-				pooled.Add(pooled, links[id].Capacity)
-			}
-			caps = append(caps, pooled)
-		}
-	}
-	e.k = newKernel(caps)
+	e := &PartialEvaluator{k: rx.caps.newKernel(), nf: len(fs), n: pf.Size(), cur: make([][]int32, len(fs)), rates: make([]rational.Rat64, len(fs))}
 
 	// Per-flow lanes. A real link is static when it lies on every
 	// candidate path. A trunk is charged exactly when every candidate
 	// path crosses its pool exactly once (then the flow consumes one unit
 	// of pool capacity under any completion).
-	e.lanes = make([][][]int32, len(fs))
-	occ := make([]int, nReal)
-	crossings := make([]int, len(caps)-nReal)
-	charged := make([]bool, len(caps)-nReal)
+	nPools := len(rx.caps.seedN) - rx.nReal
+	occ := make([]int, rx.nReal)
+	crossings := make([]int, nPools)
+	charged := make([]bool, nPools)
+	ends := make([]int, len(fs)*(e.n+1))
+	pathEnd := make([]int, e.n)
+	var paths topology.Path // the flow's n paths, back to back
+	var flat []int32
 	for fi, f := range fs {
-		paths := make([]topology.Path, e.n)
 		for q := range charged {
 			charged[q] = true
 		}
-		for m := range paths {
-			p, err := c.Path(f.Src, f.Dst, m+1)
-			if err != nil {
+		paths = paths[:0]
+		for m := range pathEnd {
+			start := len(paths)
+			if paths, err = pf.AppendPath(paths, f.Src, f.Dst, m+1); err != nil {
 				return nil, fmt.Errorf("partial: flow %d: %w", fi, err)
 			}
-			paths[m] = p
+			pathEnd[m] = len(paths)
 			clear(crossings)
-			for _, l := range p {
+			for _, l := range paths[start:] {
 				occ[l]++
-				for _, q := range [2]int{poolOf[0][l], poolOf[1][l]} {
+				for _, q := range [2]int{rx.poolOf[0][l], rx.poolOf[1][l]} {
 					if q >= 0 {
 						crossings[q]++
 					}
@@ -141,33 +107,35 @@ func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, e
 				charged[q] = charged[q] && n == 1
 			}
 		}
-		var free []int32
-		for _, l := range paths[0] {
+		free := len(flat)
+		for _, l := range paths[:pathEnd[0]] {
 			if occ[l] == e.n {
-				free = append(free, int32(l))
+				flat = append(flat, int32(l))
 			}
 		}
 		for q, ch := range charged {
 			if ch {
-				free = append(free, int32(nReal+q))
+				flat = append(flat, int32(rx.nReal+q))
 			}
 		}
-		e.lanes[fi] = [][]int32{free}
-		for _, p := range paths {
-			lanes := append([]int32(nil), free...)
-			for _, l := range p {
+		nfree := len(flat) - free
+		ends[fi*(e.n+1)] = len(flat)
+		start := 0
+		for m, end := range pathEnd {
+			flat = append(flat, flat[free:free+nfree]...)
+			for _, l := range paths[start:end] {
 				if occ[l] != e.n {
-					lanes = append(lanes, int32(l))
+					flat = append(flat, int32(l))
 				}
 			}
-			e.lanes[fi] = append(e.lanes[fi], lanes)
+			ends[fi*(e.n+1)+m+1] = len(flat)
+			start = end
 		}
-		for _, p := range paths {
-			for _, l := range p {
-				occ[l] = 0
-			}
+		for _, l := range paths {
+			occ[l] = 0
 		}
 	}
+	e.lanes = splitFlat(flat, ends)
 	return e, nil
 }
 
@@ -195,7 +163,7 @@ func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (Allocation
 				return nil, fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
 			}
 		}
-		e.cur[fi] = e.lanes[fi][m]
+		e.cur[fi] = e.lanes[fi*(e.n+1)+m]
 	}
 	a, err := e.k.solve(e.cur, e.rates, e.k.fast && !e.forceBig)
 	if a == nil && err == nil {

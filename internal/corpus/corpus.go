@@ -1,7 +1,7 @@
 // Package corpus builds the paper's adversarial instance families as
 // encoded codec.Scenario payloads — the one corpus definition shared by
-// the closnetd loadgen, the closverify batch mode and the golden
-// byte-identity tests of the serving layer. A "corpus" here is a list
+// the closverify batch mode and the golden byte-identity tests of the
+// serving layer. A "corpus" here is a list
 // of scenario bodies in a deterministic order, so replaying one against
 // any transport (HTTP, engine.RunBatch, a CLI) exercises identical
 // instances.

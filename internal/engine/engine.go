@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"closnet/internal/codec"
+	"closnet/internal/core"
 	"closnet/internal/obs"
 	"closnet/internal/search"
 )
@@ -107,6 +108,9 @@ type computeFunc func(ctx context.Context, e *Engine, p *Prepared) ([]byte, erro
 type Engine struct {
 	opts Options
 	ops  map[string]computeFunc
+	// fabrics shares one prepared fabric per shape across every op and
+	// the session table (fabcache.go).
+	fabrics *fabricCache
 	// evals shares prepared block evaluators across requests with equal
 	// topology hashes (Prepared.TopoHash) — batch items sweeping
 	// assignments over one topology build the SoA evaluator once
@@ -124,6 +128,7 @@ type Engine struct {
 // New builds an Engine with the standard op registry.
 func New(opts Options) *Engine {
 	reg := opts.Obs.Registry()
+	fabrics := newFabricCache(opts.Obs, fabricBudget)
 	return &Engine{
 		opts: opts,
 		ops: map[string]computeFunc{
@@ -135,8 +140,9 @@ func New(opts Options) *Engine {
 			OpSearchThroughputPruned: searchOp("throughput", true),
 			OpDoom:                   computeDoom,
 		},
-		evals:     newEvalPool(opts.Obs),
-		sessions:  newSessions(opts),
+		fabrics:   fabrics,
+		evals:     newEvalPool(opts.Obs, fabrics),
+		sessions:  newSessions(opts, fabrics),
 		mComputes: reg.Counter("engine.computes"),
 		mErrors:   reg.Counter("engine.errors"),
 		mLatency:  reg.Timer("engine.compute_latency"),
@@ -175,6 +181,16 @@ func (e *Engine) SearchOptions(ctx context.Context) search.Options {
 		Obs:       e.opts.Obs,
 		Ctx:       ctx,
 	}
+}
+
+// fabric returns the shared prepared fabric of a valid scenario's shape
+// and the scenario's flows on it.
+func (e *Engine) fabric(s *codec.Scenario) (*core.PreparedFabric, core.Collection, error) {
+	fab, err := e.fabrics.get(shapeOf(s))
+	if err != nil {
+		return nil, nil, err
+	}
+	return fab, s.FlowsOn(fab), nil
 }
 
 // Prepare validates the op against the registry and canonicalizes the

@@ -44,17 +44,20 @@ type evalPool struct {
 	leased map[[32]byte]int
 	order  [][32]byte // insertion order, for FIFO eviction
 
+	fabrics *fabricCache // where a miss gets its prepared fabric
+
 	builds *obs.Counter // evaluators constructed (pool misses)
 	reuses *obs.Counter // evaluators checked out of a free list (hits)
 }
 
-func newEvalPool(o *obs.Obs) *evalPool {
+func newEvalPool(o *obs.Obs, fabrics *fabricCache) *evalPool {
 	reg := o.Registry()
 	return &evalPool{
-		free:   make(map[[32]byte][]*core.BlockEvaluator),
-		leased: make(map[[32]byte]int),
-		builds: reg.Counter("engine.evaluator_builds"),
-		reuses: reg.Counter("engine.evaluator_reuses"),
+		free:    make(map[[32]byte][]*core.BlockEvaluator),
+		leased:  make(map[[32]byte]int),
+		fabrics: fabrics,
+		builds:  reg.Counter("engine.evaluator_builds"),
+		reuses:  reg.Counter("engine.evaluator_reuses"),
 	}
 }
 
@@ -112,19 +115,20 @@ func (p *evalPool) put(key [32]byte, bev *core.BlockEvaluator) {
 
 // acquire checks an evaluator for canon's topology, whose topology hash
 // is key, out of the pool, building (and instrumenting) a fresh one on
-// a miss. The returned put func returns the evaluator for reuse;
-// callers must not touch the evaluator or any scratch-aliasing
-// BlockResult views after put.
+// a miss — on the shared prepared fabric of canon's shape, so a miss
+// resolves only the flows' lanes. The returned put func returns the
+// evaluator for reuse; callers must not touch the evaluator or any
+// scratch-aliasing BlockResult views after put.
 func (p *evalPool) acquire(key [32]byte, canon *codec.Scenario, o *obs.Obs) (*core.BlockEvaluator, func(), error) {
 	if bev := p.get(key); bev != nil {
 		p.reuses.Inc()
 		return bev, func() { p.put(key, bev) }, nil
 	}
-	c, fs, _, _, err := canon.Build()
+	fab, err := p.fabrics.get(shapeOf(canon))
 	if err != nil {
 		return nil, nil, err
 	}
-	bev, err := core.NewBlockEvaluator(c, fs)
+	bev, err := core.NewBlockEvaluator(fab, canon.FlowsOn(fab))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // and the next acquire would rebuild, which is exactly what the pool
 // exists to avoid.
 func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
-	p := newEvalPool(nil)
+	p := newEvalPool(nil, newFabricCache(nil, fabricBudget))
 	scen := &codec.Scenario{
 		Tors: 2, Servers: 1, Middles: 2,
 		Flows: []codec.FlowJSON{{SrcSwitch: 1, SrcServer: 1, DstSwitch: 2, DstServer: 1}},
@@ -65,7 +65,7 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 // table exceeds the cap, bounded by the concurrent lease count) and the
 // overage drains as leases are released.
 func TestEvalPoolAllLeasedExceedsCapTemporarily(t *testing.T) {
-	p := newEvalPool(nil)
+	p := newEvalPool(nil, newFabricCache(nil, fabricBudget))
 	keys := make([][32]byte, maxPooledTopologies+4)
 	for i := range keys {
 		keys[i][0], keys[i][1] = 0xaa, byte(i)

@@ -29,8 +29,8 @@ func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error
 		return nil, err
 	}
 	// Requests sharing a topology hash share one prepared block
-	// evaluator: a pool hit skips canon.Build() and the SoA lane
-	// construction entirely, and only the assignment below varies.
+	// evaluator: a pool hit skips the flows' lane resolution entirely,
+	// and only the assignment below varies.
 	canon := p.Canon
 	bev, put, err := e.evals.acquire(p.TopoHash, canon, e.opts.Obs)
 	if err != nil {
@@ -80,7 +80,7 @@ type searchResponse struct {
 // objective is one constructor call in New.
 func searchOp(objective string, pruned bool) computeFunc {
 	return func(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
-		c, fs, demands, _, err := p.Canon.Build()
+		c, fs, err := e.fabric(p.Canon)
 		if err != nil {
 			return nil, err
 		}
@@ -108,6 +108,10 @@ func searchOp(objective string, pruned bool) computeFunc {
 			resp.Throughput = rational.String(core.Throughput(res.Allocation))
 			resp.States = res.States
 		case "relative":
+			demands, err := p.Canon.DemandVec()
+			if err != nil {
+				return nil, err
+			}
 			if demands == nil {
 				return nil, errors.New("objective \"relative\" needs scenario demands as targets")
 			}
@@ -136,7 +140,7 @@ type doomResponse struct {
 }
 
 func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
-	c, fs, _, _, err := p.Canon.Build()
+	c, fs, err := e.fabric(p.Canon)
 	if err != nil {
 		return nil, err
 	}

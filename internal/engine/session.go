@@ -119,11 +119,12 @@ type SessionStats struct {
 // a path holding s.mu must not take ss.mu (the delta counter is atomic
 // for that reason).
 type Sessions struct {
-	mu    sync.Mutex
-	table map[string]*Session
-	max   int
-	ttl   time.Duration
-	now   func() time.Time
+	mu      sync.Mutex
+	table   map[string]*Session
+	fabrics *fabricCache // shared with the engine's ops
+	max     int
+	ttl     time.Duration
+	now     func() time.Time
 
 	opened, closed, expired int64
 	deltas                  atomic.Int64
@@ -136,7 +137,7 @@ type Sessions struct {
 	gOpen    *obs.Gauge
 }
 
-func newSessions(opts Options) *Sessions {
+func newSessions(opts Options, fabrics *fabricCache) *Sessions {
 	max := opts.MaxSessions
 	if max <= 0 {
 		max = DefaultMaxSessions
@@ -148,6 +149,7 @@ func newSessions(opts Options) *Sessions {
 	reg := opts.Obs.Registry()
 	return &Sessions{
 		table:    make(map[string]*Session),
+		fabrics:  fabrics,
 		max:      max,
 		ttl:      ttl,
 		now:      time.Now,
@@ -205,7 +207,7 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 	if err != nil {
 		return nil, err
 	}
-	fab, err := topology.BuildFamily(canon.Topology, canon.Tors, canon.Servers, canon.Middles)
+	fab, err := ss.fabrics.get(shapeOf(canon))
 	if err != nil {
 		return nil, err
 	}

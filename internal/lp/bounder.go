@@ -13,14 +13,15 @@ import (
 // PrefixPaths(c, fs, ma, fixedFrom) exactly, without rebuilding the LP
 // or touching *big.Rat on the way.
 //
-// Construction resolves, once, every (flow, middle) path as a list of
-// finite-link lanes (ascending LinkID order, one entry per traversal)
-// and the lane capacities as int64 numerators over one shared
-// denominator den. Bound then switches columns on per prefix — a fixed
-// flow gets only its own middle's column, a free flow all n — and
-// solves the LP on the integer fraction-free tableau (intTableau) in
-// reused scratch, with the same rows and columns, in the same order,
-// that ThroughputProblem builds. The dual solution is re-certified in
+// Construction reads the lane map and the lane capacities — int64
+// numerators over one shared denominator den — off c's prepared fabric
+// (core.PrepareFabric) and resolves every (flow, middle) path there as
+// a list of finite-link lanes (one entry per traversal). Bound then
+// switches columns on per prefix — a fixed flow gets only its own
+// middle's column, a free flow all n — and solves the LP on the
+// integer fraction-free tableau (intTableau) in reused scratch, with
+// the same rows and columns, in the same order, that ThroughputProblem
+// builds. The dual solution is re-certified in
 // exact integers against the original incidence, not the tableau:
 // with Y_i the final reduced cost of row i's slack (y_i = Y_i/D, D the
 // last pivot), it checks Y_i ≥ 0 and Σ_i Y_i·a_ij ≥ D for every active
@@ -53,50 +54,18 @@ type ThroughputBounder struct {
 
 // NewThroughputBounder prepares repeated throughput bounds of fs over c.
 func NewThroughputBounder(c topology.Fabric, fs core.Collection) *ThroughputBounder {
-	n := c.Size()
-	b := &ThroughputBounder{c: c, fs: fs, nf: len(fs), n: n, den: 1, fast: true}
-	links := c.Network().Links()
-	laneOf := make([]int32, len(links))
-	var caps []*big.Rat
-	for _, l := range links {
-		laneOf[l.ID] = -1
-		if !l.Unbounded {
-			laneOf[l.ID] = int32(len(caps))
-			caps = append(caps, l.Capacity)
-			num, d := l.Capacity.Num(), l.Capacity.Denom()
-			if !num.IsInt64() || !d.IsInt64() || num.Sign() < 0 {
-				b.fast = false
-			} else if b.fast {
-				b.den, b.fast = lcmScale(b.den, d.Int64())
-			}
-		}
-	}
-	b.capN = make([]int64, len(caps))
-	for i, cp := range caps {
-		if b.fast {
-			b.capN[i], b.fast = mulNonNeg(cp.Num().Int64(), b.den/cp.Denom().Int64())
-		}
-	}
-	b.rowOf = make([]int32, len(caps))
+	pf := core.PrepareFabric(c)
+	capN, den, fast := pf.Capacities()
+	b := &ThroughputBounder{c: pf, fs: fs, nf: len(fs), n: pf.Size(), capN: capN, den: den,
+		fast: fast && !slices.ContainsFunc(capN, func(x int64) bool { return x < 0 })}
+	b.rowOf = make([]int32, len(capN))
 	for i := range b.rowOf {
 		b.rowOf[i] = -1
 	}
-	b.paths = make([][]int32, len(fs)*n)
-	for fi, f := range fs {
-		for m := 1; m <= n && b.fast; m++ {
-			p, err := c.Path(f.Src, f.Dst, m)
-			if err != nil {
-				b.fast = false
-				break
-			}
-			lanes := make([]int32, 0, len(p))
-			for _, l := range p {
-				if j := laneOf[l]; j >= 0 {
-					lanes = append(lanes, j)
-				}
-			}
-			b.paths[fi*n+m-1] = lanes
-		}
+	if b.fast {
+		var err error
+		b.paths, err = pf.PathLanes(fs)
+		b.fast = err == nil
 	}
 	return b
 }

@@ -65,7 +65,7 @@ func RelativeMaxMin(c topology.Fabric, fs core.Collection, target rational.Vec, 
 	}
 	// The minimum ratio has no Rat64 screen: every state is materialized.
 	obj := &objective{value: func(a core.Allocation) rational.Vec { return rational.Vec{minRatio(a, target)} }}
-	res, err := run(c, fs, opts, obj, scanBlock)
+	res, err := run(core.PrepareFabric(c), fs, opts, obj, scanBlock)
 	if err != nil {
 		return nil, err
 	}

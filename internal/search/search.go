@@ -110,6 +110,7 @@ type Result struct {
 // with Options.Pruned it runs the bound-guided branch-and-bound, which
 // returns the bit-identical incumbent while visiting fewer states.
 func LexMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Result, error) {
+	c = core.PrepareFabric(c)
 	obj, err := lexObjective(c, fs, opts)
 	if err != nil {
 		return nil, err
@@ -167,6 +168,7 @@ func lexObjective(c topology.Fabric, fs core.Collection, opts Options) (*objecti
 // Lemma 3.2); the abort propagates to every enumeration worker, so the
 // states after the stopping one are never evaluated.
 func ThroughputMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Result, error) {
+	c = core.PrepareFabric(c)
 	obj, err := throughputObjective(c, fs, opts)
 	if err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ type cacheKey struct {
 // cold computation produced (the byte-identity guarantee of the
 // serving layer rests on storing encoded bodies, not re-encoding on
 // the way out). The zero-capacity cache stores nothing — the "cold
-// path" configuration of the loadgen benchmark.
+// path" configuration.
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -36,7 +36,7 @@ type resultCache struct {
 	// aliases maps raw-identity keys onto the canonical entry whose body
 	// they share. An alias consumes no LRU slot of its own — only
 	// canonical entries occupy order/entries — so the byte-identical
-	// replay path (the loadgen warm path) no longer halves effective
+	// replay path (the benchmark's warm path) no longer halves effective
 	// capacity, and a canonical entry can never be evicted while a raw
 	// alias to its body survives: eviction removes the pair.
 	aliases map[cacheKey]*list.Element

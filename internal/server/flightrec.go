@@ -9,7 +9,7 @@ import (
 // flightRingSize bounds the flight recorder: the last flightRingSize
 // requests are retained, older entries are overwritten in place. 256
 // spans the longest burst a debugging session replays (the CI smoke,
-// one loadgen run segment) while keeping the recorder's footprint
+// one benchmark run segment) while keeping the recorder's footprint
 // fixed — with maxTraceSpans capping each entry's span list, the whole
 // ring is bounded memory no matter how long the daemon runs.
 const flightRingSize = 256

@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden respons
 
 // goldenCase is one (endpoint, scenario) pair whose response body is
 // pinned byte-for-byte in testdata/golden. The suite replays the §4 C_4
-// loadgen corpus through /v1/evaluate and /v1/doom, plus the C_3
+// corpus through /v1/evaluate and /v1/doom, plus the C_3
 // replication-impossibility instance through every /v1/search
 // objective, plus the generated fat-tree/Benes/oversubscribed-Clos
 // corpus instances, so any refactor of the compute path that changes a

@@ -42,9 +42,10 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endRequest()
 
-	body, releaseBody, err := readBody(w, r, s.opts.MaxBody)
+	body, releaseBody, err := s.readBody(w, r)
 	if err != nil {
-		s.reply(w, engine.OpSessionOpen, http.StatusRequestEntityTooLarge, codec.ErrorBody("request body too large"), "", start)
+		status, msg := bodyError(err)
+		s.reply(w, engine.OpSessionOpen, status, msg, "", start)
 		return
 	}
 	defer releaseBody()
@@ -92,9 +93,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer s.endRequest()
-		body, releaseBody, err := readBody(w, r, s.opts.MaxBody)
+		body, releaseBody, err := s.readBody(w, r)
 		if err != nil {
-			s.reply(w, engine.OpSessionDelta, http.StatusRequestEntityTooLarge, codec.ErrorBody("request body too large"), "", start)
+			status, msg := bodyError(err)
+			s.reply(w, engine.OpSessionDelta, status, msg, "", start)
 			return
 		}
 		defer releaseBody()

@@ -29,15 +29,21 @@ type Benes struct {
 	root   *benesBlock
 	source NodeID // sourceBase
 	dest   NodeID // destBase
+	// serverLinks is the ID of the first server link: port a's pair is
+	// s -> root.in[a/2] (serverLinks+2a) and root.out[a/2] -> t (+1).
+	serverLinks LinkID
 }
 
 // benesBlock is one recursive subnetwork: either a single 2×2 switch
 // (size 2) or input/output stages around an upper and a lower half.
 // in[x/2] (out[x/2]) is the entry (exit) switch of block port x.
+// down[2j+h] is the link from in[j] into half h (0 upper, 1 lower) and
+// up[2j+h] the link from half h to out[j], recorded as they are built.
 type benesBlock struct {
 	size         int
 	in, out      []NodeID
 	upper, lower *benesBlock
+	down, up     []LinkID
 }
 
 // NewBenes builds the N-port Benes network. N must be a power of two
@@ -55,6 +61,7 @@ func NewBenes(n int) (*Benes, error) {
 	one := rational.One()
 
 	tors := n / 2
+	b.serverLinks = LinkID(b.net.NumLinks())
 	b.source = NodeID(b.net.NumNodes())
 	for i := 1; i <= tors; i++ {
 		for j := 1; j <= 2; j++ {
@@ -113,48 +120,40 @@ func (b *Benes) build(size int, label string, depth int) (*benesBlock, error) {
 		return nil, err
 	}
 	blk.upper, blk.lower = upper, lower
+	blk.down, blk.up = make([]LinkID, 0, size), make([]LinkID, 0, size)
 	one := rational.One()
 	// Input switch j feeds subnetwork port j of both halves; output
 	// switch j drains subnetwork port j of both halves.
 	for j := 0; j < size/2; j++ {
 		for _, sub := range []*benesBlock{upper, lower} {
-			if _, err := b.net.AddLink(blk.in[j], sub.in[j/2], one); err != nil {
+			down, err := b.net.AddLink(blk.in[j], sub.in[j/2], one)
+			if err != nil {
 				return nil, err
 			}
-			if _, err := b.net.AddLink(sub.out[j/2], blk.out[j], one); err != nil {
+			up, err := b.net.AddLink(sub.out[j/2], blk.out[j], one)
+			if err != nil {
 				return nil, err
 			}
+			blk.down, blk.up = append(blk.down, down), append(blk.up, up)
 		}
 	}
 	return blk, nil
 }
 
-// path appends the internal links of the walk from block port a to
-// block port z, with bit i of bits picking upper (0) or lower (1) at
+// appendPath appends the internal links of the walk from block port a
+// to block port z, with bit i of bits picking upper (0) or lower (1) at
 // recursion level i.
-func (blk *benesBlock) path(net *Network, a, z, bits int, p Path) (Path, error) {
+func (blk *benesBlock) appendPath(p Path, a, z, bits int) Path {
 	if blk.size == 2 {
-		return p, nil
+		return p
 	}
-	sub := blk.upper
-	if bits&1 == 1 {
+	h, sub := bits&1, blk.upper
+	if h == 1 {
 		sub = blk.lower
 	}
-	entry, exit := blk.in[a/2], blk.out[z/2]
-	down, ok := net.LinkBetween(entry, sub.in[(a/2)/2])
-	if !ok {
-		return nil, fmt.Errorf("benes path: missing link %d->%d", entry, sub.in[(a/2)/2])
-	}
-	p = append(p, down)
-	p, err := sub.path(net, a/2, z/2, bits>>1, p)
-	if err != nil {
-		return nil, err
-	}
-	up, ok := net.LinkBetween(sub.out[(z/2)/2], exit)
-	if !ok {
-		return nil, fmt.Errorf("benes path: missing link %d->%d", sub.out[(z/2)/2], exit)
-	}
-	return append(p, up), nil
+	p = append(p, blk.down[2*(a/2)+h])
+	p = sub.appendPath(p, a/2, z/2, bits>>1)
+	return append(p, blk.up[2*(z/2)+h])
 }
 
 // Network returns the underlying network.
@@ -232,31 +231,27 @@ func (b *Benes) DestIndexOf(t NodeID) (int, int, bool) {
 
 // Path returns the src→dst path selected by choice m ∈ [N/2].
 func (b *Benes) Path(src, dst NodeID, m int) (Path, error) {
-	si, sj, ok := b.SourceIndexOf(src)
-	if !ok {
-		return nil, fmt.Errorf("benes path: node %d is not a source", src)
+	hops := 2
+	for n := b.ports; n > 2; n /= 2 {
+		hops += 2
 	}
-	di, dj, ok := b.DestIndexOf(dst)
-	if !ok {
-		return nil, fmt.Errorf("benes path: node %d is not a destination", dst)
+	return wrapPath(b.AppendPath(make(Path, 0, hops), src, dst, m))
+}
+
+// AppendPath appends Path(src, dst, m) to p from the link IDs recorded
+// at construction, without a lookup. On error p is returned unchanged.
+func (b *Benes) AppendPath(p Path, src, dst NodeID, m int) (Path, error) {
+	if src < b.source || src >= b.source+NodeID(b.ports) {
+		return p, fmt.Errorf("benes path: node %d is not a source", src)
+	}
+	if dst < b.dest || dst >= b.dest+NodeID(b.ports) {
+		return p, fmt.Errorf("benes path: node %d is not a destination", dst)
 	}
 	if m < 1 || m > b.Size() {
-		return nil, fmt.Errorf("benes path: choice %d out of range [1,%d]", m, b.Size())
+		return p, fmt.Errorf("benes path: choice %d out of range [1,%d]", m, b.Size())
 	}
-	a := (si-1)*2 + (sj - 1)
-	z := (di-1)*2 + (dj - 1)
-	first, ok := b.net.LinkBetween(src, b.root.in[a/2])
-	if !ok {
-		return nil, fmt.Errorf("benes path: missing source link for %d", src)
-	}
-	p := Path{first}
-	p, err := b.root.path(b.net, a, z, m-1, p)
-	if err != nil {
-		return nil, err
-	}
-	last, ok := b.net.LinkBetween(b.root.out[z/2], dst)
-	if !ok {
-		return nil, fmt.Errorf("benes path: missing destination link for %d", dst)
-	}
-	return append(p, last), nil
+	a, z := int(src-b.source), int(dst-b.dest)
+	p = append(p, b.serverLinks+LinkID(2*a))
+	p = b.root.appendPath(p, a, z, m-1)
+	return append(p, b.serverLinks+LinkID(2*z+1)), nil
 }

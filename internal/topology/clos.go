@@ -27,6 +27,12 @@ type Clos struct {
 	middleBase NodeID
 	sourceBase NodeID
 	destBase   NodeID
+
+	// fabricBase is the ID of the first ToR–middle link. Links are added
+	// in pairs: server pair q = (i-1)·servers + (j-1) is s_i^j -> I_i
+	// (2q) and O_i -> t_i^j (2q+1); fabric pair q = (i-1)·middles +
+	// (m-1) is I_i -> M_m (fabricBase+2q) and M_m -> O_i (+1).
+	fabricBase LinkID
 }
 
 // NewClos builds the paper's square Clos network C_n: n middle switches,
@@ -81,6 +87,7 @@ func NewGeneralClos(tors, servers, middles int) (*Clos, error) {
 		}
 	}
 	// Fabric links: I_i -> M_m and M_m -> O_i.
+	c.fabricBase = LinkID(c.net.NumLinks())
 	for i := 1; i <= tors; i++ {
 		for m := 1; m <= middles; m++ {
 			if _, err := c.net.AddLink(c.Input(i), c.Middle(m), one); err != nil {
@@ -210,32 +217,29 @@ func (c *Clos) OutputOf(t NodeID) (int, bool) {
 // Path returns the unique src→dst path through middle switch m
 // (m ∈ [Size()]): src -> I -> M_m -> O -> dst.
 func (c *Clos) Path(src, dst NodeID, m int) (Path, error) {
-	i, ok := c.InputOf(src)
-	if !ok {
-		return nil, fmt.Errorf("clos path: node %d is not a source", src)
+	return wrapPath(c.AppendPath(make(Path, 0, 4), src, dst, m))
+}
+
+// AppendPath appends Path(src, dst, m) to p, computing the link IDs
+// from the construction order without a lookup. On error p is returned
+// unchanged.
+func (c *Clos) AppendPath(p Path, src, dst NodeID, m int) (Path, error) {
+	if src < c.sourceBase || src >= c.sourceBase+NodeID(c.numServers()) {
+		return p, fmt.Errorf("clos path: node %d is not a source", src)
 	}
-	o, ok := c.OutputOf(dst)
-	if !ok {
-		return nil, fmt.Errorf("clos path: node %d is not a destination", dst)
+	if dst < c.destBase || dst >= c.destBase+NodeID(c.numServers()) {
+		return p, fmt.Errorf("clos path: node %d is not a destination", dst)
 	}
 	if m < 1 || m > c.middles {
-		return nil, fmt.Errorf("clos path: middle index %d out of range [1,%d]", m, c.middles)
+		return p, fmt.Errorf("clos path: middle index %d out of range [1,%d]", m, c.middles)
 	}
-	hops := [][2]NodeID{
-		{src, c.Input(i)},
-		{c.Input(i), c.Middle(m)},
-		{c.Middle(m), c.Output(o)},
-		{c.Output(o), dst},
-	}
-	p := make(Path, 0, len(hops))
-	for _, h := range hops {
-		id, ok := c.net.LinkBetween(h[0], h[1])
-		if !ok {
-			return nil, fmt.Errorf("clos path: missing link %d->%d", h[0], h[1])
-		}
-		p = append(p, id)
-	}
-	return p, nil
+	s, t := int(src-c.sourceBase), int(dst-c.destBase)
+	i, o := s/c.servers, t/c.servers
+	return append(p,
+		LinkID(2*s),
+		c.fabricBase+LinkID(2*(i*c.middles+m-1)),
+		c.fabricBase+LinkID(2*(o*c.middles+m-1)+1),
+		LinkID(2*t+1)), nil
 }
 
 // FabricLinks returns the IDs of all links inside the network (between

@@ -15,7 +15,11 @@ import (
 // are 1-based; Path(src, dst, m) is defined for every m ∈ [Size()] and
 // every source/destination pair (families whose pairs have fewer
 // distinct paths map surplus choice indices onto duplicates, so
-// enumeration stays a plain base-Size() counter).
+// enumeration stays a plain base-Size() counter). Every family computes
+// its path links from link IDs it knows at construction — arithmetic
+// on its construction order, or IDs recorded as links are added — so a
+// path costs no lookup, and AppendPath writes it into a caller's
+// buffer without allocating.
 type Fabric interface {
 	// Network returns the underlying capacitated network.
 	Network() *Network
@@ -40,6 +44,9 @@ type Fabric interface {
 	DestIndexOf(t NodeID) (int, int, bool)
 	// Path returns the src→dst path selected by choice m ∈ [Size()].
 	Path(src, dst NodeID, m int) (Path, error)
+	// AppendPath appends Path(src, dst, m) to p and returns the
+	// extended slice; on error it returns p unchanged.
+	AppendPath(p Path, src, dst NodeID, m int) (Path, error)
 	// SymmetricChoices reports whether relabeling the Size() choices by
 	// any permutation is an automorphism of the fabric (true for Clos,
 	// whose choices are interchangeable middle switches). Only then may

@@ -37,6 +37,14 @@ type FatTree struct {
 	coreBase    NodeID // half² core switches
 	sourceBase  NodeID
 	destBase    NodeID
+
+	// Links are added in pairs, uplink first. Server pair q =
+	// (i-1)·half + (j-1) is s_i^j -> IE_i (2q) and OE_i -> t_i^j (2q+1);
+	// pod pair q = (i-1)·half + (a-1) is IE_i -> A(p, a) (podLinks+2q)
+	// and A(p, a) -> OE_i (+1); core pair q = ((p-1)·half + (a-1))·half
+	// + (x-1) is A(p, a) -> C_c (coreLinks+2q) and C_c -> A(p, a) (+1),
+	// with c = (a-1)·half + x.
+	podLinks, coreLinks LinkID
 }
 
 // NewFatTree builds the k-pod fat-tree. k must be even and at least 2.
@@ -97,6 +105,7 @@ func NewFatTree(k int) (*FatTree, error) {
 	}
 	// Pod fabric: every edge switch to every aggregation switch of its
 	// pod, in both roles.
+	ft.podLinks = LinkID(ft.net.NumLinks())
 	for p := 1; p <= k; p++ {
 		for e := 1; e <= half; e++ {
 			i := (p-1)*half + e
@@ -112,6 +121,7 @@ func NewFatTree(k int) (*FatTree, error) {
 	}
 	// Core fabric: aggregation switch (p, a) to the half cores of group
 	// a, in both directions.
+	ft.coreLinks = LinkID(ft.net.NumLinks())
 	for p := 1; p <= k; p++ {
 		for a := 1; a <= half; a++ {
 			for x := 1; x <= half; x++ {
@@ -167,9 +177,6 @@ func (ft *FatTree) core(c int) NodeID {
 	ft.check(c, ft.half*ft.half, "core switch")
 	return ft.coreBase + NodeID(c-1)
 }
-
-// podOf returns the pod of edge switch i.
-func (ft *FatTree) podOf(i int) int { return (i-1)/ft.half + 1 }
 
 // Source returns server s_i^j on edge switch i.
 func (ft *FatTree) Source(i, j int) NodeID {
@@ -232,44 +239,30 @@ func (ft *FatTree) DestIndexOf(t NodeID) (int, int, bool) {
 // both sides; an intra-pod flow turns around at that aggregation group
 // without touching a core.
 func (ft *FatTree) Path(src, dst NodeID, m int) (Path, error) {
-	i, ok := ft.InputOf(src)
-	if !ok {
-		return nil, fmt.Errorf("fattree path: node %d is not a source", src)
+	return wrapPath(ft.AppendPath(make(Path, 0, 6), src, dst, m))
+}
+
+// AppendPath appends Path(src, dst, m) to p, computing the link IDs
+// from the construction order without a lookup. On error p is returned
+// unchanged.
+func (ft *FatTree) AppendPath(p Path, src, dst NodeID, m int) (Path, error) {
+	if src < ft.sourceBase || src >= ft.sourceBase+NodeID(ft.numServers()) {
+		return p, fmt.Errorf("fattree path: node %d is not a source", src)
 	}
-	o, ok := ft.OutputOf(dst)
-	if !ok {
-		return nil, fmt.Errorf("fattree path: node %d is not a destination", dst)
+	if dst < ft.destBase || dst >= ft.destBase+NodeID(ft.numServers()) {
+		return p, fmt.Errorf("fattree path: node %d is not a destination", dst)
 	}
 	if m < 1 || m > ft.Size() {
-		return nil, fmt.Errorf("fattree path: choice %d out of range [1,%d]", m, ft.Size())
+		return p, fmt.Errorf("fattree path: choice %d out of range [1,%d]", m, ft.Size())
 	}
-	g := (m-1)/ft.half + 1
-	pi, po := ft.podOf(i), ft.podOf(o)
-	var hops [][2]NodeID
-	if pi == po {
-		hops = [][2]NodeID{
-			{src, ft.inEdge(i)},
-			{ft.inEdge(i), ft.agg(pi, g)},
-			{ft.agg(pi, g), ft.outEdge(o)},
-			{ft.outEdge(o), dst},
-		}
-	} else {
-		hops = [][2]NodeID{
-			{src, ft.inEdge(i)},
-			{ft.inEdge(i), ft.agg(pi, g)},
-			{ft.agg(pi, g), ft.core(m)},
-			{ft.core(m), ft.agg(po, g)},
-			{ft.agg(po, g), ft.outEdge(o)},
-			{ft.outEdge(o), dst},
-		}
+	s, t := int(src-ft.sourceBase), int(dst-ft.destBase)
+	i, o := s/ft.half, t/ft.half // 0-based edge switches
+	g, x := (m-1)/ft.half, (m-1)%ft.half
+	p = append(p, LinkID(2*s), ft.podLinks+LinkID(2*(i*ft.half+g)))
+	if pi, po := i/ft.half, o/ft.half; pi != po {
+		p = append(p,
+			ft.coreLinks+LinkID(2*((pi*ft.half+g)*ft.half+x)),
+			ft.coreLinks+LinkID(2*((po*ft.half+g)*ft.half+x)+1))
 	}
-	p := make(Path, 0, len(hops))
-	for _, h := range hops {
-		id, ok := ft.net.LinkBetween(h[0], h[1])
-		if !ok {
-			return nil, fmt.Errorf("fattree path: missing link %d->%d", h[0], h[1])
-		}
-		p = append(p, id)
-	}
-	return p, nil
+	return append(p, ft.podLinks+LinkID(2*(o*ft.half+g)+1), LinkID(2*t+1)), nil
 }

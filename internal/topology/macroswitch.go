@@ -27,6 +27,11 @@ type MacroSwitch struct {
 	outputBase NodeID
 	sourceBase NodeID
 	destBase   NodeID
+
+	// coreLinks is the ID of I_1 -> O_1; I_i -> O_o is coreLinks +
+	// (i-1)·tors + (o-1). Server pair q = (i-1)·servers + (j-1) is
+	// s_i^j -> I_i (2q) and O_i -> t_i^j (2q+1).
+	coreLinks LinkID
 }
 
 // NewMacroSwitch builds the square abstraction MS_n. It returns an error
@@ -83,6 +88,7 @@ func NewGeneralMacroSwitch(tors, servers int) (*MacroSwitch, error) {
 		}
 	}
 	// Infinite-capacity core: complete bipartite input -> output.
+	ms.coreLinks = LinkID(ms.net.NumLinks())
 	for i := 1; i <= tors; i++ {
 		for o := 1; o <= tors; o++ {
 			if _, err := ms.net.AddUnboundedLink(ms.Input(i), ms.Output(o)); err != nil {
@@ -170,26 +176,13 @@ func (ms *MacroSwitch) OutputOf(t NodeID) (int, bool) {
 
 // Path returns the unique src→dst path: src -> I -> O -> dst.
 func (ms *MacroSwitch) Path(src, dst NodeID) (Path, error) {
-	i, ok := ms.InputOf(src)
-	if !ok {
+	if src < ms.sourceBase || src >= ms.sourceBase+NodeID(ms.numServers()) {
 		return nil, fmt.Errorf("macroswitch path: node %d is not a source", src)
 	}
-	o, ok := ms.OutputOf(dst)
-	if !ok {
+	if dst < ms.destBase || dst >= ms.destBase+NodeID(ms.numServers()) {
 		return nil, fmt.Errorf("macroswitch path: node %d is not a destination", dst)
 	}
-	hops := [][2]NodeID{
-		{src, ms.Input(i)},
-		{ms.Input(i), ms.Output(o)},
-		{ms.Output(o), dst},
-	}
-	p := make(Path, 0, len(hops))
-	for _, h := range hops {
-		id, ok := ms.net.LinkBetween(h[0], h[1])
-		if !ok {
-			return nil, fmt.Errorf("macroswitch path: missing link %d->%d", h[0], h[1])
-		}
-		p = append(p, id)
-	}
-	return p, nil
+	s, t := int(src-ms.sourceBase), int(dst-ms.destBase)
+	core := ms.coreLinks + LinkID(s/ms.servers*ms.tors+t/ms.servers)
+	return Path{LinkID(2 * s), core, LinkID(2*t + 1)}, nil
 }

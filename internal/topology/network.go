@@ -196,6 +196,15 @@ func (n *Network) String() string {
 // Path is a sequence of link IDs forming a contiguous directed walk.
 type Path []LinkID
 
+// wrapPath adapts an AppendPath result to Path's contract, which
+// returns nil on error.
+func wrapPath(p Path, err error) (Path, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // Validate reports an error unless p is a contiguous path from src to dst
 // in network n.
 func (p Path) Validate(n *Network, src, dst NodeID) error {
