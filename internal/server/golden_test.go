@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -56,6 +57,15 @@ func goldenCases(t *testing.T) []goldenCase {
 			ex[0],
 		})
 	}
+	// The :pruned ops differ from the exhaustive ones only in the
+	// strategy marker and the states count.
+	for _, objective := range []string{"lex", "throughput"} {
+		cases = append(cases, goldenCase{
+			"search_" + objective + "_pruned_example23",
+			"/v1/search?objective=" + objective + "&strategy=pruned",
+			ex[0],
+		})
+	}
 
 	// The generated non-Clos families (fixed-seed fat-tree, Benes and
 	// oversubscribed-Clos instances, small enough for exhaustive
@@ -106,5 +116,68 @@ func TestGoldenResponses(t *testing.T) {
 				t.Errorf("response body drifted from golden %s:\ngot:  %s\nwant: %s", golden, body, want)
 			}
 		})
+	}
+}
+
+// goldenSessionOpen and goldenSessionDeltas are the serving smoke's
+// session: a 4-ToR, 2-server, 2-middle Clos opened with two flows, then
+// eight deltas covering every op, ids reused after departures included.
+const goldenSessionOpen = `{"tors":4,"servers":2,"middles":2,"flows":[{"srcSwitch":1,"srcServer":1,"dstSwitch":2,"dstServer":1},{"srcSwitch":3,"srcServer":1,"dstSwitch":4,"dstServer":1}],"assignment":[1,2]}`
+
+var goldenSessionDeltas = []string{
+	`{"op":"arrive","flow":{"srcSwitch":1,"srcServer":2,"dstSwitch":3,"dstServer":2},"middle":1}`,
+	`{"op":"arrive","flow":{"srcSwitch":2,"srcServer":1,"dstSwitch":4,"dstServer":2},"middle":2}`,
+	`{"op":"reroute","id":0,"middle":2}`,
+	`{"op":"depart","id":1}`,
+	`{"op":"arrive","flow":{"srcSwitch":4,"srcServer":1,"dstSwitch":1,"dstServer":1},"middle":1}`,
+	`{"op":"reroute","id":2,"middle":2}`,
+	`{"op":"depart","id":3}`,
+	`{"op":"reroute","id":4,"middle":1}`,
+}
+
+// TestGoldenSessionBodies pins the session bodies of the smoke sequence
+// byte for byte: the open, each delta and the close, concatenated in
+// order, with the random session ID replaced by a fixed placeholder.
+// Regenerate with -update-golden, as TestGoldenResponses.
+func TestGoldenSessionBodies(t *testing.T) {
+	_, ts, _ := newTestServer(t, Options{Workers: 2})
+	resp, body := post(t, ts.URL+"/v1/session", goldenSessionOpen)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open: status %d, body %s", resp.StatusCode, body)
+	}
+	var opened struct {
+		Session string `json:"session"`
+	}
+	if err := json.Unmarshal(body, &opened); err != nil || opened.Session == "" {
+		t.Fatalf("open body %s: %v", body, err)
+	}
+	all := append([]byte(nil), body...)
+	for i, d := range goldenSessionDeltas {
+		resp, body = post(t, ts.URL+"/v1/session/"+opened.Session+"/delta", d)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %d: status %d, body %s", i, resp.StatusCode, body)
+		}
+		all = append(all, body...)
+	}
+	resp, body = post(t, ts.URL+"/v1/session/"+opened.Session+"/close", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("close: status %d, body %s", resp.StatusCode, body)
+	}
+	all = append(all, body...)
+	all = bytes.ReplaceAll(all, []byte(opened.Session), []byte("SESSION"))
+
+	golden := filepath.Join("testdata", "golden", "session_smoke.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, all, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden body (run with -update-golden): %v", err)
+	}
+	if !bytes.Equal(all, want) {
+		t.Errorf("session bodies drifted from golden %s:\ngot:\n%s\nwant:\n%s", golden, all, want)
 	}
 }
