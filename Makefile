@@ -57,7 +57,8 @@ cover:
 # Short fuzz pass over the allocator and its kernel drivers, the edge
 # colorer, the simplex (and its integer path against the big.Rat
 # tableau), the codec (its fast paths against encoding/json and
-# big.Rat) and the serving handler.
+# big.Rat, the response body writer against json.Marshal) and the
+# serving handler.
 fuzz:
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzBlockEvalMatchesSingle -fuzztime=10s ./internal/core/
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeBatchMatchesJSON -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzCanonicalEncodeMatchesJSON -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzNormalizeDemandMatchesBigRat -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz='^FuzzResponseBody$$' -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzServe -fuzztime=10s ./internal/server/
 
 clean:

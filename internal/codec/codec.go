@@ -162,10 +162,9 @@ func (s *Scenario) checkSize() error {
 		return fmt.Errorf("codec: %d middles exceed the cap of %d", s.Middles, MaxMiddles)
 	case s.Tors*(s.Servers+s.Middles) > MaxFabricPorts:
 		return fmt.Errorf("codec: shape (%d, %d, %d) exceeds the cap of %d fabric ports", s.Tors, s.Servers, s.Middles, MaxFabricPorts)
-	case len(s.Flows) > MaxFlows:
-		return fmt.Errorf("codec: %d flows exceed the cap of %d", len(s.Flows), MaxFlows)
-	case len(s.Flows)*s.Middles > MaxFlowPaths:
-		return fmt.Errorf("codec: %d flows over %d middles exceed the cap of %d flow paths", len(s.Flows), s.Middles, MaxFlowPaths)
+	}
+	if err := CheckFlows(len(s.Flows), s.Middles); err != nil {
+		return err
 	}
 	for fi, d := range s.Demands {
 		if len(d) > MaxDemandLen {
@@ -174,6 +173,20 @@ func (s *Scenario) checkSize() error {
 		if demandExp(d) > MaxDemandExp {
 			return fmt.Errorf("codec: flow %d demand %q has an exponent past the cap of %d", fi, d, MaxDemandExp)
 		}
+	}
+	return nil
+}
+
+// CheckFlows enforces the flow caps on a flow set of a size-checked
+// shape: at most MaxFlows flows and MaxFlowPaths flows × middles. A
+// session checks every arrival against them, as Decode checks a
+// scenario.
+func CheckFlows(flows, middles int) error {
+	switch {
+	case flows > MaxFlows:
+		return fmt.Errorf("codec: %d flows exceed the cap of %d", flows, MaxFlows)
+	case flows*middles > MaxFlowPaths:
+		return fmt.Errorf("codec: %d flows over %d middles exceed the cap of %d flow paths", flows, middles, MaxFlowPaths)
 	}
 	return nil
 }

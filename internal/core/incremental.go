@@ -39,11 +39,15 @@ type FlowID int
 // fresh suffix. Reused rounds count on core.delta_levels_skipped, every
 // mutation-triggered fill on core.delta_fills.
 //
-// Any int64 overflow — during replay or resume — re-runs the whole fill
-// losslessly on the kernel's *big.Rat path (core.delta_promotions) and
-// poisons the trace; the next mutation runs one full fast fill to
-// rebuild it. ForceBig pins the big.Rat path. An IncrementalEvaluator
-// is NOT safe for concurrent use.
+// On the fast path every live flow's rate is the Rat64 level of the
+// round that froze it (Rates64); a *big.Rat exists only once Rate asks
+// for one, one per round and shared by its flows. Any int64 overflow —
+// during replay or resume — re-runs the whole fill losslessly on the
+// kernel's *big.Rat path (core.delta_promotions), leaves the rates in
+// *big.Rat form until the next fast fill (Promoted) and poisons the
+// trace; the next mutation runs one full fast fill to rebuild it.
+// ForceBig pins the big.Rat path. An IncrementalEvaluator is NOT safe
+// for concurrent use.
 type IncrementalEvaluator struct {
 	fab  *PreparedFabric
 	n    int           // path choices
@@ -55,11 +59,17 @@ type IncrementalEvaluator struct {
 	forceBig bool
 
 	// Flow table: slot-allocated, so FlowID handles stay stable across
-	// departures; order lists the live handles in insertion order.
-	flows []iflow
-	rates []*big.Rat // by handle
-	free  []FlowID
-	order []FlowID
+	// departures; order lists the live handles in insertion order. By
+	// handle, a fast fill leaves each rate in rates64 and the trace
+	// round that froze it in roundOf; a big.Rat fill leaves the rates in
+	// ratesBig and sets promoted.
+	flows    []iflow
+	rates64  []rational.Rat64
+	roundOf  []int32
+	ratesBig []*big.Rat
+	promoted bool
+	free     []FlowID
+	order    []FlowID
 
 	// trace[r] is round r of the last successful fast fill; the last
 	// entry is open, holding only the terminal state.
@@ -86,7 +96,8 @@ type iflow struct {
 }
 
 // incRound is one round of the trace: the kernel state at its start,
-// then its outcome (levelRat is the rate of every flow frozen in it).
+// then its outcome (level is the rate of every flow frozen in it, and
+// levelRat its *big.Rat form once Rate has asked for it).
 type incRound struct {
 	den, levelN int64
 	remN        []int64
@@ -94,6 +105,7 @@ type incRound struct {
 
 	minJ       int32
 	minR, minA int64
+	level      rational.Rat64
 	levelRat   *big.Rat
 	sat        []int32
 	frozen     []int32
@@ -154,7 +166,9 @@ func (ie *IncrementalEvaluator) Arrive(f Flow, middle int) (FlowID, error) {
 	} else {
 		h = FlowID(len(ie.flows))
 		ie.flows = append(ie.flows, iflow{})
-		ie.rates = append(ie.rates, nil)
+		ie.rates64 = append(ie.rates64, rational.Rat64{})
+		ie.roundOf = append(ie.roundOf, 0)
+		ie.ratesBig = append(ie.ratesBig, nil)
 		ie.k.lanes = append(ie.k.lanes, nil)
 		ie.k.frozen = append(ie.k.frozen, false)
 	}
@@ -238,7 +252,20 @@ func (ie *IncrementalEvaluator) Rate(id FlowID) (*big.Rat, error) {
 	if err := ie.checkLive(id); err != nil {
 		return nil, err
 	}
-	return ie.rates[id], nil
+	return ie.rate(id), nil
+}
+
+// rate is Rate for a live flow. On the fast path it materializes the
+// freezing round's level once and shares it among the round's flows.
+func (ie *IncrementalEvaluator) rate(id FlowID) *big.Rat {
+	if ie.promoted {
+		return ie.ratesBig[id]
+	}
+	rd := &ie.trace[ie.roundOf[id]]
+	if rd.levelRat == nil {
+		rd.levelRat = rd.level.Rat()
+	}
+	return rd.levelRat
 }
 
 // Rates returns the current allocation in Flows order, in a fresh
@@ -246,10 +273,21 @@ func (ie *IncrementalEvaluator) Rate(id FlowID) (*big.Rat, error) {
 func (ie *IncrementalEvaluator) Rates() rational.Vec {
 	v := make(rational.Vec, 0, len(ie.order))
 	for _, h := range ie.order {
-		v = append(v, ie.rates[h])
+		v = append(v, ie.rate(h))
 	}
 	return v
 }
+
+// Promoted reports whether the current allocation was computed on the
+// *big.Rat path (after an overflow, or under ForceBig); Rates64 is
+// then invalid and Rate is the only reader.
+func (ie *IncrementalEvaluator) Promoted() bool { return ie.promoted }
+
+// Rates64 returns the current rates indexed by FlowID: entry h is live
+// flow h's rate, and the entries of departed handles are meaningless.
+// It is only valid when !Promoted(), must not be mutated, and is
+// overwritten by the next mutation.
+func (ie *IncrementalEvaluator) Rates64() []rational.Rat64 { return ie.rates64 }
 
 // Flows returns the live flow set in insertion order: the collection,
 // the middle assignment, and the handle of each entry.
@@ -353,9 +391,11 @@ func (ie *IncrementalEvaluator) replayRound(r int, aff []int32) (clean, overflow
 	if (ie.testOverflow != nil && ie.testOverflow(r)) || !k.drain(aff, rd.minR, rd.minA) {
 		return false, true
 	}
+	// The round's flows keep the rate and round the last fill gave them:
+	// a delta's own flow is never frozen in a clean round (its lanes are
+	// affected), and a departed handle is in no round of the trace.
 	for _, h := range rd.frozen {
 		k.frozen[h] = true
-		ie.rates[h] = rd.levelRat
 		for _, j := range k.lanes[h] {
 			if ie.inAff[j] {
 				k.act[j]--
@@ -398,16 +438,17 @@ func (ie *IncrementalEvaluator) resume(left int) error {
 		if !ok {
 			return ie.promote()
 		}
-		rd := &ie.trace[len(ie.trace)-1]
-		rd.minJ, rd.minR, rd.minA, rd.levelRat = k.minJ, k.minR, k.minA, k.level.Rat()
+		r := len(ie.trace) - 1
+		rd := &ie.trace[r]
+		rd.minJ, rd.minR, rd.minA, rd.level, rd.levelRat = k.minJ, k.minR, k.minA, k.level, nil
 		rd.sat = append(rd.sat[:0], k.sat...)
 		rd.frozen = append(rd.frozen[:0], k.froze...)
 		for _, h := range k.froze {
-			ie.rates[h] = rd.levelRat
+			ie.rates64[h], ie.roundOf[h] = k.level, int32(r)
 		}
 		ie.push()
 	}
-	ie.traceValid = true
+	ie.traceValid, ie.promoted = true, false
 	return nil
 }
 
@@ -440,9 +481,9 @@ func (ie *IncrementalEvaluator) promote() error {
 
 // fillBig runs the whole fill on *big.Rat, recording no trace.
 func (ie *IncrementalEvaluator) fillBig() error {
-	ie.traceValid = false
+	ie.traceValid, ie.promoted = false, true
 	ie.prepare()
-	return ie.k.fillBig(ie.rates)
+	return ie.k.fillBig(ie.ratesBig)
 }
 
 func removeHandle(on []int32, h FlowID) []int32 {

@@ -43,6 +43,13 @@ func checkOracle(t *testing.T, fab topology.Fabric, ie *IncrementalEvaluator) {
 		if r.Cmp(want[i]) != 0 {
 			t.Fatalf("Rate(%d) = %s, oracle %s", ids[i], r.RatString(), want[i].RatString())
 		}
+		// The Rat64 lane is what the session bodies are written from.
+		if ie.forceBig && !ie.Promoted() {
+			t.Fatal("ForceBig evaluator reports an unpromoted allocation")
+		}
+		if !ie.Promoted() && ie.Rates64()[ids[i]].CmpRat(want[i]) != 0 {
+			t.Fatalf("Rates64()[%d] = %s, oracle %s", ids[i], ie.Rates64()[ids[i]], want[i].RatString())
+		}
 	}
 }
 

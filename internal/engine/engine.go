@@ -10,8 +10,9 @@
 //     its scenario (codec.Canonicalize), so semantically equal requests
 //     share one content address and one response body;
 //   - deterministic encoding: each op produces a single-line compact
-//     JSON body (codec.MarshalBody) that is byte-identical across
-//     transports, cacheable, and concatenable into batch responses;
+//     JSON body (codec's body writer: EvaluateBody, SearchBody, ...)
+//     that is byte-identical across transports, cacheable, and
+//     concatenable into batch responses;
 //   - observability: per-op counters and one engine.compute journal
 //     event per computation, whatever the caller.
 //

@@ -2,28 +2,20 @@ package engine
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
+	"math/big"
 
 	"closnet/internal/codec"
 	"closnet/internal/core"
 	"closnet/internal/doom"
 	"closnet/internal/obs"
-	"closnet/internal/rational"
 	"closnet/internal/search"
 )
 
-// evalResponse is the evaluate op's schema: the max-min fair allocation
+// computeEvaluate answers the evaluate op: the max-min fair allocation
 // of the canonical scenario under its embedded routing (uniform middle
-// 1 when absent), in canonical flow order.
-type evalResponse struct {
-	Hash       string   `json:"hash"`
-	Flows      int      `json:"flows"`
-	Assignment []int    `json:"assignment"`
-	Rates      []string `json:"rates"`
-	Throughput string   `json:"throughput"`
-}
-
+// 1 when absent), in canonical flow order, written straight from the
+// block evaluator's Rat64 lane unless the state was promoted.
 func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -47,37 +39,22 @@ func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	a := res.Alloc(0)
-	resp := evalResponse{
-		Hash:       hex.EncodeToString(p.Hash[:]),
-		Flows:      len(canon.Flows),
-		Assignment: []int(ma),
-		Rates:      codec.RateStrings(a),
-		Throughput: rational.String(core.Throughput(a)),
+	// The lane aliases the evaluator's scratch, so the body is written
+	// before put returns the evaluator to the pool.
+	rates := codec.Rates{Lane: res.Rates64(0)}
+	if res.Promoted(0) {
+		rates = codec.Rates{Big: res.Alloc(0)}
 	}
-	return codec.MarshalBody(resp)
-}
-
-// searchResponse is the search:* ops' schema: the optimal routing under
-// the requested objective, in canonical flow order. The assignment and
-// rates of a :pruned op are bit-identical to the exhaustive op's; the
-// strategy marker and the states count (bound plus leaf evaluations
-// instead of enumerated states) are what distinguish the bodies.
-type searchResponse struct {
-	Hash       string   `json:"hash"`
-	Objective  string   `json:"objective"`
-	Strategy   string   `json:"strategy,omitempty"`
-	Assignment []int    `json:"assignment"`
-	Rates      []string `json:"rates"`
-	Throughput string   `json:"throughput"`
-	MinRatio   string   `json:"minRatio,omitempty"`
-	States     int      `json:"states"`
+	return codec.EvaluateBody(&p.Hash, len(canon.Flows), ma, rates), nil
 }
 
 // searchOp builds the compute function of one search objective, in the
 // exhaustive or the pruned branch-and-bound strategy. The search:*
 // registry entries are instances of this closure, so adding an
-// objective is one constructor call in New.
+// objective is one constructor call in New. The assignment and rates of
+// a :pruned op are bit-identical to the exhaustive op's; the strategy
+// marker and the states count (bound plus leaf evaluations instead of
+// enumerated states) are what distinguish the bodies.
 func searchOp(objective string, pruned bool) computeFunc {
 	return func(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 		c, fs, err := e.fabric(p.Canon)
@@ -86,27 +63,15 @@ func searchOp(objective string, pruned bool) computeFunc {
 		}
 		opts := e.SearchOptions(ctx)
 		opts.Pruned = pruned
-		resp := searchResponse{Hash: hex.EncodeToString(p.Hash[:]), Objective: objective}
-		if pruned {
-			resp.Strategy = "pruned"
-		}
+		var (
+			res      *search.Result
+			minRatio *big.Rat
+		)
 		switch objective {
 		case "lex":
-			res, err := search.LexMaxMin(c, fs, opts)
-			if err != nil {
-				return nil, err
-			}
-			resp.Assignment, resp.Rates = []int(res.Assignment), codec.RateStrings(res.Allocation)
-			resp.Throughput = rational.String(core.Throughput(res.Allocation))
-			resp.States = res.States
+			res, err = search.LexMaxMin(c, fs, opts)
 		case "throughput":
-			res, err := search.ThroughputMaxMin(c, fs, opts)
-			if err != nil {
-				return nil, err
-			}
-			resp.Assignment, resp.Rates = []int(res.Assignment), codec.RateStrings(res.Allocation)
-			resp.Throughput = rational.String(core.Throughput(res.Allocation))
-			resp.States = res.States
+			res, err = search.ThroughputMaxMin(c, fs, opts)
 		case "relative":
 			demands, err := p.Canon.DemandVec()
 			if err != nil {
@@ -115,30 +80,22 @@ func searchOp(objective string, pruned bool) computeFunc {
 			if demands == nil {
 				return nil, errors.New("objective \"relative\" needs scenario demands as targets")
 			}
-			res, err := search.RelativeMaxMin(c, fs, demands, opts)
+			rel, err := search.RelativeMaxMin(c, fs, demands, opts)
 			if err != nil {
 				return nil, err
 			}
-			resp.Assignment, resp.Rates = []int(res.Assignment), codec.RateStrings(res.Allocation)
-			resp.Throughput = rational.String(core.Throughput(res.Allocation))
-			resp.MinRatio = rational.String(res.MinRatio)
-			resp.States = res.States
+			res = &search.Result{Assignment: rel.Assignment, Allocation: rel.Allocation, States: rel.States}
+			minRatio = rel.MinRatio
 		}
-		return codec.MarshalBody(resp)
+		if err != nil {
+			return nil, err
+		}
+		return codec.SearchBody(&p.Hash, objective, pruned, res.Assignment, codec.Rates{Big: res.Allocation}, minRatio, res.States), nil
 	}
 }
 
-// doomResponse is the doom op's schema: Algorithm 1's routing and its
+// computeDoom answers the doom op: Algorithm 1's routing and its
 // max-min fair allocation, in canonical flow order.
-type doomResponse struct {
-	Hash       string   `json:"hash"`
-	Assignment []int    `json:"assignment"`
-	DoomMiddle int      `json:"doomMiddle"`
-	Matched    int      `json:"matched"`
-	Rates      []string `json:"rates"`
-	Throughput string   `json:"throughput"`
-}
-
 func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	c, fs, err := e.fabric(p.Canon)
 	if err != nil {
@@ -154,13 +111,5 @@ func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := doomResponse{
-		Hash:       hex.EncodeToString(p.Hash[:]),
-		Assignment: []int(res.Assignment),
-		DoomMiddle: res.DoomMiddle,
-		Matched:    res.MatchedCount(),
-		Rates:      codec.RateStrings(a),
-		Throughput: rational.String(core.Throughput(a)),
-	}
-	return codec.MarshalBody(resp)
+	return codec.DoomBody(&p.Hash, res.Assignment, res.DoomMiddle, res.MatchedCount(), codec.Rates{Big: a}), nil
 }

@@ -57,9 +57,10 @@ type sessionFlow struct {
 	handle core.FlowID
 }
 
-// Session is one open scenario being mutated by deltas. All access goes
-// through its mutex: deltas on one session serialize, sessions mutate
-// independently.
+// Session is one open scenario being mutated by deltas. All access to
+// the scenario goes through its mutex: deltas on one session serialize,
+// sessions mutate independently. The idle clock is atomic, so the table
+// reads it without the mutex.
 type Session struct {
 	mu       sync.Mutex
 	id       string
@@ -72,34 +73,25 @@ type Session struct {
 	flows    []sessionFlow // insertion order, parallel to the evaluator's
 	nextFlow int
 	seq      int
-	lastUsed time.Time
+	lastUsed atomic.Int64 // UnixNano of the last lookup
+
+	// Response scratch: the flow IDs and rates in canonical order.
+	ids  []int
+	lane []rational.Rat64
 }
 
-// SessionResponse reports a session's state after open or a delta. The
-// scenario view is canonical: Flows lists the session flow IDs in
-// canonical scenario order, Assignment and Rates are parallel to it,
-// and Hash is the codec.CanonicalHash of the current state — equal to
+// SessionResponse is the outcome of a session open, delta or close: the
+// session's ID and the encoded response body. An open or delta body
+// reports the session's state in canonical scenario order
+// (codec.SessionBody): the session flow IDs, their assignment and rates,
+// the throughput, and the codec.CanonicalHash of the state — equal to
 // the hash a one-shot evaluate of the same end state reports, which is
 // what makes a replayed delta sequence directly comparable to
-// /v1/evaluate.
+// /v1/evaluate. A close body acknowledges the close
+// (codec.SessionCloseBody).
 type SessionResponse struct {
-	Session    string   `json:"session"`
-	Op         string   `json:"op"`
-	Seq        int      `json:"seq"`
-	Hash       string   `json:"hash"`
-	Flows      []int    `json:"flows"`
-	Assignment []int    `json:"assignment,omitempty"`
-	Rates      []string `json:"rates"`
-	Throughput string   `json:"throughput"`
-	// Arrived is the session flow ID assigned by an arrive delta.
-	Arrived *int `json:"arrived,omitempty"`
-}
-
-// SessionCloseResponse acknowledges a close.
-type SessionCloseResponse struct {
-	Session string `json:"session"`
-	Closed  bool   `json:"closed"`
-	Deltas  int    `json:"deltas"`
+	Session string
+	Body    []byte
 }
 
 // SessionStats is the session gauge block of /v1/stats.
@@ -114,10 +106,12 @@ type SessionStats struct {
 }
 
 // Sessions is the bounded, TTL-evicting session table. Safe for
-// concurrent use. Lock order: the table's mu before any session's mu,
-// never the reverse — pruneLocked and lookup take s.mu under ss.mu, so
-// a path holding s.mu must not take ss.mu (the delta counter is atomic
-// for that reason).
+// concurrent use. No path holds the table's mu and a session's mu at
+// once: pruning and lookup read and touch a session's idle clock
+// atomically, and open and close take s.mu only after releasing ss.mu.
+// A delta holds its session's mu through the refill and the response,
+// so a slow delta delays only its own session, never the table. (The
+// delta counter is atomic for the same reason.)
 type Sessions struct {
 	mu      sync.Mutex
 	table   map[string]*Session
@@ -173,12 +167,9 @@ func (ss *Sessions) SetClock(now func() time.Time) {
 // pruneLocked evicts every session idle past the TTL. Callers hold
 // ss.mu.
 func (ss *Sessions) pruneLocked() {
-	cutoff := ss.now().Add(-ss.ttl)
+	cutoff := ss.now().Add(-ss.ttl).UnixNano()
 	for id, s := range ss.table {
-		s.mu.Lock()
-		stale := s.lastUsed.Before(cutoff)
-		s.mu.Unlock()
-		if stale {
+		if s.lastUsed.Load() < cutoff {
 			delete(ss.table, id)
 			ss.expired++
 			ss.cExpired.Inc()
@@ -249,7 +240,7 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 		ss.mu.Unlock()
 		return nil, ErrSessionTableFull
 	}
-	s.lastUsed = ss.now()
+	s.lastUsed.Store(ss.now().UnixNano())
 	ss.table[s.id] = s
 	ss.opened++
 	ss.cOpened.Inc()
@@ -260,7 +251,7 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 	ss.o.Journal().Emit("engine.session_opened", obs.F{"session": s.id, "flows": len(s.flows)})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.responseLocked(OpSessionOpen, nil)
+	return s.responseLocked(OpSessionOpen, -1)
 }
 
 // lookup fetches a live session and touches its idle timer.
@@ -272,16 +263,15 @@ func (ss *Sessions) lookup(id string) (*Session, error) {
 	if !ok {
 		return nil, ErrSessionNotFound
 	}
-	s.mu.Lock()
-	s.lastUsed = ss.now()
-	s.mu.Unlock()
+	s.lastUsed.Store(ss.now().UnixNano())
 	return s, nil
 }
 
 // Delta applies one mutation to a session and reports the resulting
 // state. Structural validation failures (unknown op, out-of-range
-// indices) and semantic ones (no live flow with the ID) leave the
-// session unchanged.
+// indices), semantic ones (no live flow with the ID) and an arrive
+// past the scenario size caps (codec.CheckFlows) leave the session
+// unchanged.
 func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*SessionResponse, error) {
 	sp, _ := obs.StartSpan(ctx, "session.delta")
 	defer sp.End()
@@ -296,9 +286,12 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var arrived *int
+	arrived := -1
 	switch d.Op {
 	case codec.DeltaArrive:
+		if err := codec.CheckFlows(len(s.flows)+1, s.middles); err != nil {
+			return nil, fmt.Errorf("engine: arrive: %w", err)
+		}
 		f := core.Flow{
 			Src: s.fab.Source(d.Flow.SrcSwitch, d.Flow.SrcServer),
 			Dst: s.fab.Dest(d.Flow.DstSwitch, d.Flow.DstServer),
@@ -310,7 +303,7 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 		fid := s.nextFlow
 		s.nextFlow++
 		s.flows = append(s.flows, sessionFlow{id: fid, fj: *d.Flow, middle: d.Middle, handle: h})
-		arrived = &fid
+		arrived = fid
 	case codec.DeltaDepart:
 		i, err := s.findLocked(d.ID)
 		if err != nil {
@@ -338,7 +331,7 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 
 // Close removes a session. Closing twice (or an expired session)
 // returns ErrSessionNotFound.
-func (ss *Sessions) Close(ctx context.Context, id string) (*SessionCloseResponse, error) {
+func (ss *Sessions) Close(ctx context.Context, id string) (*SessionResponse, error) {
 	sp, _ := obs.StartSpan(ctx, "session.close")
 	defer sp.End()
 	ss.mu.Lock()
@@ -357,7 +350,7 @@ func (ss *Sessions) Close(ctx context.Context, id string) (*SessionCloseResponse
 	ss.o.Journal().Emit("engine.session_closed", obs.F{"session": id, "deltas": s.seq})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &SessionCloseResponse{Session: id, Closed: true, Deltas: s.seq}, nil
+	return &SessionResponse{Session: id, Body: codec.SessionCloseBody(id, s.seq)}, nil
 }
 
 // Stats snapshots the table for /v1/stats.
@@ -388,8 +381,10 @@ func (s *Session) findLocked(id int) (int, error) {
 }
 
 // responseLocked rebuilds the canonical scenario view of the current
-// state and reads the rates off the evaluator. Callers hold s.mu.
-func (s *Session) responseLocked(op string, arrived *int) (*SessionResponse, error) {
+// state and writes its body, the rates straight from the evaluator's
+// Rat64 lane unless the last fill was promoted to *big.Rat. arrived is
+// the ID an arrive delta assigned, or -1. Callers hold s.mu.
+func (s *Session) responseLocked(op string, arrived int) (*SessionResponse, error) {
 	scen := &codec.Scenario{
 		Topology: s.family,
 		Tors:     s.tors,
@@ -408,31 +403,27 @@ func (s *Session) responseLocked(op string, arrived *int) (*SessionResponse, err
 	if err != nil {
 		return nil, err
 	}
-	perm := form.Perm
-	resp := &SessionResponse{
-		Session:    s.id,
-		Op:         op,
-		Seq:        s.seq,
-		Hash:       hex.EncodeToString(form.Hash[:]),
-		Flows:      make([]int, len(perm)),
-		Assignment: form.Scenario.Assignment,
-		Rates:      make([]string, len(perm)),
-		Throughput: "0",
-		Arrived:    arrived,
+	s.ids = s.ids[:0]
+	for _, fi := range form.Perm {
+		s.ids = append(s.ids, s.flows[fi].id)
 	}
-	alloc := make(rational.Vec, len(perm))
-	for i, fi := range perm {
-		sf := s.flows[fi]
-		r, err := s.ie.Rate(sf.handle)
-		if err != nil {
-			return nil, fmt.Errorf("engine: session state diverged: %w", err)
+	var rates codec.Rates
+	if s.ie.Promoted() {
+		alloc := make(core.Allocation, len(form.Perm))
+		for i, fi := range form.Perm {
+			if alloc[i], err = s.ie.Rate(s.flows[fi].handle); err != nil {
+				return nil, fmt.Errorf("engine: session state diverged: %w", err)
+			}
 		}
-		resp.Flows[i] = sf.id
-		resp.Rates[i] = rational.String(r)
-		alloc[i] = r
+		rates = codec.Rates{Big: alloc}
+	} else {
+		all := s.ie.Rates64()
+		s.lane = s.lane[:0]
+		for _, fi := range form.Perm {
+			s.lane = append(s.lane, all[s.flows[fi].handle])
+		}
+		rates = codec.Rates{Lane: s.lane}
 	}
-	if len(alloc) > 0 {
-		resp.Throughput = rational.String(core.Throughput(alloc))
-	}
-	return resp, nil
+	body := codec.SessionBody(s.id, op, s.seq, &form.Hash, s.ids, form.Scenario.Assignment, rates, arrived)
+	return &SessionResponse{Session: s.id, Body: body}, nil
 }

@@ -21,6 +21,34 @@ func sessionEngine(opts engine.Options) *engine.Engine {
 	return engine.New(opts)
 }
 
+// sessionView decodes a session body: an open or delta body
+// (codec.SessionBody) or a close body (codec.SessionCloseBody).
+type sessionView struct {
+	Session    string   `json:"session"`
+	Op         string   `json:"op"`
+	Seq        int      `json:"seq"`
+	Hash       string   `json:"hash"`
+	Flows      []int    `json:"flows"`
+	Assignment []int    `json:"assignment"`
+	Rates      []string `json:"rates"`
+	Throughput string   `json:"throughput"`
+	Arrived    *int     `json:"arrived"`
+	Closed     bool     `json:"closed"`
+	Deltas     int      `json:"deltas"`
+}
+
+func view(t testing.TB, r *engine.SessionResponse) sessionView {
+	t.Helper()
+	var v sessionView
+	if err := json.Unmarshal(r.Body, &v); err != nil {
+		t.Fatalf("session body %s: %v", r.Body, err)
+	}
+	if v.Session != r.Session {
+		t.Fatalf("body names session %q, response %q", v.Session, r.Session)
+	}
+	return v
+}
+
 // sessionScenario is a 4-ToR, 2-server, 2-middle Clos with two flows
 // deliberately listed in non-canonical order.
 func sessionScenario() *codec.Scenario {
@@ -45,13 +73,14 @@ func TestSessionMatchesOneShotEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Op != engine.OpSessionOpen || resp.Seq != 0 {
-		t.Fatalf("open response op=%q seq=%d", resp.Op, resp.Seq)
+	v := view(t, resp)
+	if v.Op != engine.OpSessionOpen || v.Seq != 0 {
+		t.Fatalf("open response op=%q seq=%d", v.Op, v.Seq)
 	}
 	// Session flow IDs are assigned in canonical order: id 0 is the
 	// (1,1)->(2,1) flow, id 1 the (3,1)->(4,1) flow.
-	if len(resp.Flows) != 2 || resp.Flows[0] != 0 || resp.Flows[1] != 1 {
-		t.Fatalf("open flow ids %v", resp.Flows)
+	if len(v.Flows) != 2 || v.Flows[0] != 0 || v.Flows[1] != 1 {
+		t.Fatalf("open flow ids %v", v.Flows)
 	}
 
 	deltas := []string{
@@ -62,17 +91,17 @@ func TestSessionMatchesOneShotEvaluate(t *testing.T) {
 		`{"op":"arrive","flow":{"srcSwitch":4,"srcServer":2,"dstSwitch":2,"dstServer":2},"middle":1}`,
 		`{"op":"reroute","id":3,"middle":1}`,
 	}
-	var last *engine.SessionResponse
+	var last sessionView
 	for i, raw := range deltas {
 		d, err := codec.DecodeDelta([]byte(raw))
 		if err != nil {
 			t.Fatalf("delta %d: %v", i, err)
 		}
-		last, err = eng.Sessions().Delta(ctx, resp.Session, d)
+		r, err := eng.Sessions().Delta(ctx, resp.Session, d)
 		if err != nil {
 			t.Fatalf("delta %d: %v", i, err)
 		}
-		if last.Seq != i+1 {
+		if last = view(t, r); last.Seq != i+1 {
 			t.Fatalf("delta %d: seq %d", i, last.Seq)
 		}
 	}
@@ -115,11 +144,11 @@ func TestSessionMatchesOneShotEvaluate(t *testing.T) {
 		t.Fatalf("session throughput %s != one-shot %s", last.Throughput, ev.Throughput)
 	}
 
-	closed, err := eng.Sessions().Close(ctx, resp.Session)
+	r, err := eng.Sessions().Close(ctx, resp.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !closed.Closed || closed.Deltas != len(deltas) {
+	if closed := view(t, r); !closed.Closed || closed.Deltas != len(deltas) {
 		t.Fatalf("close response %+v", closed)
 	}
 }
@@ -133,27 +162,28 @@ func TestSessionArrivedIDAndEmptyOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Flows) != 0 || resp.Throughput != "0" {
-		t.Fatalf("empty open response %+v", resp)
+	if v := view(t, resp); len(v.Flows) != 0 || v.Throughput != "0" {
+		t.Fatalf("empty open response %s", resp.Body)
 	}
 	d, _ := codec.DecodeDelta([]byte(`{"op":"arrive","flow":{"srcSwitch":1,"srcServer":1,"dstSwitch":2,"dstServer":1},"middle":1}`))
 	r, err := eng.Sessions().Delta(ctx, resp.Session, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Arrived == nil || *r.Arrived != 0 {
-		t.Fatalf("arrive response did not report id 0: %+v", r)
+	v := view(t, r)
+	if v.Arrived == nil || *v.Arrived != 0 {
+		t.Fatalf("arrive response did not report id 0: %s", r.Body)
 	}
-	if len(r.Rates) != 1 || r.Rates[0] != "1" {
-		t.Fatalf("lone flow rates %v", r.Rates)
+	if len(v.Rates) != 1 || v.Rates[0] != "1" {
+		t.Fatalf("lone flow rates %v", v.Rates)
 	}
 	d, _ = codec.DecodeDelta([]byte(`{"op":"depart","id":0}`))
 	r, err = eng.Sessions().Delta(ctx, resp.Session, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Flows) != 0 || r.Arrived != nil {
-		t.Fatalf("drained session response %+v", r)
+	if v := view(t, r); len(v.Flows) != 0 || v.Arrived != nil {
+		t.Fatalf("drained session response %s", r.Body)
 	}
 }
 
@@ -188,8 +218,8 @@ func TestSessionDeltaErrorsLeaveStateIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Seq != 1 {
-		t.Fatalf("failed deltas advanced seq: %d", r.Seq)
+	if v := view(t, r); v.Seq != 1 {
+		t.Fatalf("failed deltas advanced seq: %d", v.Seq)
 	}
 }
 

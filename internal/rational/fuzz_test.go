@@ -46,6 +46,9 @@ func FuzzRat64(f *testing.F) {
 			if got.Den() <= 0 {
 				t.Fatalf("denormalized denominator in %s", got)
 			}
+			if got.String() != String(want) {
+				t.Fatalf("Rat64 renders %s, big.Rat %s", got, String(want))
+			}
 			g := new(big.Int).GCD(nil, nil,
 				new(big.Int).Abs(big.NewInt(got.Num())), big.NewInt(got.Den()))
 			if g.Cmp(big.NewInt(1)) > 0 && got.Num() != 0 {

@@ -1,11 +1,11 @@
 package rational
 
 import (
-	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
 	"slices"
+	"strconv"
 )
 
 // Rat64 is an exact rational with a single machine word per component:
@@ -79,10 +79,19 @@ func (a Rat64) Sign() int {
 
 // String formats a in lowest terms, using plain integers where possible.
 func (a Rat64) String() string {
+	var buf [41]byte
+	return string(a.Append(buf[:0]))
+}
+
+// Append appends a's String form to dst: the numerator, then "/" and
+// the denominator unless it is 1. That is the spelling rational.Append
+// gives the same value as a *big.Rat.
+func (a Rat64) Append(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, a.num, 10)
 	if a.den == 1 {
-		return fmt.Sprintf("%d", a.num)
+		return dst
 	}
-	return fmt.Sprintf("%d/%d", a.num, a.den)
+	return strconv.AppendInt(append(dst, '/'), a.den, 10)
 }
 
 // Cmp compares a and b, returning -1, 0 or +1. Unlike Add it can never

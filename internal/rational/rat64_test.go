@@ -153,3 +153,43 @@ func TestBigCmpFastPath(t *testing.T) {
 		}
 	}
 }
+
+// TestAppend: both renderers append the String form after whatever dst
+// holds, and agree with each other and with big.Rat's RatString on
+// integers, fractions, signs and the int64 extremes.
+func TestAppend(t *testing.T) {
+	cases := []struct {
+		p, q int64
+		want string
+	}{
+		{0, 1, "0"},
+		{1, 1, "1"},
+		{2, 4, "1/2"},
+		{-1, 3, "-1/3"},
+		{7, -14, "-1/2"},
+		{math.MaxInt64, 1, "9223372036854775807"},
+		{-math.MaxInt64, math.MaxInt64 - 1, "-9223372036854775807/9223372036854775806"},
+	}
+	for _, c := range cases {
+		v, ok := Make64(c.p, c.q)
+		if !ok {
+			t.Fatalf("Make64(%d, %d) failed", c.p, c.q)
+		}
+		if got := string(v.Append([]byte("x="))); got != "x="+c.want {
+			t.Errorf("Rat64(%d/%d).Append = %q, want %q", c.p, c.q, got, "x="+c.want)
+		}
+		if got := string(Append([]byte("x="), v.Rat())); got != "x="+c.want {
+			t.Errorf("Append(%d/%d) = %q, want %q", c.p, c.q, got, "x="+c.want)
+		}
+		if v.String() != c.want || String(v.Rat()) != c.want {
+			t.Errorf("String(%d/%d) = %q / %q, want %q", c.p, c.q, v.String(), String(v.Rat()), c.want)
+		}
+		if !v.Rat().IsInt() && v.Rat().RatString() != c.want {
+			t.Errorf("RatString(%d/%d) = %q, want %q", c.p, c.q, v.Rat().RatString(), c.want)
+		}
+	}
+	huge, _ := new(big.Rat).SetString("-123456789012345678901234567890/98765432109876543210987")
+	if got, want := string(Append(nil, huge)), huge.RatString(); got != want {
+		t.Errorf("Append past int64 = %q, want %q", got, want)
+	}
+}

@@ -93,10 +93,17 @@ func Float(a *big.Rat) float64 {
 // String formats a in lowest terms, using plain integers where possible
 // ("1" instead of "1/1").
 func String(a *big.Rat) string {
+	return string(Append(nil, a))
+}
+
+// Append appends a's String form to dst: the numerator, then "/" and
+// the denominator unless a is an integer.
+func Append(dst []byte, a *big.Rat) []byte {
+	dst = a.Num().Append(dst, 10)
 	if a.IsInt() {
-		return a.Num().String()
+		return dst
 	}
-	return a.RatString()
+	return a.Denom().Append(append(dst, '/'), 10)
 }
 
 // Join formats a slice of rationals as "[a, b, c]".

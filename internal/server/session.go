@@ -55,7 +55,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.runSession(w, r, engine.OpSessionOpen, start, func(ctx context.Context) (any, error) {
+	s.runSession(w, r, engine.OpSessionOpen, start, func(ctx context.Context) (*engine.SessionResponse, error) {
 		return s.eng.Sessions().Open(ctx, scen)
 	})
 }
@@ -85,7 +85,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			s.reply(w, engine.OpSessionClose, status, body, "", start)
 			return
 		}
-		s.replySession(w, engine.OpSessionClose, resp, start)
+		s.reply(w, engine.OpSessionClose, http.StatusOK, resp.Body, "", start)
 
 	case action == "delta" && r.Method == http.MethodPost:
 		if !s.beginRequest() {
@@ -105,7 +105,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			s.reply(w, engine.OpSessionDelta, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
 		}
-		s.runSession(w, r, engine.OpSessionDelta, start, func(ctx context.Context) (any, error) {
+		s.runSession(w, r, engine.OpSessionDelta, start, func(ctx context.Context) (*engine.SessionResponse, error) {
 			return s.eng.Sessions().Delta(ctx, id, d)
 		})
 
@@ -123,10 +123,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSession runs one state-mutating session call under admission
-// control and the per-request deadline, then replies with its JSON
-// body. The call is NOT cached or coalesced — see the package comment
-// above.
-func (s *Server) runSession(w http.ResponseWriter, r *http.Request, op string, start time.Time, fn func(ctx context.Context) (any, error)) {
+// control and the per-request deadline, then replies with the body the
+// engine wrote. The call is NOT cached or coalesced — see the package
+// comment above.
+func (s *Server) runSession(w http.ResponseWriter, r *http.Request, op string, start time.Time, fn func(ctx context.Context) (*engine.SessionResponse, error)) {
 	if err := s.admit.acquire(r.Context()); err != nil {
 		if errors.Is(err, errSaturated) {
 			s.mRejects.Inc()
@@ -150,17 +150,7 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, op string, s
 		s.reply(w, op, status, body, "", start)
 		return
 	}
-	s.replySession(w, op, resp, start)
-}
-
-// replySession encodes one successful session response.
-func (s *Server) replySession(w http.ResponseWriter, op string, resp any, start time.Time) {
-	body, err := codec.MarshalBody(resp)
-	if err != nil {
-		s.reply(w, op, http.StatusInternalServerError, codec.ErrorBody(err.Error()), "", start)
-		return
-	}
-	s.reply(w, op, http.StatusOK, body, "", start)
+	s.reply(w, op, http.StatusOK, resp.Body, "", start)
 }
 
 // mapSessionError maps a session-layer failure to its HTTP shape: a

@@ -22,13 +22,28 @@ const sessionOpenBody = `{
   "assignment": [1, 2]
 }`
 
-func openSession(t *testing.T, ts *httptest.Server, body string) engine.SessionResponse {
+// sessionView decodes a session body: an open or delta body
+// (codec.SessionBody) or a close body (codec.SessionCloseBody).
+type sessionView struct {
+	Session    string   `json:"session"`
+	Op         string   `json:"op"`
+	Seq        int      `json:"seq"`
+	Hash       string   `json:"hash"`
+	Flows      []int    `json:"flows"`
+	Assignment []int    `json:"assignment"`
+	Rates      []string `json:"rates"`
+	Throughput string   `json:"throughput"`
+	Closed     bool     `json:"closed"`
+	Deltas     int      `json:"deltas"`
+}
+
+func openSession(t *testing.T, ts *httptest.Server, body string) sessionView {
 	t.Helper()
 	resp, data := post(t, ts.URL+"/v1/session", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("open: status %d, body %s", resp.StatusCode, data)
 	}
-	var sr engine.SessionResponse
+	var sr sessionView
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatalf("open response: %v", err)
 	}
@@ -56,7 +71,7 @@ func TestSessionLifecycleMatchesEvaluate(t *testing.T) {
 		`{"op":"depart","id":3}`,
 		`{"op":"reroute","id":4,"middle":1}`,
 	}
-	var last engine.SessionResponse
+	var last sessionView
 	for i, d := range deltas {
 		resp, data := post(t, ts.URL+"/v1/session/"+sr.Session+"/delta", d)
 		if resp.StatusCode != http.StatusOK {
@@ -117,7 +132,7 @@ func TestSessionLifecycleMatchesEvaluate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("close: status %d, body %s", resp.StatusCode, data)
 	}
-	var cr engine.SessionCloseResponse
+	var cr sessionView
 	if err := json.Unmarshal(data, &cr); err != nil {
 		t.Fatal(err)
 	}
