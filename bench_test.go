@@ -2,15 +2,15 @@ package closnet
 
 // The benchmark harness regenerates every table and figure of the paper
 // (one Benchmark per experiment ID of DESIGN.md's index) and quantifies
-// the design choices called out in DESIGN.md §5 as ablations:
-// exact-vs-float water-filling, Hopcroft–Karp vs greedy matching, and
-// symmetry reduction in the routing-space search.
+// the design choices called out in DESIGN.md §5 as ablations: the
+// kernel's water filling against the *big.Rat reference walk,
+// Hopcroft–Karp vs greedy matching, and symmetry reduction in the
+// routing-space search.
 //
 // Run with: go test -bench=. -benchmem
 
 import (
 	"context"
-
 	"math/rand"
 	"testing"
 
@@ -57,7 +57,7 @@ func BenchmarkExpF3(b *testing.B) {
 
 func BenchmarkExpT2(b *testing.B) {
 	benchExperiment(b, func() (*experiments.Table, error) {
-		return experiments.RunT2([]int{3, 4, 5, 6, 7, 8}, 4)
+		return experiments.RunT2([]int{3, 4, 5, 6, 7, 8})
 	})
 }
 
@@ -97,7 +97,7 @@ func BenchmarkExpM1(b *testing.B) {
 	})
 }
 
-// --- Ablation: exact vs float water-filling -------------------------------
+// --- Ablation: kernel vs reference water filling --------------------------
 
 // waterfillInstance builds a fixed mid-sized instance: a permutation
 // workload on C_4 routed by ECMP.
@@ -121,6 +121,8 @@ func waterfillInstance(b *testing.B) (*topology.Clos, core.Collection, core.Rout
 	return c, pair.Clos, r
 }
 
+// BenchmarkWaterfillExact times MaxMinFair, the kernel's one-shot
+// driver that every production fill runs on.
 func BenchmarkWaterfillExact(b *testing.B) {
 	c, fs, r := waterfillInstance(b)
 	b.ResetTimer()
@@ -131,11 +133,13 @@ func BenchmarkWaterfillExact(b *testing.B) {
 	}
 }
 
-func BenchmarkWaterfillFloat(b *testing.B) {
+// BenchmarkWaterfillReference times the *big.Rat reference walk the
+// kernel is tested against, on the same instance.
+func BenchmarkWaterfillReference(b *testing.B) {
 	c, fs, r := waterfillInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MaxMinFairFloat(c.Network(), fs, r); err != nil {
+		if _, err := core.ReferenceMaxMinFair(c.Network(), fs, r); err != nil {
 			b.Fatal(err)
 		}
 	}

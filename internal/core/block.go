@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"closnet/internal/obs"
@@ -81,6 +82,14 @@ func (b *BlockEvaluator) Instrument(o *obs.Obs) {
 // (s+1)·|F|]; mas is only read). The result aliases the evaluator's
 // scratch until the next call; BlockResult.Alloc materializes a state.
 func (b *BlockEvaluator) EvalBlock(mas []int, k int) (*BlockResult, error) {
+	return b.EvalBlockCtx(context.TODO(), mas, k)
+}
+
+// EvalBlockCtx is EvalBlock bounded by ctx: a promoted state's *big.Rat
+// fill polls ctx once per round, and a cancelled fill returns ctx.Err()
+// and leaves the evaluator ready for its next block. The int64 fast
+// path never reads ctx; overflow bounds its run.
+func (b *BlockEvaluator) EvalBlockCtx(ctx context.Context, mas []int, k int) (*BlockResult, error) {
 	if k < 0 || len(mas) != k*b.nf {
 		return nil, fmt.Errorf("block evaluator: %d assignment entries for %d states of %d flows", len(mas), k, b.nf)
 	}
@@ -100,7 +109,7 @@ func (b *BlockEvaluator) EvalBlock(mas []int, k int) (*BlockResult, error) {
 			b.cur[fi] = b.path[fi*b.n+m-1]
 		}
 		try := fast && (b.testOverflow == nil || !b.testOverflow(s))
-		a, err := b.k.solve(b.cur, b.rates[s*b.nf:(s+1)*b.nf], try)
+		a, err := b.k.solve(ctx, b.cur, b.rates[s*b.nf:(s+1)*b.nf], try)
 		if err != nil {
 			return nil, err
 		}

@@ -6,9 +6,9 @@ import (
 
 // FuzzBlockEvalMatchesSingle is the block evaluator's differential
 // fuzz: a random small Clos instance plus a random assignment block,
-// with BlockEvaluator output required to be Vec.Equal-identical to the
-// ClosMaxMinFair oracle on every element. The mode byte additionally drives
-// the promotion protocol through its regimes: pinned big.Rat blocks
+// with BlockEvaluator output required to be Vec.Equal-identical to
+// ReferenceMaxMinFair on every element. The mode byte additionally
+// drives the promotion protocol through its regimes: pinned big.Rat blocks
 // (ForceBig) and mixed blocks where the test hook forces a
 // pseudo-random subset of states through a mid-fill promotion.
 func FuzzBlockEvalMatchesSingle(f *testing.F) {
@@ -45,7 +45,7 @@ func FuzzBlockEvalMatchesSingle(f *testing.F) {
 			t.Fatalf("EvalBlock: %v", err)
 		}
 		for s := 0; s < k; s++ {
-			want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
+			want, err := referenceClos(c, fs, mas[s*nf:(s+1)*nf])
 			if err != nil {
 				t.Fatalf("state %d: oracle: %v", s, err)
 			}

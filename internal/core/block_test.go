@@ -24,7 +24,7 @@ func blockOf(n, nf, lo, k int) []int {
 }
 
 // TestBlockEvaluatorMatchesEval: EvalBlock must return, state by state,
-// exactly what the ClosMaxMinFair oracle returns — same rationals — over the
+// exactly what the reference returns — same rationals — over the
 // whole routing space of a small instance, for every block size
 // including ragged final blocks and k = 1.
 func TestBlockEvaluatorMatchesEval(t *testing.T) {
@@ -50,7 +50,7 @@ func TestBlockEvaluatorMatchesEval(t *testing.T) {
 				t.Fatalf("k=%d lo=%d: Len = %d", k, lo, res.Len())
 			}
 			for s := 0; s < kk; s++ {
-				want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
+				want, err := referenceClos(c, fs, mas[s*nf:(s+1)*nf])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,7 +88,7 @@ func TestBlockEvaluatorForceBig(t *testing.T) {
 		if !res.Promoted(s) {
 			t.Errorf("state %d: ForceBig block not promoted", s)
 		}
-		want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
+		want, err := referenceClos(c, fs, mas[s*nf:(s+1)*nf])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestBlockEvaluatorMixedPromotion(t *testing.T) {
 		if res.Promoted(s) {
 			promoted++
 		}
-		want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
+		want, err := referenceClos(c, fs, mas[s*nf:(s+1)*nf])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestBlockEvaluatorMixedPromotion(t *testing.T) {
 		if res.Promoted(s) {
 			t.Errorf("clean follow-up block: state %d promoted", s)
 		}
-		want, err := ClosMaxMinFair(c, fs, mas[s*nf:(s+1)*nf])
+		want, err := referenceClos(c, fs, mas[s*nf:(s+1)*nf])
 		if err != nil {
 			t.Fatal(err)
 		}

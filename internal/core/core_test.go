@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -320,9 +319,6 @@ func TestMaxMinFairUnboundedFlow(t *testing.T) {
 	if _, err := MaxMinFair(net, fs, r); !errors.Is(err, ErrUnboundedFlow) {
 		t.Errorf("err = %v, want ErrUnboundedFlow", err)
 	}
-	if _, err := MaxMinFairFloat(net, fs, r); !errors.Is(err, ErrUnboundedFlow) {
-		t.Errorf("float err = %v, want ErrUnboundedFlow", err)
-	}
 }
 
 // randomInstance builds a random flow collection and routing over C_n.
@@ -382,28 +378,6 @@ func TestWaterfillDominatesFeasibleAllocations(t *testing.T) {
 			}
 			if rational.LexCompareSorted(a, other) < 0 {
 				t.Fatalf("max-min fair allocation dominated by %v", other)
-			}
-		}
-	}
-}
-
-// TestFloatMatchesExact checks the float fast path against the exact
-// allocator on random instances.
-func TestFloatMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		c, fs, r := randomInstance(rng, rng.Intn(3)+1, rng.Intn(10)+1)
-		exact, err := MaxMinFair(c.Network(), fs, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, err := MaxMinFairFloat(c.Network(), fs, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range exact {
-			if diff := math.Abs(rational.Float(exact[i]) - approx[i]); diff > 1e-9 {
-				t.Fatalf("trial %d flow %d: exact %s vs float %v", trial, i, rational.String(exact[i]), approx[i])
 			}
 		}
 	}

@@ -31,7 +31,8 @@ func eval1(b *BlockEvaluator, ma MiddleAssignment) (Allocation, error) {
 }
 
 // TestEvaluatorMatchesClosMaxMinFair: a k = 1 block must return exactly
-// the allocation ClosMaxMinFair returns — same rationals, not merely
+// the allocation ClosMaxMinFair promises, as the reference computes it
+// (ReferenceMaxMinFair over ClosRouting) — same rationals, not merely
 // equal floats — over every assignment of a small instance, on both the
 // Rat64 kernel and the pinned big.Rat fallback.
 func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {
@@ -53,7 +54,7 @@ func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {
 			ma[fi] = 1 + r%2
 			r /= 2
 		}
-		want, err := ClosMaxMinFair(c, fs, ma)
+		want, err := referenceClos(c, fs, ma)
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
@@ -62,14 +63,14 @@ func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("rank %d (%v): Eval = %v, ClosMaxMinFair = %v", rank, ma, got, want)
+			t.Errorf("rank %d (%v): Eval = %v, reference = %v", rank, ma, got, want)
 		}
 		big, err := eval1(evBig, ma)
 		if err != nil {
 			t.Fatalf("rank %d big: %v", rank, err)
 		}
 		if !big.Equal(want) {
-			t.Errorf("rank %d (%v): ForceBig Eval = %v, ClosMaxMinFair = %v", rank, ma, big, want)
+			t.Errorf("rank %d (%v): ForceBig Eval = %v, reference = %v", rank, ma, big, want)
 		}
 	}
 	if !ev.k.fast {
@@ -98,7 +99,7 @@ func TestEvaluatorMatchesRandom(t *testing.T) {
 		for fi := range ma {
 			ma[fi] = 1 + rng.Intn(c.Size())
 		}
-		want, err := ClosMaxMinFair(c, fs, ma)
+		want, err := referenceClos(c, fs, ma)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -108,7 +109,7 @@ func TestEvaluatorMatchesRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("trial %d (%v): Eval = %v, ClosMaxMinFair = %v", trial, ma, got, want)
+			t.Errorf("trial %d (%v): Eval = %v, reference = %v", trial, ma, got, want)
 		}
 	}
 	if ev.Promotions() != 0 {

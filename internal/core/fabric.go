@@ -18,7 +18,7 @@ import (
 // so a prepared fabric goes wherever a fabric does.
 type PreparedFabric struct {
 	topology.Fabric
-	laneOf []int32 // LinkID -> lane, -1 when unbounded
+	laneOf laneMap
 	caps   capTemplate
 
 	relaxOnce sync.Once
@@ -37,11 +37,14 @@ func PrepareFabric(c topology.Fabric) *PreparedFabric {
 	return &PreparedFabric{Fabric: c, laneOf: laneOf, caps: newCapTemplate(caps)}
 }
 
+// laneMap maps a LinkID to its lane, -1 for an unbounded link.
+type laneMap []int32
+
 // finiteLanes numbers a network's finite links densely as lanes in
-// ascending LinkID order, returning the LinkID → lane map (-1 for
-// unbounded links) and the lane capacities.
-func finiteLanes(net *topology.Network) ([]int32, []*big.Rat) {
-	laneOf := make([]int32, net.NumLinks())
+// ascending LinkID order, returning the LinkID → lane map and the lane
+// capacities.
+func finiteLanes(net *topology.Network) (laneMap, []*big.Rat) {
+	laneOf := make(laneMap, net.NumLinks())
 	caps := make([]*big.Rat, 0, len(laneOf))
 	for id := range laneOf {
 		laneOf[id] = -1
@@ -62,9 +65,9 @@ func (pf *PreparedFabric) Capacities() (capN []int64, den int64, ok bool) {
 }
 
 // appendLanes appends the finite lanes of path p to lanes.
-func (pf *PreparedFabric) appendLanes(lanes []int32, p topology.Path) []int32 {
+func (m laneMap) appendLanes(lanes []int32, p topology.Path) []int32 {
 	for _, l := range p {
-		if j := pf.laneOf[l]; j >= 0 {
+		if j := m[l]; j >= 0 {
 			lanes = append(lanes, j)
 		}
 	}
@@ -88,7 +91,7 @@ func (pf *PreparedFabric) PathLanes(fs Collection) ([][]int32, error) {
 			if flat == nil {
 				flat = make([]int32, 0, len(path)*len(ends))
 			}
-			flat = pf.appendLanes(flat, path)
+			flat = pf.laneOf.appendLanes(flat, path)
 			ends[fi*n+m-1] = len(flat)
 		}
 	}

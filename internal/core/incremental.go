@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"slices"
@@ -148,7 +149,7 @@ func (ie *IncrementalEvaluator) lanes(f Flow, middle int) ([]int32, error) {
 	if ie.path, err = ie.fab.AppendPath(ie.path[:0], f.Src, f.Dst, middle); err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	return ie.fab.appendLanes(make([]int32, 0, len(ie.path)), ie.path), nil
+	return ie.fab.laneOf.appendLanes(make([]int32, 0, len(ie.path)), ie.path), nil
 }
 
 // Arrive admits a flow on the path selected by middle and refills. On
@@ -483,7 +484,7 @@ func (ie *IncrementalEvaluator) promote() error {
 func (ie *IncrementalEvaluator) fillBig() error {
 	ie.traceValid, ie.promoted = false, true
 	ie.prepare()
-	return ie.k.fillBig(ie.ratesBig)
+	return ie.k.fillBig(context.TODO(), ie.ratesBig)
 }
 
 func removeHandle(on []int32, h FlowID) []int32 {

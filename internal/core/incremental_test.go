@@ -10,7 +10,7 @@ import (
 )
 
 // checkOracle asserts that ie's current allocation is bit-identical to a
-// fresh ClosMaxMinFair of the same (Collection, MiddleAssignment).
+// reference fill of the same (Collection, MiddleAssignment).
 func checkOracle(t *testing.T, fab topology.Fabric, ie *IncrementalEvaluator) {
 	t.Helper()
 	fs, ma, ids := ie.Flows()
@@ -23,9 +23,9 @@ func checkOracle(t *testing.T, fab topology.Fabric, ie *IncrementalEvaluator) {
 		}
 		return
 	}
-	want, err := ClosMaxMinFair(fab, fs, ma)
+	want, err := referenceClos(fab, fs, ma)
 	if err != nil {
-		t.Fatalf("oracle ClosMaxMinFair: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
 	got := ie.Rates()
 	if len(got) != len(want) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/big"
@@ -14,8 +15,9 @@ import (
 var errNoProgress = errors.New("waterfill: no progress (internal invariant violated)")
 
 // kernel is the package's one production water filling — the exact
-// progressive filling of §2.2 — driven by every evaluator in the package
-// (MaxMinFair stays separate, as the independent reference oracle).
+// progressive filling of §2.2 — driven by MaxMinFair and every evaluator
+// in the package (ReferenceMaxMinFair, the tests' oracle, is the only
+// other filling).
 // A driver numbers its finite constraints densely as lanes (ascending
 // LinkID order on a real network) and supplies one lane list per flow;
 // a fill only visits the touched lanes, in ascending order.
@@ -240,8 +242,11 @@ func (k *kernel) freezeSaturated() error {
 }
 
 // fillBig runs the registered fill to completion on *big.Rat, writing
-// flow f's rate to rates[f]. remN mirrors remB's sign for the scan.
-func (k *kernel) fillBig(rates []*big.Rat) error {
+// flow f's rate to rates[f]. remN mirrors remB's sign for the scan. It
+// polls ctx once per round and returns ctx.Err() when it is done: a
+// promoted fill can run for seconds. The scratch a cancelled fill
+// leaves is reset by the next register.
+func (k *kernel) fillBig(ctx context.Context, rates []*big.Rat) error {
 	if k.remB == nil {
 		k.remB = make([]big.Rat, len(k.capsBig))
 	}
@@ -250,6 +255,9 @@ func (k *kernel) fillBig(rates []*big.Rat) error {
 	}
 	level := new(big.Rat)
 	for k.left > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		// With remB = p/q and a active flows, delta = p/(q·a), and
 		// d1 < d2 iff p1·q2·a2 < p2·q1·a1: no division per lane.
 		minJ := int32(-1)
@@ -292,8 +300,8 @@ func (k *kernel) fillBig(rates []*big.Rat) error {
 
 // solve registers lanes and fills them: on the int64 lanes into rates
 // when fast is set, returning a nil Allocation, and otherwise — or on
-// overflow — on *big.Rat, returning the result.
-func (k *kernel) solve(lanes [][]int32, rates []rational.Rat64, fast bool) (Allocation, error) {
+// overflow — on *big.Rat under ctx, returning the result.
+func (k *kernel) solve(ctx context.Context, lanes [][]int32, rates []rational.Rat64, fast bool) (Allocation, error) {
 	k.register(lanes)
 	if fast {
 		if ok, err := k.fill64(rates); ok || err != nil {
@@ -302,7 +310,7 @@ func (k *kernel) solve(lanes [][]int32, rates []rational.Rat64, fast bool) (Allo
 		k.register(lanes)
 	}
 	a := make(Allocation, len(lanes))
-	return a, k.fillBig(a)
+	return a, k.fillBig(ctx, a)
 }
 
 // allocOf materializes a rate lane as a fresh Allocation, sharing one

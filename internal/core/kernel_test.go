@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 // hand-built networks with fractional and zero capacities, so the
 // shared denominator is seeded above 1 (every fabric in the repository
 // has integral capacities and den0 = 1). The int64 fast path must
-// complete without promotion, and it, the big.Rat path and the
-// MaxMinFair oracle must agree exactly.
+// complete without promotion, and it, the big.Rat path and
+// ReferenceMaxMinFair must agree exactly.
 func TestKernelFractionalCapacities(t *testing.T) {
 	r := rational.R
 	for _, tc := range []struct {
@@ -42,7 +43,7 @@ func TestKernelFractionalCapacities(t *testing.T) {
 			l4, _ := net.AddLink(s3, d, r(2, 3))
 			fs := NewCollection(s1, d, s1, d, s2, d, s3, d)
 			rt := Routing{{l1, l3}, {l1, l3}, {l2, l3}, {l4}}
-			want, err := MaxMinFair(net, fs, rt)
+			want, err := ReferenceMaxMinFair(net, fs, rt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,9 +56,7 @@ func TestKernelFractionalCapacities(t *testing.T) {
 			}
 			lanes := make([][]int32, len(rt))
 			for fi, p := range rt {
-				for _, l := range p {
-					lanes[fi] = append(lanes[fi], laneOf[l])
-				}
+				lanes[fi] = laneOf.appendLanes(nil, p)
 			}
 			rates := make([]rational.Rat64, len(fs))
 			k.register(lanes)
@@ -65,16 +64,27 @@ func TestKernelFractionalCapacities(t *testing.T) {
 				t.Fatalf("fill64: ok = %v, err = %v", ok, err)
 			}
 			if fast := allocOf(rates); !fast.Equal(want) {
-				t.Errorf("fast path %v, MaxMinFair %v", fast, want)
+				t.Errorf("fast path %v, reference %v", fast, want)
 			}
 			slow := make(Allocation, len(fs))
 			k.register(lanes)
-			if err := k.fillBig(slow); err != nil {
+			if err := k.fillBig(context.Background(), slow); err != nil {
 				t.Fatal(err)
 			}
 			if !slow.Equal(want) {
-				t.Errorf("big path %v, MaxMinFair %v", slow, want)
+				t.Errorf("big path %v, reference %v", slow, want)
 			}
 		})
 	}
+}
+
+// referenceClos is ReferenceMaxMinFair over ClosRouting: the oracle the
+// kernel drivers' differential tests compare against, independent of
+// the kernel they check.
+func referenceClos(c topology.Fabric, fs Collection, ma MiddleAssignment) (Allocation, error) {
+	r, err := ClosRouting(c, fs, ma)
+	if err != nil {
+		return nil, err
+	}
+	return ReferenceMaxMinFair(c.Network(), fs, r)
 }

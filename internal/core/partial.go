@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"closnet/internal/rational"
@@ -165,7 +166,7 @@ func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (Allocation
 		}
 		e.cur[fi] = e.lanes[fi*(e.n+1)+m]
 	}
-	a, err := e.k.solve(e.cur, e.rates, e.k.fast && !e.forceBig)
+	a, err := e.k.solve(context.TODO(), e.cur, e.rates, e.k.fast && !e.forceBig)
 	if a == nil && err == nil {
 		a = allocOf(e.rates)
 	}

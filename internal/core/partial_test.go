@@ -43,7 +43,7 @@ func TestPartialBoundLeafExact(t *testing.T) {
 	}
 	ma := make(MiddleAssignment, len(fs))
 	forEachAssignment(ma, 0, len(fs), c.Size(), func() {
-		exact, err := ClosMaxMinFair(c, fs, ma)
+		exact, err := referenceClos(c, fs, ma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestPartialBoundAdmissible(t *testing.T) {
 					t.Fatal(err)
 				}
 				forEachAssignment(ma, 0, fixedFrom, tc.n, func() {
-					exact, err := ClosMaxMinFair(c, fs, ma)
+					exact, err := referenceClos(c, fs, ma)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -213,7 +213,7 @@ func FuzzPartialBoundAdmissible(f *testing.F) {
 			t.Fatalf("fast %v != big %v", bound, bigBound)
 		}
 		forEachAssignment(ma, 0, fixedFrom, c.Size(), func() {
-			exact, err := ClosMaxMinFair(c, fs, ma)
+			exact, err := referenceClos(c, fs, ma)
 			if err != nil {
 				t.Fatal(err)
 			}

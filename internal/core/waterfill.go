@@ -21,21 +21,37 @@ var ErrUnboundedFlow = errors.New("waterfill: flow bounded by no finite-capacity
 // in §2.2): the rates of all unfrozen flows rise uniformly; whenever a
 // link saturates, the flows crossing it freeze at the current water level.
 //
-// The result is exact. The allocator runs in O(|F|) rounds, each scanning
-// all links, and the returned allocation always satisfies the bottleneck
-// property (enforced separately by IsMaxMinFair in tests).
+// It is the package's one-shot kernel driver (kernel.go) and works on any
+// network and routing: it numbers net's finite links as lanes, resolves
+// every flow's path to its lanes and runs one fill, on int64 lanes and
+// promoted losslessly to *big.Rat on overflow. The result is exact and
+// equals ReferenceMaxMinFair's; flows with equal rates may share one
+// *big.Rat, so its elements must not be mutated in place.
 func MaxMinFair(net *topology.Network, fs Collection, r Routing) (Allocation, error) {
-	return MaxMinFairCtx(context.Background(), net, fs, r)
+	if err := r.Validate(net, fs); err != nil {
+		return nil, fmt.Errorf("waterfill: %w", err)
+	}
+	laneOf, caps := finiteLanes(net)
+	tmpl := newCapTemplate(caps)
+	lanes := make([][]int32, len(fs))
+	for fi, p := range r {
+		lanes[fi] = laneOf.appendLanes(nil, p)
+	}
+	rates := make([]rational.Rat64, len(fs))
+	a, err := tmpl.newKernel().solve(context.TODO(), lanes, rates, tmpl.fast)
+	if a == nil && err == nil {
+		a = allocOf(rates)
+	}
+	return a, err
 }
 
-// MaxMinFairCtx is MaxMinFair bounded by a context: the filler polls
-// ctx once per freeze round (each round is one O(links) scan, so
-// cancellation latency is a single round) and a cancelled run returns
-// ctx.Err() with no partial allocation. It is the deadline propagation
-// path of the serving layer's /v1/evaluate and /v1/doom operations,
-// which previously ran to completion after their request had been
-// abandoned.
-func MaxMinFairCtx(ctx context.Context, net *topology.Network, fs Collection, r Routing) (Allocation, error) {
+// ReferenceMaxMinFair is the same progressive filling as a direct walk
+// of the network on *big.Rat, independent of the kernel: each round
+// scans all links for the smallest uniform increase that saturates one.
+// It is the reference the kernel drivers are tested against and no
+// production code calls it; it is exported only because Go cannot share
+// _test.go code across packages.
+func ReferenceMaxMinFair(net *topology.Network, fs Collection, r Routing) (Allocation, error) {
 	if err := r.Validate(net, fs); err != nil {
 		return nil, fmt.Errorf("waterfill: %w", err)
 	}
@@ -65,9 +81,6 @@ func MaxMinFairCtx(ctx context.Context, net *topology.Network, fs Collection, r 
 	remainingFlows := nf
 
 	for remainingFlows > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		// Smallest uniform increase that saturates some link:
 		// min over finite links with active flows of remaining/active.
 		var delta *big.Rat
@@ -138,15 +151,9 @@ func MacroMaxMinFair(ms *topology.MacroSwitch, fs Collection) (Allocation, error
 // ClosMaxMinFair computes the max-min fair allocation of fs in the Clos
 // network c under the routing given by middle assignment ma.
 func ClosMaxMinFair(c topology.Fabric, fs Collection, ma MiddleAssignment) (Allocation, error) {
-	return ClosMaxMinFairCtx(context.Background(), c, fs, ma)
-}
-
-// ClosMaxMinFairCtx is ClosMaxMinFair bounded by a context (see
-// MaxMinFairCtx for the cancellation contract).
-func ClosMaxMinFairCtx(ctx context.Context, c topology.Fabric, fs Collection, ma MiddleAssignment) (Allocation, error) {
 	r, err := ClosRouting(c, fs, ma)
 	if err != nil {
 		return nil, err
 	}
-	return MaxMinFairCtx(ctx, c.Network(), fs, r)
+	return MaxMinFair(c.Network(), fs, r)
 }

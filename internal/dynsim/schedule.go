@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"closnet/internal/core"
+	"closnet/internal/rational"
 	"closnet/internal/topology"
 )
 
@@ -49,16 +50,12 @@ func scheduleMatching(c *topology.Clos, active []*activeFlow) error {
 		fs[k] = af.flow
 		ma[k] = af.middle
 	}
-	r, err := core.ClosRouting(c, fs, ma)
-	if err != nil {
-		return err
-	}
-	rates, err := core.MaxMinFairFloat(c.Network(), fs, r)
+	rates, err := core.ClosMaxMinFair(c, fs, ma)
 	if err != nil {
 		return err
 	}
 	for k, af := range admitted {
-		af.rate = rates[k]
+		af.rate = rational.Float(rates[k])
 	}
 	return nil
 }

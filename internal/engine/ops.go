@@ -14,27 +14,31 @@ import (
 
 // computeEvaluate answers the evaluate op: the max-min fair allocation
 // of the canonical scenario under its embedded routing (uniform middle
-// 1 when absent), in canonical flow order, written straight from the
-// block evaluator's Rat64 lane unless the state was promoted.
+// 1 when absent), in canonical flow order.
 func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Requests sharing a topology hash share one prepared block
-	// evaluator: a pool hit skips the flows' lane resolution entirely,
-	// and only the assignment below varies.
-	canon := p.Canon
-	bev, put, err := e.evals.acquire(p.TopoHash, canon, e.opts.Obs)
+	ma := core.MiddleAssignment(p.Canon.Assignment)
+	if ma == nil {
+		ma = core.UniformAssignment(len(p.Canon.Flows), 1)
+	}
+	return fill(ctx, e, p, ma, func(rates codec.Rates) []byte {
+		return codec.EvaluateBody(&p.Hash, len(p.Canon.Flows), ma, rates)
+	})
+}
+
+// fill water-fills p under ma on the pooled block evaluator of p's
+// topology, bounded by ctx, and returns what body writes from the
+// rates: the Rat64 lane unless the state was promoted.
+func fill(ctx context.Context, e *Engine, p *Prepared, ma core.MiddleAssignment, body func(codec.Rates) []byte) ([]byte, error) {
+	bev, put, err := e.evals.acquire(p.TopoHash, p.Canon, e.opts.Obs)
 	if err != nil {
 		return nil, err
 	}
 	defer put()
-	ma := core.MiddleAssignment(canon.Assignment)
-	if ma == nil {
-		ma = core.UniformAssignment(len(canon.Flows), 1)
-	}
 	sp, _ := obs.StartSpan(ctx, "core.block_fill")
-	res, err := bev.EvalBlock(ma, 1)
+	res, err := bev.EvalBlockCtx(ctx, ma, 1)
 	sp.Attr("block", 1).End()
 	if err != nil {
 		return nil, err
@@ -45,7 +49,7 @@ func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error
 	if res.Promoted(0) {
 		rates = codec.Rates{Big: res.Alloc(0)}
 	}
-	return codec.EvaluateBody(&p.Hash, len(canon.Flows), ma, rates), nil
+	return body(rates), nil
 }
 
 // searchOp builds the compute function of one search objective, in the
@@ -95,7 +99,8 @@ func searchOp(objective string, pruned bool) computeFunc {
 }
 
 // computeDoom answers the doom op: Algorithm 1's routing and its
-// max-min fair allocation, in canonical flow order.
+// max-min fair allocation, in canonical flow order, filled the way
+// evaluate fills.
 func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	c, fs, err := e.fabric(p.Canon)
 	if err != nil {
@@ -107,9 +112,7 @@ func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.ClosMaxMinFairCtx(ctx, c, fs, res.Assignment)
-	if err != nil {
-		return nil, err
-	}
-	return codec.DoomBody(&p.Hash, res.Assignment, res.DoomMiddle, res.MatchedCount(), codec.Rates{Big: a}), nil
+	return fill(ctx, e, p, res.Assignment, func(rates codec.Rates) []byte {
+		return codec.DoomBody(&p.Hash, res.Assignment, res.DoomMiddle, res.MatchedCount(), rates)
+	})
 }

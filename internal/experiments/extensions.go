@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"math/big"
 	"math/rand"
 	"strconv"
 
@@ -77,7 +76,7 @@ func RunR1() (*Table, error) {
 		return nil, err
 	}
 	t.AddRow("example-2.3",
-		rational.String(worstRatio(lexOpt.Allocation, ex.MacroRates)),
+		rational.String(search.MinRatio(lexOpt.Allocation, ex.MacroRates)),
 		rational.String(relOpt.MinRatio),
 		"exhaustive")
 
@@ -97,31 +96,13 @@ func RunR1() (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(in.Name,
-			rational.String(worstRatio(wa, in.MacroRates)),
+			rational.String(search.MinRatio(wa, in.MacroRates)),
 			rational.String(climbed.MinRatio),
 			"hill climb from lex witness")
 	}
 	t.AddNote("relative-max-min fairness protects the worst-off flow strictly better than lex-max-min fairness on every instance above")
 	t.AddNote("whether a constant-factor guarantee is always achievable is the paper's open question; these are instance-level data points")
 	return t, nil
-}
-
-// worstRatio is minRatio over flows with nonzero target.
-func worstRatio(a core.Allocation, target rational.Vec) *big.Rat {
-	var worst *big.Rat
-	for fi := range a {
-		if target[fi].Sign() == 0 {
-			continue
-		}
-		r := rational.Div(a[fi], target[fi])
-		if worst == nil || r.Cmp(worst) < 0 {
-			worst = r
-		}
-	}
-	if worst == nil {
-		return rational.One()
-	}
-	return worst
 }
 
 // RunM1 probes the multirate-rearrangeability question of §6 for

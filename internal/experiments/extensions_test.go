@@ -146,6 +146,38 @@ func TestRunS2(t *testing.T) {
 	}
 }
 
+// TestS2RatiosAboveOneAreExact: over S2's own instances (its registry
+// configuration), the float ratios above 1.0 that fall outside the
+// "≤1.00" column are exactly the flows whose exact network rate exceeds
+// their exact macro rate. A pair of equal rates must read exactly 1.0,
+// not float noise above it.
+func TestS2RatiosAboveOneAreExact(t *testing.T) {
+	cfg := SimConfig{Sizes: []int{4}, FlowsPerServerPair: 2, Trials: 5, Seed: 1}
+	floatAbove, exactAbove := 0, 0
+	if err := forEachSimRun(cfg, func(r simRun) {
+		var s simStats
+		s.observe(r.clos, r.macro)
+		for _, x := range s.ratios {
+			if x > 1.0 {
+				floatAbove++
+			}
+		}
+		for fi := range r.clos {
+			if r.macro[fi].Sign() > 0 && r.clos[fi].Cmp(r.macro[fi]) > 0 {
+				exactAbove++
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if exactAbove == 0 {
+		t.Fatal("no exact ratio above 1: the instances do not exercise the column")
+	}
+	if floatAbove != exactAbove {
+		t.Errorf("float ratios above 1.0: %d, exact ratios above 1: %d", floatAbove, exactAbove)
+	}
+}
+
 func TestRunO1(t *testing.T) {
 	tab, err := RunO1(4, 2, []int{1, 2, 4}, 2, 3)
 	if err != nil {

@@ -45,27 +45,19 @@ func RunO1(tors, middles int, serverCounts []int, trials int, seed int64) (*Tabl
 			if err != nil {
 				return nil, err
 			}
-			macroR, err := core.MacroRouting(ms, pair.Macro)
+			macro, err := core.MacroMaxMinFair(ms, pair.Macro)
 			if err != nil {
 				return nil, err
 			}
-			macroRates, err := core.MaxMinFairFloat(ms.Network(), pair.Macro, macroR)
+			ma, err := greedy.Route(c, pair.Clos, macro.Floats(), nil)
 			if err != nil {
 				return nil, err
 			}
-			ma, err := greedy.Route(c, pair.Clos, macroRates, nil)
+			a, err := core.ClosMaxMinFair(c, pair.Clos, ma)
 			if err != nil {
 				return nil, err
 			}
-			r, err := core.ClosRouting(c, pair.Clos, ma)
-			if err != nil {
-				return nil, err
-			}
-			closRates, err := core.MaxMinFairFloat(c.Network(), pair.Clos, r)
-			if err != nil {
-				return nil, err
-			}
-			pooled.observe(closRates, macroRates)
+			pooled.observe(a, macro)
 		}
 		sum := stats.Summarize(pooled.ratios)
 		t.AddRow(

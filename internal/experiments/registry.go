@@ -22,7 +22,7 @@ func All() []Runner {
 			return RunF3([]int{3, 4, 5})
 		}},
 		{"T2", "Theorem 4.3 starvation sweep", func() (*Table, error) {
-			return RunT2([]int{3, 4, 5, 6, 7, 8}, 4)
+			return RunT2([]int{3, 4, 5, 6, 7, 8})
 		}},
 		{"F4", "Example 5.3 Doom-Switch (Figure 4)", RunF4},
 		{"T3", "Theorem 5.4 throughput-gain sweep", func() (*Table, error) {

@@ -8,6 +8,7 @@ import (
 	"closnet/internal/core"
 	"closnet/internal/rational"
 	"closnet/internal/routing"
+	"closnet/internal/search"
 	"closnet/internal/stats"
 	"closnet/internal/topology"
 	"closnet/internal/workload"
@@ -46,51 +47,17 @@ func RunS1(cfg SimConfig) (*Table, error) {
 			"mean ratio", "p10 ratio", "min ratio", "throughput ratio",
 		},
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	algs := routing.All()
-	for _, n := range cfg.Sizes {
-		c, err := topology.NewClos(n)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := topology.NewMacroSwitch(n)
-		if err != nil {
-			return nil, err
-		}
-		numFlows := cfg.FlowsPerServerPair * 2 * n * n
-		for _, wg := range workload.Generators() {
-			stats := make([]simStats, len(algs))
-			for trial := 0; trial < cfg.Trials; trial++ {
-				pair, err := wg.Draw(rng, c, ms, numFlows)
-				if err != nil {
-					return nil, err
-				}
-				macroR, err := core.MacroRouting(ms, pair.Macro)
-				if err != nil {
-					return nil, err
-				}
-				macroRates, err := core.MaxMinFairFloat(ms.Network(), pair.Macro, macroR)
-				if err != nil {
-					return nil, err
-				}
-				for ai, alg := range algs {
-					ma, err := alg.Route(c, pair.Clos, macroRates, rng)
-					if err != nil {
-						return nil, err
-					}
-					r, err := core.ClosRouting(c, pair.Clos, ma)
-					if err != nil {
-						return nil, err
-					}
-					closRates, err := core.MaxMinFairFloat(c.Network(), pair.Clos, r)
-					if err != nil {
-						return nil, err
-					}
-					stats[ai].observe(closRates, macroRates)
-				}
-			}
+	algs, gens := routing.All(), workload.Generators()
+	runs := make([]simStats, len(cfg.Sizes)*len(gens)*len(algs))
+	if err := forEachSimRun(cfg, func(r simRun) {
+		runs[(r.size*len(gens)+r.workload)*len(algs)+r.alg].observe(r.clos, r.macro)
+	}); err != nil {
+		return nil, err
+	}
+	for si, n := range cfg.Sizes {
+		for wi, wg := range gens {
 			for ai, alg := range algs {
-				s := stats[ai]
+				s := &runs[(si*len(gens)+wi)*len(algs)+ai]
 				sum := s.summary()
 				t.AddRow(n, wg.Name, alg.Name,
 					fmt.Sprintf("%.4f", sum.Mean),
@@ -102,27 +69,80 @@ func RunS1(cfg SimConfig) (*Table, error) {
 		}
 	}
 	t.AddNote("ratios are per-flow networkRate/macroRate; 1.0 means the macro-switch abstraction holds for that flow")
-	t.AddNote("expected shape: congestion-aware algorithms (greedy, local-search, first-fit) stay near 1; ECMP's minimum ratio degrades")
+	t.AddNote("expected shape: congestion-aware algorithms (greedy, local-search, first-fit) stay near 1 on average, least so under permutation traffic; ECMP's minimum ratio degrades")
 	return t, nil
+}
+
+// simRun is one routing of one drawn instance of S1 and S2: the indices
+// of its size, workload and algorithm, and the exact max-min fair rates
+// of the routed Clos flows and of the same flows in the macro-switch.
+type simRun struct {
+	size, workload, alg int
+	clos, macro         core.Allocation
+}
+
+// forEachSimRun draws cfg's instances from one seeded stream — per
+// size, workload and trial, in that order — and routes each with every
+// baseline algorithm, which takes the macro-switch rates as float64
+// demands. visit gets every routing's exact rates.
+func forEachSimRun(cfg SimConfig, visit func(simRun)) error {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	algs := routing.All()
+	for si, n := range cfg.Sizes {
+		c, err := topology.NewClos(n)
+		if err != nil {
+			return err
+		}
+		ms, err := topology.NewMacroSwitch(n)
+		if err != nil {
+			return err
+		}
+		numFlows := cfg.FlowsPerServerPair * 2 * n * n
+		for wi, wg := range workload.Generators() {
+			for trial := 0; trial < cfg.Trials; trial++ {
+				pair, err := wg.Draw(rng, c, ms, numFlows)
+				if err != nil {
+					return err
+				}
+				macro, err := core.MacroMaxMinFair(ms, pair.Macro)
+				if err != nil {
+					return err
+				}
+				demands := macro.Floats()
+				for ai, alg := range algs {
+					ma, err := alg.Route(c, pair.Clos, demands, rng)
+					if err != nil {
+						return err
+					}
+					a, err := core.ClosMaxMinFair(c, pair.Clos, ma)
+					if err != nil {
+						return err
+					}
+					visit(simRun{size: si, workload: wi, alg: ai, clos: a, macro: macro})
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // simStats accumulates per-flow ratios and throughput totals.
 type simStats struct {
-	ratios            []float64
-	closT, macroT     float64
-	observed, skipped int
+	ratios        []float64
+	closT, macroT float64
 }
 
-func (s *simStats) observe(closRates, macroRates []float64) {
+// observe adds one routing's per-flow network/macro ratios and
+// throughputs. The rates are exact and become float64 only here, so
+// two equal rates have ratio exactly 1.
+func (s *simStats) observe(closRates, macroRates core.Allocation) {
 	for i := range closRates {
-		s.closT += closRates[i]
-		s.macroT += macroRates[i]
-		if macroRates[i] <= 0 {
-			s.skipped++
-			continue
+		c, m := rational.Float(closRates[i]), rational.Float(macroRates[i])
+		s.closT += c
+		s.macroT += m
+		if m > 0 {
+			s.ratios = append(s.ratios, c/m)
 		}
-		s.ratios = append(s.ratios, closRates[i]/macroRates[i])
-		s.observed++
 	}
 }
 
@@ -169,15 +189,8 @@ func RunS1Adversarial(ns []int, seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			worst := rational.Div(a[0], in.MacroRates[0])
-			for fi := 1; fi < len(a); fi++ {
-				r := rational.Div(a[fi], in.MacroRates[fi])
-				if r.Cmp(worst) < 0 {
-					worst = r
-				}
-			}
 			t.AddRow(n, alg.Name,
-				fmt.Sprintf("%.4f", rational.Float(worst)),
+				fmt.Sprintf("%.4f", rational.Float(search.MinRatio(a, in.MacroRates))),
 				fmt.Sprintf("%.4f", 1/float64(n)),
 			)
 		}
@@ -201,52 +214,16 @@ func RunS2(cfg SimConfig) (*Table, error) {
 			"≤0.25", "≤0.50", "≤0.75", "≤0.90", "≤0.99", "≤1.00",
 		},
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	algs := routing.All()
-	for _, n := range cfg.Sizes {
-		c, err := topology.NewClos(n)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := topology.NewMacroSwitch(n)
-		if err != nil {
-			return nil, err
-		}
-		numFlows := cfg.FlowsPerServerPair * 2 * n * n
-		pooled := make([]simStats, len(algs))
-		for _, wg := range workload.Generators() {
-			for trial := 0; trial < cfg.Trials; trial++ {
-				pair, err := wg.Draw(rng, c, ms, numFlows)
-				if err != nil {
-					return nil, err
-				}
-				macroR, err := core.MacroRouting(ms, pair.Macro)
-				if err != nil {
-					return nil, err
-				}
-				macroRates, err := core.MaxMinFairFloat(ms.Network(), pair.Macro, macroR)
-				if err != nil {
-					return nil, err
-				}
-				for ai, alg := range algs {
-					ma, err := alg.Route(c, pair.Clos, macroRates, rng)
-					if err != nil {
-						return nil, err
-					}
-					r, err := core.ClosRouting(c, pair.Clos, ma)
-					if err != nil {
-						return nil, err
-					}
-					closRates, err := core.MaxMinFairFloat(c.Network(), pair.Clos, r)
-					if err != nil {
-						return nil, err
-					}
-					pooled[ai].observe(closRates, macroRates)
-				}
-			}
-		}
+	pooled := make([]simStats, len(cfg.Sizes)*len(algs))
+	if err := forEachSimRun(cfg, func(r simRun) {
+		pooled[r.size*len(algs)+r.alg].observe(r.clos, r.macro)
+	}); err != nil {
+		return nil, err
+	}
+	for si, n := range cfg.Sizes {
 		for ai, alg := range algs {
-			fractions := stats.FractionAtMost(pooled[ai].ratios, thresholds)
+			fractions := stats.FractionAtMost(pooled[si*len(algs)+ai].ratios, thresholds)
 			row := []interface{}{n, alg.Name}
 			for _, fr := range fractions {
 				row = append(row, stats.FormatFraction(fr))
@@ -256,6 +233,6 @@ func RunS2(cfg SimConfig) (*Table, error) {
 	}
 	t.AddNote("a column value is the fraction of flows whose ratio is at most the threshold; small values left of 1.00 mean the macro-switch abstraction mostly holds")
 	t.AddNote("ECMP accumulates mass at low ratios; the congestion-aware algorithms concentrate almost all mass at 1.00")
-	t.AddNote("mass above 1.00 is genuine: a flow can exceed its macro rate when a competitor is throttled inside the fabric and frees a shared server link")
+	t.AddNote("mass above 1.00 is genuine, since both rates are exact and equal rates read exactly 1.00: a flow can exceed its macro rate when a competitor is throttled inside the fabric and frees a shared server link")
 	return t, nil
 }

@@ -49,8 +49,8 @@ func familyInstances(t *testing.T) map[string]struct {
 }
 
 // oracle scans all n^|F| assignments with a plain base-n counter and
-// an independent evaluation path (ClosRouting + MaxMinFair, not the
-// incremental evaluator), returning the lex-max-min and max-throughput
+// an independent evaluation path (ClosRouting + ReferenceMaxMinFair,
+// not the kernel), returning the lex-max-min and max-throughput
 // optima. It deliberately shares no enumeration or evaluation code
 // with package search.
 func oracle(t *testing.T, c topology.Fabric, fs core.Collection) (lexBest, tpBest core.Allocation, lexMA core.MiddleAssignment) {
@@ -63,7 +63,7 @@ func oracle(t *testing.T, c topology.Fabric, fs core.Collection) (lexBest, tpBes
 		if err != nil {
 			t.Fatalf("oracle routing %v: %v", ma, err)
 		}
-		a, err := core.MaxMinFair(c.Network(), fs, r)
+		a, err := core.ReferenceMaxMinFair(c.Network(), fs, r)
 		if err != nil {
 			t.Fatalf("oracle waterfill %v: %v", ma, err)
 		}
@@ -125,7 +125,7 @@ func TestCrossFamilyOracle(t *testing.T) {
 }
 
 // TestCrossFamilyEvaluatorAgreement: for each family, the block
-// evaluator and the reference routing+waterfill path produce identical
+// evaluator and ClosRouting + ReferenceMaxMinFair produce identical
 // allocations on every assignment of a sample.
 func TestCrossFamilyEvaluatorAgreement(t *testing.T) {
 	for name, in := range familyInstances(t) {
@@ -145,7 +145,11 @@ func TestCrossFamilyEvaluatorAgreement(t *testing.T) {
 		}
 		sample = append(sample, roll)
 		for _, ma := range sample {
-			ref, err := core.ClosMaxMinFair(in.c, in.fs, ma)
+			r, err := core.ClosRouting(in.c, in.fs, ma)
+			if err != nil {
+				t.Fatalf("%s routing %v: %v", name, ma, err)
+			}
+			ref, err := core.ReferenceMaxMinFair(in.c.Network(), in.fs, r)
 			if err != nil {
 				t.Fatalf("%s reference %v: %v", name, ma, err)
 			}

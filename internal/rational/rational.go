@@ -84,7 +84,7 @@ func IsZero(a *big.Rat) bool {
 
 // Float returns the closest float64 to a. The second return value of
 // Rat.Float64 (exactness) is intentionally dropped: callers use Float only
-// for reporting and for the float fast path of the simulator.
+// for reporting and for the float statistics of the simulations.
 func Float(a *big.Rat) float64 {
 	f, _ := a.Float64()
 	return f

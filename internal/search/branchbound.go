@@ -161,7 +161,7 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 			// The leaves are evaluated in ascending rank under the
 			// incumbent rule; no ceiling stop: pruned States counts every
 			// leaf of an expanded last-level node.
-			if _, err := l.eval(leafBuf, k, node.lo); err != nil {
+			if _, err := l.eval(ctx, leafBuf, k, node.lo); err != nil {
 				return nil, err
 			}
 			states += k

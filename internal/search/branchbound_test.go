@@ -216,7 +216,7 @@ func checkThroughputBoundPrefixes(t *testing.T, c topology.Fabric, fs core.Colle
 			var complete func(p int)
 			complete = func(p int) {
 				if p == fixedFrom {
-					a, err := core.ClosMaxMinFair(c, fs, comp)
+					a, err := referenceClos(c, fs, comp)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -159,10 +159,11 @@ func newLeaves(c topology.Fabric, fs core.Collection, obj *objective, eo engineO
 
 // eval evaluates the k assignments packed state-major in mas, ranked
 // lo, lo+1, …, and returns the rank just past the first state whose
-// value attains the ceiling, or -1.
-func (l *leaves) eval(mas []int, k, lo int) (int, error) {
+// value attains the ceiling, or -1. A promoted state's fill is bounded
+// by ctx.
+func (l *leaves) eval(ctx context.Context, mas []int, k, lo int) (int, error) {
 	bsp := l.span.Child("core.block_fill")
-	res, err := l.bev.EvalBlock(mas, k)
+	res, err := l.bev.EvalBlockCtx(ctx, mas, k)
 	bsp.Attr("block", k).End()
 	if err != nil {
 		return -1, err
@@ -345,7 +346,7 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 					buf = append(buf, ma...)
 					cur.advance()
 				}
-				stop, err := l.eval(buf, k, rank)
+				stop, err := l.eval(ctx, buf, k, rank)
 				if err != nil {
 					fail(err)
 					return

@@ -44,7 +44,7 @@ func enumerate(n, numFlows int, opts Options, visit func(core.MiddleAssignment) 
 
 // oracle is the independent full-space oracle the equivalence tests
 // check the driver against: the in-place counter walk of enumerate,
-// evaluating core.ClosMaxMinFair per state, keeping the first state of
+// evaluating referenceClos per state, keeping the first state of
 // strictly highest value, and stopping at the first state whose value
 // reaches ceiling (nil: never). It shares no ranking, block
 // evaluation or incumbent code with the driver; States counts the
@@ -60,7 +60,7 @@ func oracle(t *testing.T, c topology.Fabric, fs core.Collection, value func(core
 		ferr error
 	)
 	err := enumerate(c.Size(), len(fs), Options{}, func(ma core.MiddleAssignment) bool {
-		a, err := core.ClosMaxMinFair(c, fs, ma)
+		a, err := referenceClos(c, fs, ma)
 		if err != nil {
 			ferr = err
 			return false
@@ -119,4 +119,15 @@ func TestEnumerateAborts(t *testing.T) {
 			t.Errorf("stopAfter=%d: visited %d states", stopAfter, visited)
 		}
 	}
+}
+
+// referenceClos is core.ReferenceMaxMinFair over core.ClosRouting: the
+// exact fill the oracles compare the kernel-driven search against,
+// independent of the kernel.
+func referenceClos(c topology.Fabric, fs core.Collection, ma core.MiddleAssignment) (core.Allocation, error) {
+	r, err := core.ClosRouting(c, fs, ma)
+	if err != nil {
+		return nil, err
+	}
+	return core.ReferenceMaxMinFair(c.Network(), fs, r)
 }

@@ -20,9 +20,10 @@ type RelativeResult struct {
 	States     int
 }
 
-// minRatio returns min over flows of a[f]/target[f]. Flows with zero
-// target are skipped (their ratio is taken as satisfied).
-func minRatio(a core.Allocation, target rational.Vec) *big.Rat {
+// MinRatio returns min over flows of a[f]/target[f]. Flows with zero
+// target are skipped (their ratio is taken as satisfied); with none
+// left it is 1.
+func MinRatio(a core.Allocation, target rational.Vec) *big.Rat {
 	var worst *big.Rat
 	for fi := range a {
 		if target[fi].Sign() == 0 {
@@ -63,23 +64,28 @@ func RelativeMaxMin(c topology.Fabric, fs core.Collection, target rational.Vec, 
 			States:     1,
 		}, nil
 	}
-	// The minimum ratio has no Rat64 screen: every state is materialized.
-	obj := &objective{value: func(a core.Allocation) rational.Vec { return rational.Vec{minRatio(a, target)} }}
-	res, err := run(core.PrepareFabric(c), fs, opts, obj, scanBlock)
+	res, err := run(core.PrepareFabric(c), fs, opts, relativeObjective(target), scanBlock)
 	if err != nil {
 		return nil, err
 	}
 	return &RelativeResult{
 		Assignment: res.Assignment,
 		Allocation: res.Allocation,
-		MinRatio:   minRatio(res.Allocation, target),
+		MinRatio:   MinRatio(res.Allocation, target),
 		States:     res.States,
 	}, nil
 }
 
+// relativeObjective orders allocations by their minimum ratio to
+// target. It has no Rat64 screen: every state is materialized.
+func relativeObjective(target rational.Vec) *objective {
+	return &objective{value: func(a core.Allocation) rational.Vec { return rational.Vec{MinRatio(a, target)} }}
+}
+
 // HillClimbRelative improves a starting routing by single-flow reroutes
-// that strictly increase the minimum network/target ratio, stopping at a
-// local optimum or after maxMoves moves (0 means 1000).
+// that strictly increase the minimum network/target ratio, taking the
+// first such reroute in (flow, middle) order each move and stopping at
+// a local optimum or after maxMoves moves (0 means 1000).
 func HillClimbRelative(c topology.Fabric, fs core.Collection, target rational.Vec, start core.MiddleAssignment, maxMoves int) (*RelativeResult, error) {
 	if len(target) != len(fs) {
 		return nil, fmt.Errorf("search: %d targets for %d flows", len(target), len(fs))
@@ -88,41 +94,22 @@ func HillClimbRelative(c topology.Fabric, fs core.Collection, target rational.Ve
 		maxMoves = 1000
 	}
 	ma := start.Copy()
-	a, err := core.ClosMaxMinFair(c, fs, ma)
+	nbs, a, val, err := newNeighbors(c, fs, relativeObjective(target), ma)
 	if err != nil {
 		return nil, err
 	}
-	best := minRatio(a, target)
 	moves := 0
 	for ; moves < maxMoves; moves++ {
-		improved := false
-		for fi := range fs {
-			orig := ma[fi]
-			for m := 1; m <= c.Size(); m++ {
-				if m == orig {
-					continue
-				}
-				ma[fi] = m
-				cand, err := core.ClosMaxMinFair(c, fs, ma)
-				if err != nil {
-					return nil, err
-				}
-				if r := minRatio(cand, target); r.Cmp(best) > 0 {
-					best, a = r, cand
-					improved = true
-					break
-				}
-				ma[fi] = orig
-			}
-			if improved {
-				break
-			}
+		nb, v, err := nbs.improve(ma, val)
+		if err != nil {
+			return nil, err
 		}
-		if !improved {
+		if nb == nil {
 			break
 		}
+		ma[nb.Flow], a, val = nb.Middle, nb.Allocation, v
 	}
-	return &RelativeResult{Assignment: ma, Allocation: a, MinRatio: best, States: moves}, nil
+	return &RelativeResult{Assignment: ma, Allocation: a, MinRatio: val[0], States: moves}, nil
 }
 
 // MinMiddlesToRoute probes the multirate-rearrangeability question of §6

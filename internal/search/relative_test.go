@@ -39,7 +39,7 @@ func TestRelativeMaxMinExample23(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := minRatio(wa, in.MacroRates); got.Cmp(rational.R(2, 3)) != 0 {
+	if got := MinRatio(wa, in.MacroRates); got.Cmp(rational.R(2, 3)) != 0 {
 		t.Errorf("lex witness min ratio = %s, want 2/3", rational.String(got))
 	}
 }
@@ -130,7 +130,7 @@ func TestRelativeVsLexOnStarvationFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lexRatio := minRatio(wa, in.MacroRates)
+	lexRatio := MinRatio(wa, in.MacroRates)
 	if lexRatio.Cmp(rational.R(1, 3)) != 0 {
 		t.Fatalf("lex witness min ratio = %s, want 1/3", rational.String(lexRatio))
 	}

@@ -19,7 +19,6 @@ package search
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/big"
 	"sort"
 
@@ -72,10 +71,11 @@ type Options struct {
 	// state and allocates nothing.
 	Obs *obs.Obs
 	// Ctx, when non-nil, bounds the search: the enumeration loop polls
-	// it periodically (once per block of states per worker) and a
-	// cancelled run returns ctx.Err() with the partial incumbent
-	// discarded — no Result escapes a cancelled search, for any worker
-	// count. nil means context.Background() (never cancelled).
+	// it periodically (once per block of states per worker), a leaf's
+	// promoted *big.Rat fill once per round, and a cancelled run
+	// returns ctx.Err() with the partial incumbent discarded — no
+	// Result escapes a cancelled search, for any worker count. nil
+	// means context.Background() (never cancelled).
 	Ctx context.Context
 }
 
@@ -309,65 +309,77 @@ type Neighbor struct {
 // (Lemma 4.6): a posited lex-max-min witness must at minimum admit no
 // improving single-flow deviation.
 func ImprovingNeighbor(c topology.Fabric, fs core.Collection, ma core.MiddleAssignment) (*Neighbor, error) {
-	base, err := core.ClosMaxMinFair(c, fs, ma)
+	obj, err := lexObjective(c, fs, Options{})
 	if err != nil {
 		return nil, err
 	}
-	baseSorted := base.SortedCopy()
-	cand := ma.Copy()
-	for fi := range fs {
-		orig := cand[fi]
-		for m := 1; m <= c.Size(); m++ {
-			if m == orig {
-				continue
-			}
-			cand[fi] = m
-			a, err := core.ClosMaxMinFair(c, fs, cand)
-			if err != nil {
-				return nil, err
-			}
-			if rational.LexCompare(a.SortedCopy(), baseSorted) > 0 {
-				return &Neighbor{Flow: fi, Middle: m, Allocation: a}, nil
-			}
-		}
-		cand[fi] = orig
+	nbs, _, val, err := newNeighbors(c, fs, obj, ma)
+	if err != nil {
+		return nil, err
 	}
-	return nil, nil
+	nb, _, err := nbs.improve(ma.Copy(), val)
+	return nb, err
 }
 
 // IsLocalLexOptimal reports whether no single-flow reroute of ma improves
 // the sorted max-min fair vector lexicographically.
 func IsLocalLexOptimal(c topology.Fabric, fs core.Collection, ma core.MiddleAssignment) (bool, error) {
 	nb, err := ImprovingNeighbor(c, fs, ma)
-	if err != nil {
-		return false, err
-	}
-	return nb == nil, nil
+	return err == nil && nb == nil, err
 }
 
-// HillClimbLex repeatedly applies improving single-flow deviations until
-// none exists, returning the locally lex-optimal routing reached and the
-// number of moves taken. maxMoves guards against long walks (0 means
-// 1000).
-func HillClimbLex(c topology.Fabric, fs core.Collection, start core.MiddleAssignment, maxMoves int) (*Result, int, error) {
-	if maxMoves <= 0 {
-		maxMoves = 1000
+// neighbors is the single-flow deviation scan of the local-optimality
+// certificate and the hill climbs: every deviation is a one-state block
+// on one core.BlockEvaluator, screened on its Rat64 lane when the
+// objective has a screen and materialized otherwise.
+type neighbors struct {
+	bev     *core.BlockEvaluator
+	n       int
+	obj     *objective
+	scratch []rational.Rat64
+}
+
+// newNeighbors prepares the scan of fs in c under obj and returns it
+// with the allocation of the starting routing ma and its value.
+func newNeighbors(c topology.Fabric, fs core.Collection, obj *objective, ma core.MiddleAssignment) (*neighbors, core.Allocation, rational.Vec, error) {
+	bev, err := core.NewBlockEvaluator(c, fs)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	ma := start.Copy()
-	moves := 0
-	for ; moves < maxMoves; moves++ {
-		nb, err := ImprovingNeighbor(c, fs, ma)
-		if err != nil {
-			return nil, moves, err
-		}
-		if nb == nil {
-			a, err := core.ClosMaxMinFair(c, fs, ma)
-			if err != nil {
-				return nil, moves, err
+	res, err := bev.EvalBlock(ma, 1)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	a := res.Alloc(0)
+	return &neighbors{bev: bev, n: c.Size(), obj: obj}, a, obj.value(a), nil
+}
+
+// improve returns the first single-flow deviation of ma, in (flow,
+// middle) order, whose value strictly exceeds val, together with that
+// value, or a nil Neighbor when none does. ma is restored on return.
+func (nbs *neighbors) improve(ma core.MiddleAssignment, val rational.Vec) (*Neighbor, rational.Vec, error) {
+	for fi, orig := range ma {
+		for m := 1; m <= nbs.n; m++ {
+			if m == orig {
+				continue
 			}
-			return &Result{Assignment: ma, Allocation: a, States: moves}, moves, nil
+			ma[fi] = m
+			res, err := nbs.bev.EvalBlock(ma, 1)
+			ma[fi] = orig
+			if err != nil {
+				return nil, nil, err
+			}
+			if nbs.obj.screen != nil && !res.Promoted(0) {
+				nbs.scratch = append(nbs.scratch[:0], res.Rates64(0)...)
+				if cmp, ok := nbs.obj.screen(nbs.scratch, val); ok && cmp <= 0 {
+					continue
+				}
+			}
+			a := res.Alloc(0)
+			if v := nbs.obj.value(a); rational.LexCompare(v, val) > 0 {
+				return &Neighbor{Flow: fi, Middle: m, Allocation: a}, v, nil
+			}
 		}
-		ma[nb.Flow] = nb.Middle
 	}
-	return nil, moves, fmt.Errorf("search: hill climb exceeded %d moves", maxMoves)
+	return nil, nil, nil
 }

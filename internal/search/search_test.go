@@ -2,8 +2,8 @@ package search
 
 import (
 	"context"
-
 	"errors"
+	"fmt"
 	"testing"
 
 	"closnet/internal/adversary"
@@ -145,7 +145,7 @@ func TestImprovingNeighborAndHillClimb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, moves, err := HillClimbLex(in.Clos, in.Flows, start, 0)
+	res, moves, err := hillClimbLex(in.Clos, in.Flows, start, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +167,115 @@ func TestHillClimbMoveCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := core.MiddleAssignment{2, 2, 2, 1, 2, 1} // known improvable
-	if _, _, err := HillClimbLex(in.Clos, in.Flows, start, -1); err != nil {
+	if _, _, err := hillClimbLex(in.Clos, in.Flows, start, -1); err != nil {
 		t.Errorf("default cap failed: %v", err)
 	}
+}
+
+// TestNeighborScanMatchesReference: on a sample of every equivalence
+// instance's assignments, ImprovingNeighbor and one HillClimbRelative
+// move take exactly the deviation a plain scan of reference fills
+// takes — the first in (flow, middle) order whose value strictly beats
+// the current one — so neither the lex Rat64 screen nor the shared
+// block evaluator changes which neighbor wins.
+func TestNeighborScanMatchesReference(t *testing.T) {
+	for name, in := range equivalenceInstances(t) {
+		n, nf := in.c.Size(), len(in.fs)
+		target := make(rational.Vec, nf)
+		for fi := range target {
+			target[fi] = rational.R(int64(fi%3+1), 3)
+		}
+		lex := func(a core.Allocation) rational.Vec { return a.SortedCopy() }
+		rel := func(a core.Allocation) rational.Vec { return rational.Vec{MinRatio(a, target)} }
+		// first returns ma with its first improving deviation under
+		// value applied, that deviation's allocation, and whether one
+		// exists.
+		first := func(ma core.MiddleAssignment, value func(core.Allocation) rational.Vec) (core.MiddleAssignment, core.Allocation, bool) {
+			base, err := referenceClos(in.c, in.fs, ma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand := ma.Copy()
+			for fi, orig := range ma {
+				for m := 1; m <= n; m++ {
+					if m == orig {
+						continue
+					}
+					cand[fi] = m
+					a, err := referenceClos(in.c, in.fs, cand)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rational.LexCompare(value(a), value(base)) > 0 {
+						return cand, a, true
+					}
+				}
+				cand[fi] = orig
+			}
+			return cand, base, false
+		}
+		rank := 0
+		err := enumerate(n, nf, Options{FullSpace: true}, func(ma core.MiddleAssignment) bool {
+			if rank++; rank%7 != 1 {
+				return true
+			}
+			ma = ma.Copy()
+			want, wantA, ok := first(ma, lex)
+			nb, err := ImprovingNeighbor(in.c, in.fs, ma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (nb != nil) != ok || ok && (want[nb.Flow] != nb.Middle || ma[nb.Flow] == nb.Middle || !nb.Allocation.Equal(wantA)) {
+				t.Fatalf("%s %v: ImprovingNeighbor %+v, reference scan moves to %v (improving: %v)", name, ma, nb, want, ok)
+			}
+			want, wantA, ok = first(ma, rel)
+			res, err := HillClimbRelative(in.c, in.fs, target, ma, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moves := 0
+			if ok {
+				moves = 1
+			}
+			if !sameAssignment(res.Assignment, want) || res.States != moves || !res.Allocation.Equal(wantA) {
+				t.Fatalf("%s %v: HillClimbRelative moved to %v in %d moves, reference scan to %v in %d", name, ma, res.Assignment, res.States, want, moves)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// hillClimbLex repeatedly applies improving single-flow deviations
+// until none exists, returning the locally lex-optimal routing reached
+// and the number of moves taken. maxMoves guards against long walks (0
+// means 1000).
+func hillClimbLex(c topology.Fabric, fs core.Collection, start core.MiddleAssignment, maxMoves int) (*Result, int, error) {
+	if maxMoves <= 0 {
+		maxMoves = 1000
+	}
+	obj, err := lexObjective(c, fs, Options{})
+	if err != nil {
+		return nil, 0, err
+	}
+	ma := start.Copy()
+	nbs, a, val, err := newNeighbors(c, fs, obj, ma)
+	if err != nil {
+		return nil, 0, err
+	}
+	for moves := 0; moves < maxMoves; moves++ {
+		nb, v, err := nbs.improve(ma, val)
+		if err != nil {
+			return nil, moves, err
+		}
+		if nb == nil {
+			return &Result{Assignment: ma, Allocation: a, States: moves}, moves, nil
+		}
+		ma[nb.Flow], a, val = nb.Middle, nb.Allocation, v
+	}
+	return nil, maxMoves, fmt.Errorf("search: hill climb exceeded %d moves", maxMoves)
 }
 
 func TestFeasibleRoutingWitness(t *testing.T) {
