@@ -55,15 +55,16 @@ cover:
 	$(GO) test -cover ./...
 
 # Short fuzz pass over the allocator and its kernel drivers, the edge
-# colorer, the simplex (and its integer path against the big.Rat
-# tableau), the codec (its fast paths against encoding/json and
-# big.Rat, the response body writer against json.Marshal) and the
-# serving handler.
+# colorer, the search's value compare, the simplex (and its integer
+# path against the big.Rat tableau), the codec (its fast paths against
+# encoding/json and big.Rat, the response body writer against
+# json.Marshal) and the serving handler.
 fuzz:
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzBlockEvalMatchesSingle -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIncrementalDeltas -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzPartialBoundAdmissible -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzSearchValue -fuzztime=10s ./internal/search/
 	$(GO) test -fuzz=FuzzEdgeColor -fuzztime=10s ./internal/coloring/
 	$(GO) test -fuzz='^FuzzSimplex$$' -fuzztime=10s ./internal/lp/
 	$(GO) test -fuzz=FuzzSimplexIntMatchesBig -fuzztime=10s ./internal/lp/

@@ -164,5 +164,5 @@ func (r *BlockResult) Alloc(s int) Allocation {
 	if r.Promoted(s) {
 		return r.be.bigAllocs[s]
 	}
-	return allocOf(r.Rates64(s))
+	return AllocOf(r.Rates64(s))
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
-	"slices"
+	"math/bits"
 
 	"closnet/internal/rational"
 )
@@ -20,7 +20,8 @@ var errNoProgress = errors.New("waterfill: no progress (internal invariant viola
 // other filling).
 // A driver numbers its finite constraints densely as lanes (ascending
 // LinkID order on a real network) and supplies one lane list per flow;
-// a fill only visits the touched lanes, in ascending order.
+// a fill only visits the touched lanes, in ascending order, so the
+// earliest lane wins every tie.
 //
 // Every remaining capacity is an int64 numerator remN[j] over one shared
 // denominator den, seeded once per kernel as the lcm of the capacity
@@ -42,9 +43,11 @@ type kernel struct {
 	lanes [][]int32
 	on    [][]int32
 
-	// Fill state; only touched lanes are read or written.
+	// Fill state; only touched lanes are read or written. mark is
+	// register's bitset of the lanes it has seen, all zero between calls.
 	act         []int32
 	touched     []int32
+	mark        []uint64
 	frozen      []bool
 	left        int
 	remN        []int64
@@ -98,27 +101,38 @@ func newCapTemplate(caps []*big.Rat) capTemplate {
 func (t *capTemplate) newKernel() *kernel {
 	n := len(t.seedN)
 	return &kernel{capTemplate: *t, on: make([][]int32, n), act: make([]int32, n),
-		touched: make([]int32, 0, n), remN: make([]int64, n)}
+		touched: make([]int32, 0, n), mark: make([]uint64, (n+63)/64), remN: make([]int64, n)}
 }
 
 // register starts a fill of flows 0..len(lanes)-1 over the given lane
-// lists, which are retained until the next register.
+// lists, which are retained until the next register. The touched lanes
+// come out in ascending order: each first touch sets its bit in mark,
+// and only the words between the lowest and the highest marked one are
+// scanned, and cleared on the way.
 func (k *kernel) register(lanes [][]int32) {
 	for _, j := range k.touched {
 		k.act[j] = 0
 	}
 	k.touched = k.touched[:0]
+	lo, hi := len(k.mark), -1
 	for f, ls := range lanes {
 		for _, j := range ls {
 			if k.act[j] == 0 {
-				k.touched = append(k.touched, j)
+				w := int(j >> 6)
+				k.mark[w] |= 1 << (j & 63)
+				lo, hi = min(lo, w), max(hi, w)
 				k.on[j] = k.on[j][:0]
 			}
 			k.act[j]++
 			k.on[j] = append(k.on[j], int32(f))
 		}
 	}
-	slices.Sort(k.touched)
+	for w := lo; w <= hi; w++ {
+		for m := k.mark[w]; m != 0; m &= m - 1 {
+			k.touched = append(k.touched, int32(w<<6+bits.TrailingZeros64(m)))
+		}
+		k.mark[w] = 0
+	}
 	k.lanes = lanes
 	k.frozen = resize(k.frozen, len(lanes))
 	clear(k.frozen)
@@ -313,9 +327,9 @@ func (k *kernel) solve(ctx context.Context, lanes [][]int32, rates []rational.Ra
 	return a, k.fillBig(ctx, a)
 }
 
-// allocOf materializes a rate lane as a fresh Allocation, sharing one
+// AllocOf materializes a rate lane as a fresh Allocation, sharing one
 // *big.Rat among the flows of each distinct level.
-func allocOf(lane []rational.Rat64) Allocation {
+func AllocOf(lane []rational.Rat64) Allocation {
 	a := make(Allocation, len(lane))
 	firsts := make([]int, 0, 16)
 	for i, v := range lane {
@@ -333,15 +347,14 @@ func allocOf(lane []rational.Rat64) Allocation {
 	return a
 }
 
-// mulNonNeg is the overflow-checked product of two non-negative int64s.
+// mulNonNeg is the overflow-checked product of two non-negative int64s:
+// the full 128-bit product must fit in 63 bits.
 func mulNonNeg(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	if a > math.MaxInt64/b {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
 		return 0, false
 	}
-	return a * b, true
+	return int64(lo), true
 }
 
 // gcdInt64 is Euclid's gcd for a ≥ 0, b > 0.

@@ -148,27 +148,32 @@ func (e *PartialEvaluator) ForceBig(on bool) { e.forceBig = on }
 // [0, fixedFrom) are free. The result's sorted vector lexicographically
 // dominates (≥) the sorted max-min fair vector of every completion of
 // the partial assignment; with fixedFrom == 0 it equals the exact
-// evaluation. Only ma[fixedFrom:] is read; the returned Allocation is
-// freshly allocated.
-func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (Allocation, error) {
+// evaluation. Only ma[fixedFrom:] is read.
+//
+// The result is the fill's rate lane in flow order, which aliases the
+// evaluator's scratch until the next call and must not be mutated (like
+// BlockResult.Rates64), or, when the fill was promoted to *big.Rat (or
+// ForceBig is on), a nil lane and the freshly allocated promoted
+// allocation (like BlockResult.Promoted). AllocOf materializes a lane.
+func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (lane []rational.Rat64, promoted Allocation, err error) {
 	if len(ma) != e.nf {
-		return nil, fmt.Errorf("partial: assignment has %d middles for %d flows", len(ma), e.nf)
+		return nil, nil, fmt.Errorf("partial: assignment has %d middles for %d flows", len(ma), e.nf)
 	}
 	if fixedFrom < 0 || fixedFrom > e.nf {
-		return nil, fmt.Errorf("partial: fixedFrom %d out of range [0, %d]", fixedFrom, e.nf)
+		return nil, nil, fmt.Errorf("partial: fixedFrom %d out of range [0, %d]", fixedFrom, e.nf)
 	}
 	for fi := range e.cur {
 		m := 0
 		if fi >= fixedFrom {
 			if m = ma[fi]; m < 1 || m > e.n {
-				return nil, fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
+				return nil, nil, fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
 			}
 		}
 		e.cur[fi] = e.lanes[fi*(e.n+1)+m]
 	}
 	a, err := e.k.solve(context.TODO(), e.cur, e.rates, e.k.fast && !e.forceBig)
-	if a == nil && err == nil {
-		a = allocOf(e.rates)
+	if a != nil || err != nil {
+		return nil, a, err
 	}
-	return a, err
+	return e.rates, nil, nil
 }

@@ -31,6 +31,16 @@ func forEachAssignment(ma MiddleAssignment, from, k, n int, fn func()) {
 	}
 }
 
+// boundAlloc materializes a Bound result, lane or promoted, as a fresh
+// Allocation.
+func boundAlloc(pe *PartialEvaluator, ma MiddleAssignment, fixedFrom int) (Allocation, error) {
+	lane, a, err := pe.Bound(ma, fixedFrom)
+	if a == nil && err == nil {
+		a = AllocOf(lane)
+	}
+	return a, err
+}
+
 // TestPartialBoundLeafExact: with every flow fixed the trunk constraints
 // are implied by the real per-middle links, so Bound must equal the
 // exact evaluation — same rationals — on every full assignment.
@@ -47,7 +57,7 @@ func TestPartialBoundLeafExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound, err := pe.Bound(ma, 0)
+		bound, err := boundAlloc(pe, ma, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +92,7 @@ func TestPartialBoundAdmissible(t *testing.T) {
 		ma := make(MiddleAssignment, nf)
 		for fixedFrom := 0; fixedFrom <= nf; fixedFrom++ {
 			forEachAssignment(ma, fixedFrom, nf-fixedFrom, tc.n, func() {
-				bound, err := pe.Bound(ma, fixedFrom)
+				bound, err := boundAlloc(pe, ma, fixedFrom)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,13 +130,14 @@ func TestPartialBound64MatchesBig(t *testing.T) {
 	ma := make(MiddleAssignment, nf)
 	for fixedFrom := 0; fixedFrom <= nf; fixedFrom++ {
 		forEachAssignment(ma, fixedFrom, nf-fixedFrom, c.Size(), func() {
-			a, err := fast.Bound(ma, fixedFrom)
-			if err != nil {
-				t.Fatal(err)
+			lane, promoted, err := fast.Bound(ma, fixedFrom)
+			if err != nil || promoted != nil {
+				t.Fatalf("fixedFrom=%d ma=%v: fast path promoted (%v) or failed: %v", fixedFrom, ma, promoted, err)
 			}
-			b, err := slow.Bound(ma, fixedFrom)
-			if err != nil {
-				t.Fatal(err)
+			a := AllocOf(lane)
+			lane, b, err := slow.Bound(ma, fixedFrom)
+			if err != nil || lane != nil || b == nil {
+				t.Fatalf("fixedFrom=%d ma=%v: ForceBig returned lane %v, allocation %v, err %v", fixedFrom, ma, lane, b, err)
 			}
 			if !a.Equal(b) {
 				t.Fatalf("fixedFrom=%d ma=%v: fast %v != big %v", fixedFrom, ma, a, b)
@@ -145,21 +156,21 @@ func TestPartialBoundErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pe.Bound(make(MiddleAssignment, 1), 0); err == nil {
+	if _, _, err := pe.Bound(make(MiddleAssignment, 1), 0); err == nil {
 		t.Error("short assignment accepted")
 	}
 	ma := make(MiddleAssignment, len(fs))
-	if _, err := pe.Bound(ma, -1); err == nil {
+	if _, _, err := pe.Bound(ma, -1); err == nil {
 		t.Error("negative fixedFrom accepted")
 	}
-	if _, err := pe.Bound(ma, len(fs)+1); err == nil {
+	if _, _, err := pe.Bound(ma, len(fs)+1); err == nil {
 		t.Error("fixedFrom beyond the flow count accepted")
 	}
-	if _, err := pe.Bound(ma, 0); err == nil {
+	if _, _, err := pe.Bound(ma, 0); err == nil {
 		t.Error("fixed middle 0 accepted")
 	}
 	ma[len(ma)-1] = c.Size() + 1
-	if _, err := pe.Bound(ma, len(ma)-1); err == nil {
+	if _, _, err := pe.Bound(ma, len(ma)-1); err == nil {
 		t.Error("fixed middle beyond n accepted")
 	}
 }
@@ -201,11 +212,11 @@ func FuzzPartialBoundAdmissible(f *testing.F) {
 			e.ForceBig(true)
 			return e
 		}()
-		bound, err := pe.Bound(ma, fixedFrom)
+		bound, err := boundAlloc(pe, ma, fixedFrom)
 		if err != nil {
 			t.Fatalf("bound: %v", err)
 		}
-		bigBound, err := big.Bound(ma, fixedFrom)
+		bigBound, err := boundAlloc(big, ma, fixedFrom)
 		if err != nil {
 			t.Fatalf("big bound: %v", err)
 		}

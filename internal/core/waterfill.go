@@ -40,7 +40,7 @@ func MaxMinFair(net *topology.Network, fs Collection, r Routing) (Allocation, er
 	rates := make([]rational.Rat64, len(fs))
 	a, err := tmpl.newKernel().solve(context.TODO(), lanes, rates, tmpl.fast)
 	if a == nil && err == nil {
-		a = allocOf(rates)
+		a = AllocOf(rates)
 	}
 	return a, err
 }

@@ -100,6 +100,68 @@ func BenchmarkEvaluatePooled(b *testing.B) {
 	}
 }
 
+// searchSlot is one slot of the search-mix cycle: a fabric, a flow
+// count and the search op.
+type searchSlot struct {
+	spec  func() (gen.Spec, error)
+	flows int
+	op    string
+}
+
+// searchMix is search-mix's eight-slot request cycle: three pruned lex
+// searches on C_4 and three on fat-tree k=4 (7 flows each), one
+// exhaustive lex search on C_3 (6 flows) and one pruned throughput
+// search on C_3 (5 flows).
+var searchMix = func() []searchSlot {
+	c4 := func() (gen.Spec, error) { return gen.ClosSpec(4) }
+	ft := func() (gen.Spec, error) { return gen.FatTreeSpec(4) }
+	c3 := func() (gen.Spec, error) { return gen.ClosSpec(3) }
+	return []searchSlot{
+		{c4, 7, OpSearchLexPruned}, {c4, 7, OpSearchLexPruned}, {c4, 7, OpSearchLexPruned},
+		{ft, 7, OpSearchLexPruned}, {ft, 7, OpSearchLexPruned}, {ft, 7, OpSearchLexPruned},
+		{c3, 6, OpSearchLex},
+		{c3, 5, OpSearchThroughputPruned},
+	}
+}()
+
+// BenchmarkSearchMix times one search-mix request, Prepare plus
+// Compute, on one engine: 32 cycles of searchMix over generated
+// instances (the traffic model drawn per request, a quarter elephants),
+// visited in cycle order, so one op is the mean over the eight slots.
+func BenchmarkSearchMix(b *testing.B) {
+	const cycles = 32
+	rng := rand.New(rand.NewSource(1))
+	var reqs []Request
+	for i := 0; i < cycles*len(searchMix); i++ {
+		slot := searchMix[i%len(searchMix)]
+		sp, err := slot.spec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := drawTraffic(b, rng, []gen.Spec{sp}, slot.flows, slot.flows)
+		reqs = append(reqs, Request{Op: slot.op, Scenario: s})
+	}
+	eng := New(Options{SearchWorkers: 1})
+	ctx := context.Background()
+	run := func(req Request) {
+		p, err := eng.Prepare(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Compute(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, req := range reqs {
+		run(req)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(reqs[i%len(reqs)])
+	}
+}
+
 // sessionTrace is a session-churn cycle on C_5: a canonical 16-flow
 // opening scenario and a delta sequence that keeps 8 to 48 flows live,
 // arriving 45% of the time below the maximum, departing 35% of the time

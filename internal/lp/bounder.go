@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"closnet/internal/core"
+	"closnet/internal/rational"
 	"closnet/internal/topology"
 )
 
@@ -74,17 +75,21 @@ func NewThroughputBounder(c topology.Fabric, fs core.Collection) *ThroughputBoun
 // the partial assignment in which flows [fixedFrom, len(fs)) are routed
 // per ma and flows [0, fixedFrom) stay splittable over all n middles —
 // exactly SplittableThroughputBound(net, fs, PrefixPaths(c, fs, ma,
-// fixedFrom)). Only ma[fixedFrom:] is read; the result is freshly
-// allocated.
-func (b *ThroughputBounder) Bound(ma core.MiddleAssignment, fixedFrom int) (*big.Rat, error) {
+// fixedFrom)). Only ma[fixedFrom:] is read. The bound is the Rat64 the
+// integer simplex certified, with a nil *big.Rat; after a fallback it
+// is the freshly allocated *big.Rat, and the Rat64 is meaningless.
+func (b *ThroughputBounder) Bound(ma core.MiddleAssignment, fixedFrom int) (rational.Rat64, *big.Rat, error) {
 	if num, den, ok := b.bound64(ma, fixedFrom); ok {
-		return new(big.Rat).SetFrac64(num, den), nil
+		if r, ok := rational.Make64(num, den); ok {
+			return r, nil, nil
+		}
 	}
 	paths, err := PrefixPaths(b.c, b.fs, ma, fixedFrom)
 	if err != nil {
-		return nil, err
+		return rational.Rat64{}, nil, err
 	}
-	return SplittableThroughputBound(b.c.Network(), b.fs, paths)
+	x, err := SplittableThroughputBound(b.c.Network(), b.fs, paths)
+	return rational.Rat64{}, x, err
 }
 
 // bound64 is Bound's integer path: the certified bound num/den, or

@@ -97,9 +97,17 @@ func TestThroughputBounderMatchesReference(t *testing.T) {
 					t.Fatalf("ma=%v fixedFrom=%d: integer path fell back", ma, fixedFrom)
 				}
 				for _, bd := range []*ThroughputBounder{b, forced} {
-					got, err := bd.Bound(ma, fixedFrom)
+					r, got, err := bd.Bound(ma, fixedFrom)
 					if err != nil {
 						t.Fatal(err)
+					}
+					// The integer path returns its Rat64, the fallback a
+					// *big.Rat.
+					if (got == nil) != (bd == b) {
+						t.Fatalf("ma=%v fixedFrom=%d failAt=%d: *big.Rat form %v", ma, fixedFrom, bd.t.failAt, got)
+					}
+					if got == nil {
+						got = r.Rat()
 					}
 					if got.Cmp(want) != 0 {
 						t.Fatalf("ma=%v fixedFrom=%d failAt=%d: bound %s, reference %s",
@@ -130,7 +138,7 @@ func TestThroughputBounderErrors(t *testing.T) {
 		{core.MiddleAssignment{1, 1, 1, 1, 4}, 2},
 	} {
 		_, want := referenceBound(c, fs, tc.ma, tc.fixedFrom)
-		_, got := b.Bound(tc.ma, tc.fixedFrom)
+		_, _, got := b.Bound(tc.ma, tc.fixedFrom)
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Errorf("Bound(%v, %d): err %v, want %v", tc.ma, tc.fixedFrom, got, want)
 		}
@@ -192,27 +200,22 @@ func TestThroughputBounderCertificate(t *testing.T) {
 	}
 }
 
-// boundSink makes the reference allocation escape, as Bound's does.
-var boundSink *big.Rat
-
-// TestThroughputBounderAllocs pins the steady state: a Bound call
-// allocates only its returned *big.Rat.
+// TestThroughputBounderAllocs pins the steady state: a Bound call on
+// the integer path allocates nothing, its bound included.
 func TestThroughputBounderAllocs(t *testing.T) {
 	c, fs := benchShape()
 	b := NewThroughputBounder(c, fs)
 	ma := core.MiddleAssignment{1, 1, 2, 3, 1}
-	num, den, ok := b.bound64(ma, 2)
-	if !ok {
+	if _, _, ok := b.bound64(ma, 2); !ok {
 		t.Fatal("integer path fell back")
 	}
-	result := testing.AllocsPerRun(100, func() { boundSink = new(big.Rat).SetFrac64(num, den) })
 	got := testing.AllocsPerRun(100, func() {
-		if _, err := b.Bound(ma, 2); err != nil {
+		if _, _, err := b.Bound(ma, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > result {
-		t.Errorf("Bound allocates %.1f times per call, the returned bound alone %.1f", got, result)
+	if got != 0 {
+		t.Errorf("Bound allocates %.1f times per call, want 0", got)
 	}
 }
 
@@ -234,7 +237,7 @@ func BenchmarkThroughputBound(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, p := range prefixes {
-				if _, err := tb.Bound(p.ma, p.fixedFrom); err != nil {
+				if _, _, err := tb.Bound(p.ma, p.fixedFrom); err != nil {
 					b.Fatal(err)
 				}
 			}

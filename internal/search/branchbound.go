@@ -7,17 +7,20 @@
 // *suffix* of the flows in index order, since digit j is ma[|F|-1-j] —
 // and covers the contiguous rank block of all completions.
 // Each node carries an admissible bound from a splittable relaxation
-// of the fixed prefix:
+// of the fixed prefix, held as a Rat64 lane in the node's own storage
+// (a *big.Rat vector only when the bound's fill promoted or the LP fell
+// back) and ordered by the same compare as every value of value.go:
 //
 //   - lex-max-min: the trunk relaxation of core.PartialEvaluator —
 //     free flows charged on aggregate per-ToR trunk capacity instead of
 //     per-middle links — water-filled on the core kernel's reused
-//     scratch, so a child bound costs one fill, not a fresh setup;
+//     scratch, so a child bound costs one fill, not a fresh setup; its
+//     rate lane is copied into the node, sorted;
 //   - throughput-max-min: the splittable maximum-throughput LP
 //     restricted to the prefix's paths, solved by lp.ThroughputBounder
 //     on the integer simplex's reused scratch with its dual certificate
 //     re-verified (weak duality), capped by the Lemma 3.2 matching
-//     bound.
+//     bound; the certified value is one Rat64.
 //
 // Nodes expand best-bound-first so the incumbent tightens early; a
 // branch is pruned when its bound cannot beat the incumbent. Pruning
@@ -44,19 +47,20 @@ import (
 	"context"
 
 	"closnet/internal/core"
-	"closnet/internal/rational"
 	"closnet/internal/topology"
 )
 
 // bbNode is one frontier node: a digit prefix, its running maximum
 // label, the first rank of its block, and its bound. The root (depth 0)
-// carries a nil bound, ordered ahead of everything.
+// has no bound and is ordered ahead of everything. Nodes are recycled
+// with their digit and bound storage, so the frontier allocates only
+// while it grows past its previous peak.
 type bbNode struct {
 	depth  int
 	digits []int
 	max    int
 	lo     int
-	bound  rational.Vec
+	bound  value
 }
 
 // bbHeap pops the best bound first, ties broken by the earliest block
@@ -68,10 +72,10 @@ type bbHeap []*bbNode
 func (h bbHeap) Len() int { return len(h) }
 func (h bbHeap) Less(i, j int) bool {
 	a, b := h[i], h[j]
-	if a.bound == nil || b.bound == nil {
-		return a.bound == nil
+	if a.depth == 0 || b.depth == 0 {
+		return a.depth == 0
 	}
-	if c := rational.LexCompare(a.bound, b.bound); c != 0 {
+	if c := a.bound.cmp(&b.bound); c != 0 {
 		return c > 0
 	}
 	return a.lo < b.lo
@@ -101,12 +105,14 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 	nf := len(fs)
 	ma := make(core.MiddleAssignment, nf)
 	h := &bbHeap{&bbNode{}}
+	// free holds expanded and pruned nodes for reuse.
+	var free []*bbNode
 	done := ctx.Done()
 	states := 0
 	// A node at depth |F|-1 has only leaf children, so one expansion
 	// yields up to n rank-contiguous fully fixed assignments — one leaf
 	// block for the evaluator.
-	var leafBuf []int
+	leafBuf := make([]int, 0, c.Size()*nf)
 	for pops := 0; h.Len() > 0; pops++ {
 		if done != nil && pops&ctxCheckMask == 0 {
 			select {
@@ -117,8 +123,9 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 		}
 		node := heap.Pop(h).(*bbNode)
 		// The incumbent may have tightened since the node was pushed.
-		if node.bound != nil && !best.improves(node.bound, node.lo) {
+		if node.depth > 0 && !best.improves(&node.bound, node.lo) {
 			eo.prunes.Inc()
+			free = append(free, node)
 			continue
 		}
 		d := node.depth
@@ -140,22 +147,33 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 				leafBuf = append(leafBuf, ma...)
 				continue
 			}
-			bv, err := obj.bound(ma, fixedFrom)
-			if err != nil {
+			var child *bbNode
+			if k := len(free); k > 0 {
+				child, free = free[k-1], free[:k-1]
+			} else {
+				child = &bbNode{digits: make([]int, 0, nf)}
+			}
+			bv := &child.bound
+			if err := obj.bound(bv, ma, fixedFrom); err != nil {
 				return nil, err
 			}
-			if obj.ceiling != nil && rational.LexCompare(bv, obj.ceiling) > 0 {
-				bv = obj.ceiling
+			if obj.testPromote != nil && obj.testPromote(childLo) {
+				bv.setBig(bv.rats())
+			}
+			if obj.ceiling != nil && bv.cmp(obj.ceiling) > 0 {
+				bv.set(obj.ceiling)
 			}
 			states++
 			eo.states.Inc()
 			eo.boundEvals.Inc()
 			if !best.improves(bv, childLo) {
 				eo.prunes.Inc()
+				free = append(free, child)
 				continue
 			}
-			digits := append(append(make([]int, 0, d+1), node.digits...), v)
-			heap.Push(h, &bbNode{depth: d + 1, digits: digits, max: nm, lo: childLo, bound: bv})
+			child.depth, child.max, child.lo = d+1, nm, childLo
+			child.digits = append(append(child.digits[:0], node.digits...), v)
+			heap.Push(h, child)
 		}
 		if k := len(leafBuf) / nf; k > 0 {
 			// The leaves are evaluated in ascending rank under the
@@ -167,6 +185,7 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 			states += k
 			eo.states.Add(int64(k))
 		}
+		free = append(free, node)
 	}
-	return &Result{Assignment: best.ma, Allocation: best.alloc, States: states}, nil
+	return &Result{Assignment: best.ma, Allocation: best.allocation(), States: states}, nil
 }

@@ -202,9 +202,12 @@ func checkThroughputBoundPrefixes(t *testing.T, c topology.Fabric, fs core.Colle
 				t.Fatal(err)
 			}
 			bound := capped(ref)
-			got, err := tb.Bound(ma, fixedFrom)
+			r, got, err := tb.Bound(ma, fixedFrom)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got == nil {
+				got = r.Rat()
 			}
 			if got.Cmp(ref) != 0 || capped(got).Cmp(bound) != 0 {
 				t.Fatalf("fixedFrom=%d ma=%v: bounder %s, reference %s (capped %s)",

@@ -16,8 +16,8 @@ import (
 // cancellingObjective wraps the lex objective so that it cancels its
 // context after a fixed number of value computations — a deterministic
 // stand-in for an abandoned request cancelling mid-enumeration. The
-// screen is dropped so every state computes its value; the counter is
-// shared across the scan's workers, so it is atomic.
+// fast form is dropped so every state computes its exact value; the
+// counter is shared across the scan's workers, so it is atomic.
 func cancellingObjective(t *testing.T, c topology.Fabric, fs core.Collection, cancel context.CancelFunc, after int64) *objective {
 	t.Helper()
 	obj, err := lexObjective(c, fs, Options{})
@@ -25,13 +25,13 @@ func cancellingObjective(t *testing.T, c topology.Fabric, fs core.Collection, ca
 		t.Fatal(err)
 	}
 	var seen atomic.Int64
-	value := obj.value
-	obj.screen = nil
-	obj.value = func(a core.Allocation) rational.Vec {
+	exact := obj.exact
+	obj.fast = nil
+	obj.exact = func(a core.Allocation) rational.Vec {
 		if seen.Add(1) == after {
 			cancel()
 		}
-		return value(a)
+		return exact(a)
 	}
 	return obj
 }

@@ -6,7 +6,12 @@
 // space under Options.FullSpace and on fabrics without interchangeable
 // choices — journals the run, and hands the space to one of two
 // explorers that share one objective, one incumbent rule and one
-// leaf-block evaluator:
+// leaf-block evaluator. Leaf values, bounds and the ceiling are the
+// exact values of value.go — Rat64 lanes, or *big.Rat vectors where a
+// fill promoted, a sum overflowed or the objective has no fast form —
+// and one compare orders them all: there is no separate screen, and a
+// leaf is valued on its lane without materializing its allocation.
+// The explorers:
 //
 //   - the scan shards contiguous rank ranges over worker goroutines.
 //     Each worker seeks its first state from the rank itself (no shared
@@ -90,33 +95,56 @@ func newEngineObs(o *obs.Obs) engineObs {
 }
 
 // objective is one routing objective as both explorers see it: a value
-// vector per allocation, ordered by rational.LexCompare (single-number
-// objectives use length-1 vectors). It is immutable during a run, so
-// the scan's workers share it.
+// per state, ordered by value.cmp (single-number objectives use
+// one-element values). It is immutable during a run, so the scan's
+// workers share it.
 type objective struct {
-	// value maps an exact allocation to its value.
-	value func(core.Allocation) rational.Vec
-	// screen, when non-nil, compares the value of a fast-path rate lane
-	// with inc exactly, without materializing the allocation: -1, 0 or
-	// +1 as rational.LexCompare would report. ok = false means it could
-	// not decide (a Rat64 sum overflowed). lane is a scratch copy the
-	// screen may reorder.
-	screen func(lane []rational.Rat64, inc rational.Vec) (cmp int, ok bool)
+	// fast, when non-nil, appends the value of a fast-path rate lane
+	// (flow order; it may alias scratch) to dst and returns it. ok =
+	// false means it cannot (a Rat64 sum overflowed) and defers to exact.
+	fast func(dst, rates []rational.Rat64) (lane []rational.Rat64, ok bool)
+	// exact maps an allocation to its value as a *big.Rat vector.
+	exact func(core.Allocation) rational.Vec
 	// ceiling, when non-nil, is a value no state exceeds (the Lemma 3.2
 	// matching bound): the scan stops once an incumbent attains it, and
 	// the branch-and-bound caps its bounds at it.
-	ceiling rational.Vec
-	// bound, set in pruned mode, maps a partial assignment (flows
-	// [fixedFrom, |F|) fixed per ma) to an admissible value: ≥ the value
-	// of every completion.
-	bound func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error)
+	ceiling *value
+	// bound, set in pruned mode, sets dst to an admissible value of a
+	// partial assignment (flows [fixedFrom, |F|) fixed per ma): ≥ the
+	// value of every completion.
+	bound func(dst *value, ma core.MiddleAssignment, fixedFrom int) error
+
+	// testPromote, when non-nil, makes the explorers take the leaf state
+	// or the bound whose block starts at the given rank in its promoted
+	// *big.Rat form — the promotion tests' hook.
+	testPromote func(rank int) bool
 }
 
-// incumbent is the best state seen so far; rank < 0 means none yet.
+// valueOf sets dst to the value of a state given as its rate lane, or
+// as its allocation a when a is non-nil (a promoted state). A lane
+// whose value the fast form cannot hold is materialized.
+func (o *objective) valueOf(dst *value, rates []rational.Rat64, a core.Allocation) {
+	if a == nil {
+		if o.fast != nil {
+			var ok bool
+			if dst.lane, ok = o.fast(dst.lane[:0], rates); ok {
+				dst.big = nil
+				return
+			}
+		}
+		a = core.AllocOf(rates)
+	}
+	dst.setBig(o.exact(a))
+}
+
+// incumbent is the best state seen so far; rank < 0 means none yet. It
+// keeps the state's flow-order rate lane, or its promoted allocation,
+// and materializes the allocation once, at the end of the run.
 type incumbent struct {
-	val   rational.Vec
+	val   value
 	rank  int
 	ma    core.MiddleAssignment
+	lane  []rational.Rat64
 	alloc core.Allocation
 }
 
@@ -128,15 +156,35 @@ func (inc *incumbent) wins(cmp, rank int) bool {
 }
 
 // improves applies the incumbent rule to a value at rank.
-func (inc *incumbent) improves(val rational.Vec, rank int) bool {
-	return inc.rank < 0 || inc.wins(rational.LexCompare(val, inc.val), rank)
+func (inc *incumbent) improves(val *value, rank int) bool {
+	return inc.rank < 0 || inc.wins(val.cmp(&inc.val), rank)
+}
+
+// take makes the state at rank with assignment ma, given as its rate
+// lane or its promoted allocation a, the incumbent. Its value is moved
+// out of *val, which receives the old incumbent value's storage.
+func (inc *incumbent) take(val *value, rank int, ma []int, rates []rational.Rat64, a core.Allocation) {
+	inc.val, *val = *val, inc.val
+	inc.rank = rank
+	inc.ma = append(inc.ma[:0], ma...)
+	inc.lane = append(inc.lane[:0], rates...)
+	inc.alloc = a
+}
+
+// allocation materializes the incumbent's allocation (nil when there is
+// none).
+func (inc *incumbent) allocation() core.Allocation {
+	if inc.rank < 0 || inc.alloc != nil {
+		return inc.alloc
+	}
+	return core.AllocOf(inc.lane)
 }
 
 // leaves is the leaf-block evaluator of one scan worker or of the
 // branch-and-bound: a block of rank-contiguous assignments is
-// water-filled by one core.BlockEvaluator, each fast-path state is
-// screened against the incumbent on its Rat64 lane, and only the
-// survivors are materialized and compared exactly.
+// water-filled by one core.BlockEvaluator, and each state's value is
+// taken from its Rat64 lane into reused scratch and compared with the
+// incumbent's; no allocation is materialized on the way.
 type leaves struct {
 	obj   *objective
 	bev   *core.BlockEvaluator
@@ -144,8 +192,8 @@ type leaves struct {
 	shard int
 	best  *incumbent
 	// span, when non-nil, parents one core.block_fill span per block.
-	span    *obs.Span
-	scratch []rational.Rat64
+	span *obs.Span
+	cand value
 }
 
 func newLeaves(c topology.Fabric, fs core.Collection, obj *objective, eo engineObs, shard int, best *incumbent) (*leaves, error) {
@@ -171,21 +219,18 @@ func (l *leaves) eval(ctx context.Context, mas []int, k, lo int) (int, error) {
 	nf := len(mas) / k
 	for i := 0; i < k; i++ {
 		rank := lo + i
-		if l.best.rank >= 0 && l.obj.screen != nil && !res.Promoted(i) {
-			l.scratch = append(l.scratch[:0], res.Rates64(i)...)
-			if cmp, ok := l.obj.screen(l.scratch, l.best.val); ok && !l.best.wins(cmp, rank) {
-				continue
-			}
+		rates, a := stateOf(res, i)
+		if a == nil && l.obj.testPromote != nil && l.obj.testPromote(rank) {
+			rates, a = nil, res.Alloc(i)
 		}
-		a := res.Alloc(i)
-		val := l.obj.value(a)
-		if !l.best.improves(val, rank) {
+		l.obj.valueOf(&l.cand, rates, a)
+		if !l.best.improves(&l.cand, rank) {
 			continue
 		}
-		*l.best = incumbent{val: val, rank: rank, ma: core.MiddleAssignment(mas[i*nf : (i+1)*nf]).Copy(), alloc: a}
+		l.best.take(&l.cand, rank, mas[i*nf:(i+1)*nf], rates, a)
 		l.eo.improvements.Inc()
 		l.eo.j.Emit("search.incumbent", obs.F{"shard": l.shard, "rank": rank})
-		if l.obj.ceiling != nil && rational.LexCompare(val, l.obj.ceiling) >= 0 {
+		if l.obj.ceiling != nil && l.best.val.cmp(l.obj.ceiling) >= 0 {
 			return rank + 1, nil
 		}
 	}
@@ -379,7 +424,7 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 	best := incumbent{rank: -1}
 	for w := range shards {
 		inc := &shards[w]
-		improved := inc.rank >= 0 && best.improves(inc.val, inc.rank)
+		improved := inc.rank >= 0 && best.improves(&inc.val, inc.rank)
 		if improved {
 			best = *inc
 		}
@@ -392,5 +437,5 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 	if stopped.Load() {
 		eo.stopRank.Set(stopRank.Load())
 	}
-	return &Result{Assignment: best.ma, Allocation: best.alloc, States: int(stopRank.Load())}, nil
+	return &Result{Assignment: best.ma, Allocation: best.allocation(), States: int(stopRank.Load())}, nil
 }

@@ -77,9 +77,9 @@ func RelativeMaxMin(c topology.Fabric, fs core.Collection, target rational.Vec, 
 }
 
 // relativeObjective orders allocations by their minimum ratio to
-// target. It has no Rat64 screen: every state is materialized.
+// target. It has no fast form: every state is materialized.
 func relativeObjective(target rational.Vec) *objective {
-	return &objective{value: func(a core.Allocation) rational.Vec { return rational.Vec{MinRatio(a, target)} }}
+	return &objective{exact: func(a core.Allocation) rational.Vec { return rational.Vec{MinRatio(a, target)} }}
 }
 
 // HillClimbRelative improves a starting routing by single-flow reroutes
@@ -94,22 +94,23 @@ func HillClimbRelative(c topology.Fabric, fs core.Collection, target rational.Ve
 		maxMoves = 1000
 	}
 	ma := start.Copy()
-	nbs, a, val, err := newNeighbors(c, fs, relativeObjective(target), ma)
+	nbs, a, err := newNeighbors(c, fs, relativeObjective(target), ma)
 	if err != nil {
 		return nil, err
 	}
 	moves := 0
 	for ; moves < maxMoves; moves++ {
-		nb, v, err := nbs.improve(ma, val)
+		nb, err := nbs.improve(ma)
 		if err != nil {
 			return nil, err
 		}
 		if nb == nil {
 			break
 		}
-		ma[nb.Flow], a, val = nb.Middle, nb.Allocation, v
+		ma[nb.Flow], a = nb.Middle, nb.Allocation
 	}
-	return &RelativeResult{Assignment: ma, Allocation: a, MinRatio: val[0], States: moves}, nil
+	// The relative objective has no fast form: its value is the ratio.
+	return &RelativeResult{Assignment: ma, Allocation: a, MinRatio: nbs.cur.big[0], States: moves}, nil
 }
 
 // MinMiddlesToRoute probes the multirate-rearrangeability question of §6

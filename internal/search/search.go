@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"math/big"
-	"sort"
 
 	"closnet/internal/core"
 	"closnet/internal/lp"
@@ -118,43 +117,35 @@ func LexMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Result, er
 	return run(c, fs, opts, obj, scanBlock)
 }
 
-// lexObjective orders allocations by their sorted vectors. The value
-// sorts a view aliasing the allocation's elements — allocations are
-// never mutated after materialization — and the screen sorts the rate
-// lane and compares it with the incumbent's sorted vector without
-// allocating. Pruned mode bounds a prefix by the trunk relaxation of
-// core.PartialEvaluator.
+// lexObjective orders allocations by their sorted vectors: the fast
+// form is the state's lane, copied and sorted without allocating, and
+// the exact form a sorted view aliasing the allocation's elements.
+// Pruned mode bounds a prefix by the trunk relaxation of
+// core.PartialEvaluator, whose lane or promoted allocation takes the
+// same two forms.
 func lexObjective(c topology.Fabric, fs core.Collection, opts Options) (*objective, error) {
 	if err := checkPruned(opts); err != nil {
 		return nil, err
 	}
 	obj := &objective{
-		value: func(a core.Allocation) rational.Vec {
-			s := append(rational.Vec(nil), a...)
-			sort.Slice(s, func(i, j int) bool { return rational.Cmp(s[i], s[j]) < 0 })
-			return s
+		fast: func(dst, rates []rational.Rat64) ([]rational.Rat64, bool) {
+			dst = append(dst, rates...)
+			rational.Sort64(dst)
+			return dst, true
 		},
-		screen: func(lane []rational.Rat64, inc rational.Vec) (int, bool) {
-			rational.Sort64(lane)
-			for i, r := range lane {
-				if c := r.CmpRat(inc[i]); c != 0 {
-					return c, true
-				}
-			}
-			return 0, true
-		},
+		exact: sortedRats,
 	}
 	if opts.Pruned {
 		pe, err := core.NewPartialEvaluator(c, fs)
 		if err != nil {
 			return nil, err
 		}
-		obj.bound = func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error) {
-			b, err := pe.Bound(ma, fixedFrom)
-			if err != nil {
-				return nil, err
+		obj.bound = func(dst *value, ma core.MiddleAssignment, fixedFrom int) error {
+			lane, a, err := pe.Bound(ma, fixedFrom)
+			if err == nil {
+				obj.valueOf(dst, lane, a)
 			}
-			return b.SortedCopy(), nil
+			return err
 		}
 	}
 	return obj, nil
@@ -176,11 +167,11 @@ func ThroughputMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Res
 	return run(c, fs, opts, obj, scanBlock)
 }
 
-// throughputObjective orders allocations by total throughput, screened
-// as a Rat64 sum of the lane (an overflowing sum defers to the exact
-// value), with the Lemma 3.2 matching bound as its ceiling. Pruned mode
-// bounds a prefix by the certified splittable LP over its paths,
-// capped by the same ceiling.
+// throughputObjective orders allocations by total throughput: the fast
+// form is the Rat64 sum of the lane (an overflowing sum defers to the
+// exact value), with the Lemma 3.2 matching bound as its ceiling.
+// Pruned mode bounds a prefix by the certified splittable LP over its
+// paths, capped by the same ceiling.
 func throughputObjective(c topology.Fabric, fs core.Collection, opts Options) (*objective, error) {
 	if err := checkPruned(opts); err != nil {
 		return nil, err
@@ -192,29 +183,35 @@ func throughputObjective(c topology.Fabric, fs core.Collection, opts Options) (*
 		return nil, err
 	}
 	obj := &objective{
-		value: func(a core.Allocation) rational.Vec { return rational.Vec{core.Throughput(a)} },
-		screen: func(lane []rational.Rat64, inc rational.Vec) (int, bool) {
+		fast: func(dst, rates []rational.Rat64) ([]rational.Rat64, bool) {
 			sum := rational.Zero64()
-			for _, r := range lane {
+			for _, r := range rates {
 				var ok bool
 				if sum, ok = sum.Add(r); !ok {
-					return 0, false
+					return dst, false
 				}
 			}
-			return sum.CmpRat(inc[0]), true
+			return append(dst, sum), true
 		},
+		exact: func(a core.Allocation) rational.Vec { return rational.Vec{core.Throughput(a)} },
 	}
 	if ub != nil {
-		obj.ceiling = rational.Vec{ub}
+		obj.ceiling = new(value)
+		obj.ceiling.setRat(ub)
 	}
 	if opts.Pruned {
 		tb := lp.NewThroughputBounder(c, fs)
-		obj.bound = func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error) {
-			b, err := tb.Bound(ma, fixedFrom)
+		obj.bound = func(dst *value, ma core.MiddleAssignment, fixedFrom int) error {
+			r, x, err := tb.Bound(ma, fixedFrom)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return rational.Vec{b}, nil
+			if x != nil {
+				dst.setBig(rational.Vec{x})
+			} else {
+				dst.lane, dst.big = append(dst.lane[:0], r), nil
+			}
+			return nil
 		}
 	}
 	return obj, nil
@@ -313,12 +310,11 @@ func ImprovingNeighbor(c topology.Fabric, fs core.Collection, ma core.MiddleAssi
 	if err != nil {
 		return nil, err
 	}
-	nbs, _, val, err := newNeighbors(c, fs, obj, ma)
+	nbs, _, err := newNeighbors(c, fs, obj, ma)
 	if err != nil {
 		return nil, err
 	}
-	nb, _, err := nbs.improve(ma.Copy(), val)
-	return nb, err
+	return nbs.improve(ma.Copy())
 }
 
 // IsLocalLexOptimal reports whether no single-flow reroute of ma improves
@@ -330,34 +326,37 @@ func IsLocalLexOptimal(c topology.Fabric, fs core.Collection, ma core.MiddleAssi
 
 // neighbors is the single-flow deviation scan of the local-optimality
 // certificate and the hill climbs: every deviation is a one-state block
-// on one core.BlockEvaluator, screened on its Rat64 lane when the
-// objective has a screen and materialized otherwise.
+// on one core.BlockEvaluator, valued like a search leaf and compared
+// with the current routing's value.
 type neighbors struct {
-	bev     *core.BlockEvaluator
-	n       int
-	obj     *objective
-	scratch []rational.Rat64
+	bev       *core.BlockEvaluator
+	n         int
+	obj       *objective
+	cur, cand value
 }
 
-// newNeighbors prepares the scan of fs in c under obj and returns it
-// with the allocation of the starting routing ma and its value.
-func newNeighbors(c topology.Fabric, fs core.Collection, obj *objective, ma core.MiddleAssignment) (*neighbors, core.Allocation, rational.Vec, error) {
+// newNeighbors prepares the scan of fs in c under obj from the routing
+// ma and returns it with ma's allocation.
+func newNeighbors(c topology.Fabric, fs core.Collection, obj *objective, ma core.MiddleAssignment) (*neighbors, core.Allocation, error) {
 	bev, err := core.NewBlockEvaluator(c, fs)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	res, err := bev.EvalBlock(ma, 1)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	a := res.Alloc(0)
-	return &neighbors{bev: bev, n: c.Size(), obj: obj}, a, obj.value(a), nil
+	nbs := &neighbors{bev: bev, n: c.Size(), obj: obj}
+	rates, a := stateOf(res, 0)
+	obj.valueOf(&nbs.cur, rates, a)
+	return nbs, res.Alloc(0), nil
 }
 
 // improve returns the first single-flow deviation of ma, in (flow,
-// middle) order, whose value strictly exceeds val, together with that
-// value, or a nil Neighbor when none does. ma is restored on return.
-func (nbs *neighbors) improve(ma core.MiddleAssignment, val rational.Vec) (*Neighbor, rational.Vec, error) {
+// middle) order, whose value strictly exceeds the current one, and
+// makes its value current; it returns nil when none does. ma is
+// restored on return.
+func (nbs *neighbors) improve(ma core.MiddleAssignment) (*Neighbor, error) {
 	for fi, orig := range ma {
 		for m := 1; m <= nbs.n; m++ {
 			if m == orig {
@@ -367,19 +366,16 @@ func (nbs *neighbors) improve(ma core.MiddleAssignment, val rational.Vec) (*Neig
 			res, err := nbs.bev.EvalBlock(ma, 1)
 			ma[fi] = orig
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if nbs.obj.screen != nil && !res.Promoted(0) {
-				nbs.scratch = append(nbs.scratch[:0], res.Rates64(0)...)
-				if cmp, ok := nbs.obj.screen(nbs.scratch, val); ok && cmp <= 0 {
-					continue
-				}
+			rates, a := stateOf(res, 0)
+			nbs.obj.valueOf(&nbs.cand, rates, a)
+			if nbs.cand.cmp(&nbs.cur) <= 0 {
+				continue
 			}
-			a := res.Alloc(0)
-			if v := nbs.obj.value(a); rational.LexCompare(v, val) > 0 {
-				return &Neighbor{Flow: fi, Middle: m, Allocation: a}, v, nil
-			}
+			nbs.cur, nbs.cand = nbs.cand, nbs.cur
+			return &Neighbor{Flow: fi, Middle: m, Allocation: res.Alloc(0)}, nil
 		}
 	}
-	return nil, nil, nil
+	return nil, nil
 }

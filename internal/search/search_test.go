@@ -261,19 +261,19 @@ func hillClimbLex(c topology.Fabric, fs core.Collection, start core.MiddleAssign
 		return nil, 0, err
 	}
 	ma := start.Copy()
-	nbs, a, val, err := newNeighbors(c, fs, obj, ma)
+	nbs, a, err := newNeighbors(c, fs, obj, ma)
 	if err != nil {
 		return nil, 0, err
 	}
 	for moves := 0; moves < maxMoves; moves++ {
-		nb, v, err := nbs.improve(ma, val)
+		nb, err := nbs.improve(ma)
 		if err != nil {
 			return nil, moves, err
 		}
 		if nb == nil {
 			return &Result{Assignment: ma, Allocation: a, States: moves}, moves, nil
 		}
-		ma[nb.Flow], a, val = nb.Middle, nb.Allocation, v
+		ma[nb.Flow], a = nb.Middle, nb.Allocation
 	}
 	return nil, maxMoves, fmt.Errorf("search: hill climb exceeded %d moves", maxMoves)
 }
