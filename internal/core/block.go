@@ -20,12 +20,19 @@ import (
 // state registers afresh, so a promotion cannot poison the states
 // after it. Either way the allocations are exactly those of
 // ClosMaxMinFair. A BlockEvaluator is NOT safe for concurrent use.
+//
+// Its lifetime is construct → use → Release: a released evaluator goes
+// back to its prepared fabric, and the next NewBlockEvaluator there
+// keeps its kernel and buffers and resolves only the new flows' lanes.
+// Releasing is optional; an evaluator that is never released is
+// garbage collected like any value.
 type BlockEvaluator struct {
+	pf   *PreparedFabric
 	k    *kernel
 	nf   int
 	n    int
 	cur  [][]int32 // the lane lists of the state being filled
-	path [][]int32 // path[fi·n+m-1]: flow fi's lanes via middle m
+	path LaneTable // entry fi·n+m-1: flow fi's lanes via middle m
 
 	// Per-block outputs: the k×nf rate lane of the fast path and the
 	// allocations of promoted states (nil for fast states).
@@ -33,6 +40,7 @@ type BlockEvaluator struct {
 	bigAllocs []Allocation
 	res       BlockResult
 
+	// Per-owner state, reset by the constructor.
 	forceBig   bool
 	promotions int
 
@@ -47,16 +55,29 @@ type BlockEvaluator struct {
 }
 
 // NewBlockEvaluator prepares repeated block evaluations of fs over c,
-// on c's prepared fabric (PrepareFabric). It fails if any flow endpoint
-// is not a server of c.
+// on c's prepared fabric (PrepareFabric), reusing an evaluator released
+// on that fabric when there is one. It fails if any flow endpoint is
+// not a server of c.
 func NewBlockEvaluator(c topology.Fabric, fs Collection) (*BlockEvaluator, error) {
 	pf := PrepareFabric(c)
-	path, err := pf.PathLanes(fs)
-	if err != nil {
+	b, _ := pf.blocks.get().(*BlockEvaluator)
+	if b == nil {
+		b = &BlockEvaluator{pf: pf, k: pf.caps.newKernel()}
+	}
+	if err := pf.PathLanes(&b.path, fs); err != nil {
+		b.Release()
 		return nil, fmt.Errorf("evaluator: %w", err)
 	}
-	return &BlockEvaluator{k: pf.caps.newKernel(), nf: len(fs), n: pf.Size(), cur: make([][]int32, len(fs)), path: path}, nil
+	b.nf, b.n, b.cur = len(fs), pf.Size(), resize(b.cur, len(fs))
+	b.forceBig, b.promotions, b.testOverflow = false, 0, nil
+	b.Instrument(nil)
+	return b, nil
 }
+
+// Release hands b back to its prepared fabric for a later
+// NewBlockEvaluator to reuse. Neither b nor any BlockResult it returned
+// may be used after Release, and b may be released only once.
+func (b *BlockEvaluator) Release() { b.pf.blocks.put(b) }
 
 // ForceBig pins EvalBlock to the (identical) *big.Rat path when on.
 func (b *BlockEvaluator) ForceBig(on bool) { b.forceBig = on }
@@ -106,7 +127,7 @@ func (b *BlockEvaluator) EvalBlockCtx(ctx context.Context, mas []int, k int) (*B
 	overflowed, fast := 0, b.k.fast && !b.forceBig
 	for s := 0; s < k; s++ {
 		for fi, m := range mas[s*b.nf : (s+1)*b.nf] {
-			b.cur[fi] = b.path[fi*b.n+m-1]
+			b.cur[fi] = b.path.List(fi*b.n + m - 1)
 		}
 		try := fast && (b.testOverflow == nil || !b.testOverflow(s))
 		a, err := b.k.solve(ctx, b.cur, b.rates[s*b.nf:(s+1)*b.nf], try)
@@ -138,7 +159,7 @@ func resize[T any](s []T, n int) []T {
 
 // BlockResult is the outcome of one EvalBlock call. It aliases the
 // evaluator's scratch: accessors are valid until the next EvalBlock on
-// the same evaluator.
+// the same evaluator or its Release.
 type BlockResult struct {
 	be *BlockEvaluator
 	k  int
@@ -152,8 +173,9 @@ func (r *BlockResult) Promoted(s int) bool { return r.be.bigAllocs[s] != nil }
 
 // Rates64 returns state s's rate lane in flow order. It is only valid
 // when !Promoted(s), must not be mutated, and is overwritten by the
-// next EvalBlock. The search objectives screen candidates on this lane
-// without materializing allocations.
+// next EvalBlock, or by the evaluator's next owner after Release. The
+// search objectives screen candidates on this lane without
+// materializing allocations.
 func (r *BlockResult) Rates64(s int) []rational.Rat64 {
 	return r.be.rates[s*r.be.nf : (s+1)*r.be.nf]
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"closnet/internal/topology"
 )
@@ -12,10 +15,14 @@ import (
 // fact the evaluators derive from it: the LinkID → lane map of its
 // finite links and the kernel's capacity template over those lanes,
 // plus — built on first use, so an evaluation pays nothing for it — the
-// trunk-relaxation template of the pruned lex search. It is immutable
-// and safe for concurrent use: evaluators built on one share it and
-// copy only kernel scratch. It implements topology.Fabric by embedding,
-// so a prepared fabric goes wherever a fabric does.
+// trunk-relaxation template of the pruned lex search. Its facts are
+// immutable and it is safe for concurrent use: evaluators built on one
+// share it and copy only kernel scratch. It implements topology.Fabric
+// by embedding, so a prepared fabric goes wherever a fabric does.
+//
+// It also keeps the block and partial evaluators released on it
+// (Release), whose kernels are sized by its lanes, so a constructor on
+// the same fabric reuses their scratch instead of allocating its own.
 type PreparedFabric struct {
 	topology.Fabric
 	laneOf laneMap
@@ -24,6 +31,45 @@ type PreparedFabric struct {
 	relaxOnce sync.Once
 	relax     *relaxation
 	relaxErr  error
+
+	blocks, partials idlePool
+}
+
+// idlePool holds the evaluators of one kind released on a fabric. It is
+// a sync.Pool, so the GC bounds what a retained fabric holds, and it
+// admits at most GOMAXPROCS of them between takes — as many as can
+// compute on the fabric at once. Without the cap, evaluators pile up
+// between collections wherever releases and takes fall on different
+// fabrics: the engine's evaluator pool evicts a topology on one shape
+// to admit one on another, so on evaluate-cold traffic the per-fabric
+// surplus wanders like a random walk.
+type idlePool struct {
+	pool sync.Pool
+	// idle counts the evaluators put since a take last found the pool
+	// empty, less those taken since. It is loose — the GC may drop
+	// items, and a take does not see another processor's private one —
+	// but it is reset at every empty take, so its error stays small.
+	idle atomic.Int32
+}
+
+// get takes a released evaluator, or returns nil.
+func (p *idlePool) get() any {
+	x := p.pool.Get()
+	if x == nil {
+		p.idle.Store(0)
+	} else {
+		p.idle.Add(-1)
+	}
+	return x
+}
+
+// put releases x, or drops it for the GC when the pool is full.
+func (p *idlePool) put(x any) {
+	if p.idle.Add(1) > int32(runtime.GOMAXPROCS(0)) {
+		p.idle.Add(-1)
+		return
+	}
+	p.pool.Put(x)
 }
 
 // PrepareFabric returns c prepared for evaluation. An already prepared
@@ -74,40 +120,61 @@ func (m laneMap) appendLanes(lanes []int32, p topology.Path) []int32 {
 	return lanes
 }
 
+// LaneTable is a table of lane lists cut from one flat buffer.
+// Resolving into a used table reuses both of its buffers, so a table
+// that has held as many lanes allocates nothing.
+type LaneTable struct {
+	lists [][]int32
+	flat  []int32
+}
+
+// List returns entry i. It is capped, so appending to it never
+// overwrites the next entry, and it must not be mutated.
+func (t *LaneTable) List(i int) []int32 { return t.lists[i] }
+
+// begin starts a table of n entries, each appended to flat and then
+// closed by end in entry order; cut completes it.
+func (t *LaneTable) begin(n int) {
+	t.lists = resize(t.lists, n)
+	t.flat = t.flat[:0]
+}
+
+// end closes entry i at the end of flat. Until cut, lists[i] is the
+// prefix of flat that ends there: flat may still move, so only its
+// length is kept.
+func (t *LaneTable) end(i int) { t.lists[i] = t.flat }
+
+// cut cuts the entries out of flat, which no longer moves.
+func (t *LaneTable) cut() {
+	start := 0
+	for i, l := range t.lists {
+		t.lists[i] = t.flat[start:len(l):len(l)]
+		start = len(l)
+	}
+}
+
 // PathLanes resolves the finite lanes of every flow's path via every
-// choice: entry fi·Size() + m-1 lists flow fi's lanes via choice m, in
-// path order. The lists share one flat buffer.
-func (pf *PreparedFabric) PathLanes(fs Collection) ([][]int32, error) {
+// choice into t: entry fi·Size() + m-1 lists flow fi's lanes via
+// choice m, in path order. On error t is left incomplete.
+func (pf *PreparedFabric) PathLanes(t *LaneTable, fs Collection) error {
 	n := pf.Size()
-	ends := make([]int, len(fs)*n)
+	t.begin(len(fs) * n)
 	var path topology.Path
-	var flat []int32
 	for fi, f := range fs {
 		for m := 1; m <= n; m++ {
 			var err error
 			if path, err = pf.AppendPath(path[:0], f.Src, f.Dst, m); err != nil {
-				return nil, fmt.Errorf("flow %d: %w", fi, err)
+				return fmt.Errorf("flow %d: %w", fi, err)
 			}
-			if flat == nil {
-				flat = make([]int32, 0, len(path)*len(ends))
+			if fi == 0 && m == 1 {
+				t.flat = slices.Grow(t.flat, len(path)*len(t.lists))
 			}
-			flat = pf.laneOf.appendLanes(flat, path)
-			ends[fi*n+m-1] = len(flat)
+			t.flat = pf.laneOf.appendLanes(t.flat, path)
+			t.end(fi*n + m - 1)
 		}
 	}
-	return splitFlat(flat, ends), nil
-}
-
-// splitFlat cuts flat into the lists ending at ends. Each list is
-// capped at its end, so appending to one never overwrites the next.
-func splitFlat(flat []int32, ends []int) [][]int32 {
-	lists := make([][]int32, len(ends))
-	start := 0
-	for i, end := range ends {
-		lists[i] = flat[start:end:end]
-		start = end
-	}
-	return lists
+	t.cut()
+	return nil
 }
 
 // relaxation is the fabric-only part of the trunk relaxation

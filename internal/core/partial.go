@@ -45,23 +45,38 @@ import (
 // construction. The pools and their capacity template depend on the
 // fabric alone: they are built once per prepared fabric, on the first
 // PartialEvaluator. A PartialEvaluator is NOT safe for concurrent use.
+// Like a BlockEvaluator it lives construct → use → Release, and the
+// next NewPartialEvaluator on the same fabric reuses a released one's
+// kernel and buffers.
 type PartialEvaluator struct {
+	pf    *PreparedFabric
 	k     *kernel
 	nf    int
 	n     int
 	cur   [][]int32 // the lane lists of the current call
 	rates []rational.Rat64
 
-	// lanes[fi·(n+1)] lists the lanes flow fi occupies when free: the
+	// Entry fi·(n+1) lists the lanes flow fi occupies when free: the
 	// real links on all of its candidate paths plus its charged trunks.
-	// lanes[fi·(n+1)+m] adds the other real links of its path via
-	// choice m. The lists share one flat buffer.
-	lanes    [][]int32
-	forceBig bool
+	// Entry fi·(n+1)+m adds the other real links of its path via choice
+	// m.
+	lanes    LaneTable
+	forceBig bool // per owner, reset by the constructor
+
+	// Construction scratch, kept for the next owner: the flow's paths
+	// via every choice back to back and where each ends, how many of
+	// them cross each real link (zero between flows) and each pool, and
+	// whether each pool is charged.
+	paths     topology.Path
+	pathEnd   []int
+	occ       []int
+	crossings []int
+	charged   []bool
 }
 
 // NewPartialEvaluator prepares repeated trunk-relaxation bounds of fs
-// over c's prepared fabric (PrepareFabric). It fails if any flow
+// over c's prepared fabric (PrepareFabric), reusing an evaluator
+// released on that fabric when there is one. It fails if any flow
 // endpoint is not a server of c or any link capacity is unbounded (the
 // relaxation pools concrete capacities).
 func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, error) {
@@ -70,75 +85,91 @@ func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, e
 	if err != nil {
 		return nil, err
 	}
-	e := &PartialEvaluator{k: rx.caps.newKernel(), nf: len(fs), n: pf.Size(), cur: make([][]int32, len(fs)), rates: make([]rational.Rat64, len(fs))}
+	e, _ := pf.partials.get().(*PartialEvaluator)
+	if e == nil {
+		nPools := len(rx.caps.seedN) - rx.nReal
+		e = &PartialEvaluator{pf: pf, k: rx.caps.newKernel(), pathEnd: make([]int, pf.Size()),
+			occ: make([]int, rx.nReal), crossings: make([]int, nPools), charged: make([]bool, nPools)}
+	}
+	e.nf, e.n, e.forceBig = len(fs), pf.Size(), false
+	e.cur, e.rates = resize(e.cur, len(fs)), resize(e.rates, len(fs))
+	if err := e.resolve(rx, fs); err != nil {
+		e.Release()
+		return nil, err
+	}
+	return e, nil
+}
 
-	// Per-flow lanes. A real link is static when it lies on every
-	// candidate path. A trunk is charged exactly when every candidate
-	// path crosses its pool exactly once (then the flow consumes one unit
-	// of pool capacity under any completion).
-	nPools := len(rx.caps.seedN) - rx.nReal
-	occ := make([]int, rx.nReal)
-	crossings := make([]int, nPools)
-	charged := make([]bool, nPools)
-	ends := make([]int, len(fs)*(e.n+1))
-	pathEnd := make([]int, e.n)
-	var paths topology.Path // the flow's n paths, back to back
-	var flat []int32
+// resolve lays out the lane lists of fs. A real link is static when it
+// lies on every candidate path. A trunk is charged exactly when every
+// candidate path crosses its pool exactly once (then the flow consumes
+// one unit of pool capacity under any completion).
+func (e *PartialEvaluator) resolve(rx *relaxation, fs Collection) error {
+	t, occ := &e.lanes, e.occ
+	t.begin(len(fs) * (e.n + 1))
 	for fi, f := range fs {
-		for q := range charged {
-			charged[q] = true
+		for q := range e.charged {
+			e.charged[q] = true
 		}
-		paths = paths[:0]
-		for m := range pathEnd {
+		paths := e.paths[:0]
+		for m := range e.pathEnd {
 			start := len(paths)
-			if paths, err = pf.AppendPath(paths, f.Src, f.Dst, m+1); err != nil {
-				return nil, fmt.Errorf("partial: flow %d: %w", fi, err)
+			var err error
+			if paths, err = e.pf.AppendPath(paths, f.Src, f.Dst, m+1); err != nil {
+				clear(occ)
+				return fmt.Errorf("partial: flow %d: %w", fi, err)
 			}
-			pathEnd[m] = len(paths)
-			clear(crossings)
+			e.pathEnd[m] = len(paths)
+			clear(e.crossings)
 			for _, l := range paths[start:] {
 				occ[l]++
 				for _, q := range [2]int{rx.poolOf[0][l], rx.poolOf[1][l]} {
 					if q >= 0 {
-						crossings[q]++
+						e.crossings[q]++
 					}
 				}
 			}
-			for q, n := range crossings {
-				charged[q] = charged[q] && n == 1
+			for q, n := range e.crossings {
+				e.charged[q] = e.charged[q] && n == 1
 			}
 		}
-		free := len(flat)
-		for _, l := range paths[:pathEnd[0]] {
+		e.paths = paths
+		free := len(t.flat)
+		for _, l := range paths[:e.pathEnd[0]] {
 			if occ[l] == e.n {
-				flat = append(flat, int32(l))
+				t.flat = append(t.flat, int32(l))
 			}
 		}
-		for q, ch := range charged {
+		for q, ch := range e.charged {
 			if ch {
-				flat = append(flat, int32(rx.nReal+q))
+				t.flat = append(t.flat, int32(rx.nReal+q))
 			}
 		}
-		nfree := len(flat) - free
-		ends[fi*(e.n+1)] = len(flat)
+		nfree := len(t.flat) - free
+		t.end(fi * (e.n + 1))
 		start := 0
-		for m, end := range pathEnd {
-			flat = append(flat, flat[free:free+nfree]...)
+		for m, end := range e.pathEnd {
+			t.flat = append(t.flat, t.flat[free:free+nfree]...)
 			for _, l := range paths[start:end] {
 				if occ[l] != e.n {
-					flat = append(flat, int32(l))
+					t.flat = append(t.flat, int32(l))
 				}
 			}
-			ends[fi*(e.n+1)+m+1] = len(flat)
+			t.end(fi*(e.n+1) + m + 1)
 			start = end
 		}
 		for _, l := range paths {
 			occ[l] = 0
 		}
 	}
-	e.lanes = splitFlat(flat, ends)
-	return e, nil
+	t.cut()
+	return nil
 }
+
+// Release hands e back to its prepared fabric for a later
+// NewPartialEvaluator to reuse. Neither e nor a lane Bound returned may
+// be used after Release, and e may be released only once.
+func (e *PartialEvaluator) Release() { e.pf.partials.put(e) }
 
 // ForceBig pins Bound to the (identical) *big.Rat path when on.
 func (e *PartialEvaluator) ForceBig(on bool) { e.forceBig = on }
@@ -151,10 +182,11 @@ func (e *PartialEvaluator) ForceBig(on bool) { e.forceBig = on }
 // evaluation. Only ma[fixedFrom:] is read.
 //
 // The result is the fill's rate lane in flow order, which aliases the
-// evaluator's scratch until the next call and must not be mutated (like
-// BlockResult.Rates64), or, when the fill was promoted to *big.Rat (or
-// ForceBig is on), a nil lane and the freshly allocated promoted
-// allocation (like BlockResult.Promoted). AllocOf materializes a lane.
+// evaluator's scratch until the next call or Release and must not be
+// mutated (like BlockResult.Rates64), or, when the fill was promoted to
+// *big.Rat (or ForceBig is on), a nil lane and the freshly allocated
+// promoted allocation (like BlockResult.Promoted). AllocOf materializes
+// a lane.
 func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (lane []rational.Rat64, promoted Allocation, err error) {
 	if len(ma) != e.nf {
 		return nil, nil, fmt.Errorf("partial: assignment has %d middles for %d flows", len(ma), e.nf)
@@ -169,7 +201,7 @@ func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (lane []rat
 				return nil, nil, fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
 			}
 		}
-		e.cur[fi] = e.lanes[fi*(e.n+1)+m]
+		e.cur[fi] = e.lanes.List(fi*(e.n+1) + m)
 	}
 	a, err := e.k.solve(context.TODO(), e.cur, e.rates, e.k.fast && !e.forceBig)
 	if a != nil || err != nil {

@@ -100,6 +100,44 @@ func BenchmarkEvaluatePooled(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateCold times one evaluate-cold request, Prepare plus
+// Compute, on one engine: 4,096 scenarios (16–48 flows, a random
+// assignment each) on the five evaluate fabrics, visited in order. Each
+// scenario has its own topology, far more than the evaluator pool
+// keeps, so every timed request misses the pool and builds its block
+// evaluator on its cached fabric, from the scratch of an evaluator the
+// pool released.
+func BenchmarkEvaluateCold(b *testing.B) {
+	const scenarios = 4096
+	rng := rand.New(rand.NewSource(5))
+	sps := evaluateFabrics(b)
+	reqs := make([]Request, scenarios)
+	for i := range reqs {
+		s := drawTraffic(b, rng, sps, 16, 48)
+		s.Assignment = drawAssignment(rng, len(s.Flows), s.Middles)
+		reqs[i] = Request{Op: OpEvaluate, Scenario: s}
+	}
+	eng := New(Options{SearchWorkers: 1})
+	ctx := context.Background()
+	run := func(req Request) {
+		p, err := eng.Prepare(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Compute(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, req := range reqs {
+		run(req)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(reqs[i%len(reqs)])
+	}
+}
+
 // searchSlot is one slot of the search-mix cycle: a fabric, a flow
 // count and the search op.
 type searchSlot struct {

@@ -10,8 +10,9 @@ import (
 
 // maxPooledTopologies bounds the number of distinct topology keys the
 // evaluator pool retains. Past the cap the oldest key is dropped FIFO —
-// its evaluators are garbage, and the next request for that topology
-// pays one rebuild. Batch workloads sweep assignments over a handful of
+// its idle evaluators are released to their fabrics, and the next
+// request for that topology pays one build on a released evaluator's
+// scratch. Batch workloads sweep assignments over a handful of
 // topologies, so a small cap captures all the reuse.
 const maxPooledTopologies = 64
 
@@ -34,6 +35,12 @@ const maxPooledPerKey = 16
 // mutex-guarded stack, not a sync.Pool — reuse must be deterministic
 // (sync.Pool sheds entries under GC pressure and randomly in race
 // builds), and the evaluators are cheap enough to keep resident.
+//
+// An evaluator the pool evicts or drops is released
+// (BlockEvaluator.Release) to its prepared fabric, whose own GC-bounded
+// pool hands its kernel to the next build on that fabric: a miss then
+// resolves only the new flows' lanes. engine.evaluator_builds still
+// counts every miss.
 type evalPool struct {
 	mu   sync.Mutex
 	free map[[32]byte][]*core.BlockEvaluator
@@ -74,6 +81,9 @@ func (p *evalPool) get(key [32]byte) *core.BlockEvaluator {
 		if len(p.order) >= maxPooledTopologies {
 			for i, old := range p.order {
 				if p.leased[old] == 0 {
+					for _, bev := range p.free[old] {
+						bev.Release()
+					}
 					delete(p.free, old)
 					p.order = append(p.order[:i], p.order[i+1:]...)
 					break
@@ -96,8 +106,7 @@ func (p *evalPool) get(key [32]byte) *core.BlockEvaluator {
 }
 
 // put releases a lease and returns the evaluator to its key's free
-// list. A full list drops it — the evaluator is plain memory, nothing
-// to close.
+// list. A full list releases it to its fabric instead.
 func (p *evalPool) put(key [32]byte, bev *core.BlockEvaluator) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -108,17 +117,19 @@ func (p *evalPool) put(key [32]byte, bev *core.BlockEvaluator) {
 	}
 	stack, ok := p.free[key]
 	if !ok || len(stack) >= maxPooledPerKey {
+		bev.Release()
 		return
 	}
 	p.free[key] = append(stack, bev)
 }
 
 // acquire checks an evaluator for canon's topology, whose topology hash
-// is key, out of the pool, building (and instrumenting) a fresh one on
-// a miss — on the shared prepared fabric of canon's shape, so a miss
-// resolves only the flows' lanes. The returned put func returns the
-// evaluator for reuse; callers must not touch the evaluator or any
-// scratch-aliasing BlockResult views after put.
+// is key, out of the pool, building (and instrumenting) one on a miss —
+// on the shared prepared fabric of canon's shape, from the scratch of
+// an evaluator released there when it has one, so a miss resolves only
+// the flows' lanes. The returned put func returns the evaluator for
+// reuse; callers must not touch the evaluator or any scratch-aliasing
+// BlockResult views after put.
 func (p *evalPool) acquire(key [32]byte, canon *codec.Scenario, o *obs.Obs) (*core.BlockEvaluator, func(), error) {
 	if bev := p.get(key); bev != nil {
 		p.reuses.Inc()

@@ -5,7 +5,22 @@ import (
 
 	"closnet/internal/codec"
 	"closnet/internal/core"
+	"closnet/internal/topology"
 )
+
+// idleEvaluators returns a source of distinct real evaluators to put
+// under synthetic keys: the pool releases what it evicts or drops to
+// the evaluator's fabric, so a zero BlockEvaluator cannot stand in.
+func idleEvaluators(t *testing.T) func() *core.BlockEvaluator {
+	fab := core.PrepareFabric(topology.MustClos(2))
+	return func() *core.BlockEvaluator {
+		bev, err := core.NewBlockEvaluator(fab, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bev
+	}
+}
 
 // TestEvalPoolEvictionSkipsLeasedKey: flooding the pool with more than
 // maxPooledTopologies distinct keys while a lease is outstanding must
@@ -26,6 +41,7 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	idle := idleEvaluators(t)
 
 	// Flood: enough distinct synthetic keys to wrap the FIFO several
 	// times over. Each is leased by get and released by put, so they are
@@ -36,7 +52,7 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 		if got := p.get(k); got != nil {
 			t.Fatalf("fresh synthetic key %d returned an evaluator", i)
 		}
-		p.put(k, &core.BlockEvaluator{})
+		p.put(k, idle())
 	}
 
 	putA()
@@ -77,8 +93,9 @@ func TestEvalPoolAllLeasedExceedsCapTemporarily(t *testing.T) {
 	if resident != len(keys) {
 		t.Fatalf("pool holds %d keys with %d concurrent leases, want all admitted", resident, len(keys))
 	}
+	idle := idleEvaluators(t)
 	for i := range keys {
-		p.put(keys[i], &core.BlockEvaluator{})
+		p.put(keys[i], idle())
 	}
 	// Past-cap admissions with everything released: eviction resumes.
 	var extra [32]byte

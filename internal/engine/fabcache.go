@@ -16,7 +16,9 @@ import (
 // holds at most about 28 MiB — hundreds of the fabrics served traffic
 // names (C_5 has 200 links, the 4-pod fat-tree 96) — while a fabric
 // larger than the whole budget, such as one at the codec's size caps
-// (131,072 links), is served but never retained.
+// (131,072 links), is served but never retained. The evaluators
+// released on a fabric wait in its sync.Pools, which the GC empties,
+// so the budget need not count them.
 const fabricBudget = 1 << 16
 
 // fabricShape is the cache key: a fabric depends only on its family

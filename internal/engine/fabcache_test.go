@@ -19,9 +19,10 @@ func (fc *fabricCache) retained() (fabrics, links int) {
 	return len(fc.order), fc.links
 }
 
-// sharedShapeScenarios returns two scenarios (different flows) on each
-// of three shapes: C_3, the 4-pod fat-tree and the 8-port Benes.
-func sharedShapeScenarios(t *testing.T) []*codec.Scenario {
+// sharedShapeScenarios returns the scenarios of seeds first..last
+// (different flows) on each of three shapes: C_3, the 4-pod fat-tree
+// and the 8-port Benes.
+func sharedShapeScenarios(t *testing.T, first, last int64) []*codec.Scenario {
 	t.Helper()
 	specs := []func() (gen.Spec, error){
 		func() (gen.Spec, error) { return gen.ClosSpec(3) },
@@ -34,7 +35,7 @@ func sharedShapeScenarios(t *testing.T) []*codec.Scenario {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for seed := int64(1); seed <= 2; seed++ {
+		for seed := first; seed <= last; seed++ {
 			s, err := gen.Scenario(sp, gen.TrafficConfig{Flows: 5, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
@@ -47,7 +48,7 @@ func sharedShapeScenarios(t *testing.T) []*codec.Scenario {
 
 // sharedOps are the ops that take a fabric from the cache; "open" is a
 // session open.
-var sharedOps = []string{OpEvaluate, OpSearchLexPruned, OpSearchThroughputPruned, OpDoom, "open"}
+var sharedOps = []string{OpEvaluate, OpSearchLex, OpSearchThroughput, OpSearchLexPruned, OpSearchThroughputPruned, OpDoom, "open"}
 
 // runShared runs one op of sharedOps and returns its body; a session
 // body drops the random session ID.
@@ -67,25 +68,43 @@ func runShared(eng *Engine, op string, s *codec.Scenario) (string, error) {
 	return string(resp.Body), nil
 }
 
-// TestFabricCacheSharedAcrossOps runs evaluate, pruned lex and
-// throughput search, doom and session open from 8 goroutines on one
-// engine over shared shapes: every body must equal a fresh engine's,
-// and each shape is built exactly once.
+// TestFabricCacheSharedAcrossOps runs evaluate, exhaustive and pruned
+// lex and throughput search, doom and session open from 8 goroutines
+// on one engine over shared shapes, with the exhaustive searches on 2
+// workers, plus evaluates over more topologies than the evaluator pool
+// keeps, so that its evictions release evaluators to the fabrics while
+// searches take and release theirs: every body must equal a fresh
+// engine's, and each shape is built exactly once.
 func TestFabricCacheSharedAcrossOps(t *testing.T) {
-	scens := sharedShapeScenarios(t)
-	want := make(map[string]string)
+	type job struct {
+		op string
+		s  *codec.Scenario
+	}
+	var jobs []job
 	for _, op := range sharedOps {
-		for i, s := range scens {
-			body, err := runShared(New(Options{SearchWorkers: 1}), op, s)
-			if err != nil {
-				t.Fatalf("%s on scenario %d: %v", op, i, err)
-			}
-			want[fmt.Sprint(op, i)] = body
+		for _, s := range sharedShapeScenarios(t, 1, 2) {
+			jobs = append(jobs, job{op, s})
 		}
+	}
+	// 66 more topology hashes on the same shapes.
+	evictors := sharedShapeScenarios(t, 3, 24)
+	for _, s := range evictors {
+		jobs = append(jobs, job{OpEvaluate, s})
+	}
+	if len(evictors) <= maxPooledTopologies {
+		t.Fatalf("%d evaluate topologies do not overflow the evaluator pool's %d", len(evictors), maxPooledTopologies)
+	}
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		body, err := runShared(New(Options{SearchWorkers: 1}), j.op, j.s)
+		if err != nil {
+			t.Fatalf("%s on job %d: %v", j.op, i, err)
+		}
+		want[i] = body
 	}
 
 	reg := obs.NewRegistry()
-	eng := New(Options{SearchWorkers: 1, MaxSessions: 8 * 3 * len(scens), Obs: &obs.Obs{Reg: reg}})
+	eng := New(Options{SearchWorkers: 2, MaxSessions: 8 * 3 * len(jobs), Obs: &obs.Obs{Reg: reg}})
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -93,15 +112,14 @@ func TestFabricCacheSharedAcrossOps(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				for k := range len(sharedOps) * len(scens) {
-					k = (k + g*7) % (len(sharedOps) * len(scens))
-					op, i := sharedOps[k/len(scens)], k%len(scens)
-					body, err := runShared(eng, op, scens[i])
-					if err == nil && body != want[fmt.Sprint(op, i)] {
-						err = fmt.Errorf("body differs from a fresh engine's:\n got %s\nwant %s", body, want[fmt.Sprint(op, i)])
+				for k := range jobs {
+					i := (k + g*7) % len(jobs)
+					body, err := runShared(eng, jobs[i].op, jobs[i].s)
+					if err == nil && body != want[i] {
+						err = fmt.Errorf("body differs from a fresh engine's:\n got %s\nwant %s", body, want[i])
 					}
 					if err != nil {
-						errs <- fmt.Errorf("goroutine %d: %s on scenario %d: %w", g, op, i, err)
+						errs <- fmt.Errorf("goroutine %d: %s on job %d: %w", g, jobs[i].op, i, err)
 						return
 					}
 				}
@@ -114,11 +132,14 @@ func TestFabricCacheSharedAcrossOps(t *testing.T) {
 		t.Error(err)
 	}
 	counters := reg.Snapshot().Counters
-	if got, shapes := counters["engine.fabric_builds"], int64(len(scens)/2); got != shapes {
-		t.Errorf("engine.fabric_builds = %d over %d distinct shapes", got, shapes)
+	if got := counters["engine.fabric_builds"]; got != 3 {
+		t.Errorf("engine.fabric_builds = %d over 3 distinct shapes", got)
 	}
 	if counters["engine.fabric_hits"] == 0 {
 		t.Error("engine.fabric_hits stayed 0")
+	}
+	if got, topologies := counters["engine.evaluator_builds"], int64(len(evictors)+6); got <= topologies {
+		t.Errorf("engine.evaluator_builds = %d over %d topologies: the evaluator pool evicted nothing", got, topologies)
 	}
 }
 

@@ -73,15 +73,6 @@ func ClosSpec(n int) (Spec, error) {
 	return Spec{Family: topology.FamilyClos, Tors: c.NumToRs(), Servers: c.ServersPerToR(), Middles: c.Size()}, nil
 }
 
-// GeneralClosSpec is an arbitrary-shape Clos.
-func GeneralClosSpec(tors, servers, middles int) (Spec, error) {
-	c, err := topology.NewGeneralClos(tors, servers, middles)
-	if err != nil {
-		return Spec{}, err
-	}
-	return Spec{Family: topology.FamilyClos, Tors: c.NumToRs(), Servers: c.ServersPerToR(), Middles: c.Size()}, nil
-}
-
 // OversubscribedClosSpec thins the middle stage by the sRatio:mRatio
 // oversubscription ratio (see topology.NewOversubscribedClos).
 func OversubscribedClosSpec(tors, servers, sRatio, mRatio int) (Spec, error) {

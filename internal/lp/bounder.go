@@ -3,6 +3,7 @@ package lp
 import (
 	"math/big"
 	"slices"
+	"sync"
 
 	"closnet/internal/core"
 	"closnet/internal/rational"
@@ -31,15 +32,20 @@ import (
 // Any int64 overflow, an unbounded or uncertified LP, or an invalid
 // argument falls back to SplittableThroughputBound, which also supplies
 // the error. A ThroughputBounder is NOT safe for concurrent use.
+//
+// Its lifetime is construct → use → Release. None of its scratch
+// depends on the fabric, so released bounders wait in one package-level
+// pool, and the next NewThroughputBounder on any fabric reuses one.
 type ThroughputBounder struct {
 	c     topology.Fabric
 	fs    core.Collection
 	nf, n int
 
-	// paths[fi*n+m-1] lists the lanes of flow fi's path via middle m;
-	// capN[l]/den is lane l's capacity. fast is false when a path or a
-	// capacity could not be resolved: then every Bound falls back.
-	paths [][]int32
+	// Entry fi*n+m-1 of paths lists the lanes of flow fi's path via
+	// middle m; capN[l]/den is lane l's capacity. fast is false when a
+	// path or a capacity could not be resolved: then every Bound falls
+	// back.
+	paths core.LaneTable
 	capN  []int64
 	den   int64
 	fast  bool
@@ -53,23 +59,33 @@ type ThroughputBounder struct {
 	rowOf []int32
 }
 
-// NewThroughputBounder prepares repeated throughput bounds of fs over c.
+// bounders holds released ThroughputBounders.
+var bounders sync.Pool
+
+// NewThroughputBounder prepares repeated throughput bounds of fs over
+// c, reusing a released bounder when there is one.
 func NewThroughputBounder(c topology.Fabric, fs core.Collection) *ThroughputBounder {
 	pf := core.PrepareFabric(c)
 	capN, den, fast := pf.Capacities()
-	b := &ThroughputBounder{c: pf, fs: fs, nf: len(fs), n: pf.Size(), capN: capN, den: den,
-		fast: fast && !slices.ContainsFunc(capN, func(x int64) bool { return x < 0 })}
-	b.rowOf = make([]int32, len(capN))
+	b, _ := bounders.Get().(*ThroughputBounder)
+	if b == nil {
+		b = new(ThroughputBounder)
+	}
+	b.c, b.fs, b.nf, b.n, b.capN, b.den = pf, fs, len(fs), pf.Size(), capN, den
+	b.fast = fast && !slices.ContainsFunc(capN, func(x int64) bool { return x < 0 })
+	b.rowOf = resize(b.rowOf, len(capN))
 	for i := range b.rowOf {
 		b.rowOf[i] = -1
 	}
 	if b.fast {
-		var err error
-		b.paths, err = pf.PathLanes(fs)
-		b.fast = err == nil
+		b.fast = pf.PathLanes(&b.paths, fs) == nil
 	}
 	return b
 }
+
+// Release hands b back for a later NewThroughputBounder to reuse; b
+// must not be used after Release, and may be released only once.
+func (b *ThroughputBounder) Release() { bounders.Put(b) }
 
 // Bound returns the certified splittable maximum-throughput bound of
 // the partial assignment in which flows [fixedFrom, len(fs)) are routed
@@ -128,7 +144,7 @@ func (b *ThroughputBounder) activate(ma core.MiddleAssignment, fixedFrom int) bo
 	}
 	b.rows = b.rows[:0]
 	for _, pc := range b.cols {
-		for _, l := range b.paths[pc] {
+		for _, l := range b.paths.List(int(pc)) {
 			if b.rowOf[l] < 0 {
 				b.rowOf[l] = 0
 				b.rows = append(b.rows, l)
@@ -155,7 +171,7 @@ func (b *ThroughputBounder) solveLP() (optimal, ok bool) {
 	t.reset(len(b.rows), len(b.cols))
 	for j, pc := range b.cols {
 		t.z[j] = -1
-		for _, l := range b.paths[pc] {
+		for _, l := range b.paths.List(int(pc)) {
 			t.a[int(b.rowOf[l])*t.w+j]++
 		}
 	}
@@ -177,7 +193,7 @@ func (b *ThroughputBounder) certify(ys []int64, d int64) (num, den int64, ok boo
 	}
 	for _, pc := range b.cols {
 		var s int64
-		for _, l := range b.paths[pc] {
+		for _, l := range b.paths.List(int(pc)) {
 			if s, ok = addNonNeg(s, ys[b.rowOf[l]]); !ok {
 				return 0, 0, false
 			}

@@ -45,6 +45,7 @@ package search
 import (
 	"container/heap"
 	"context"
+	"sync"
 
 	"closnet/internal/core"
 	"closnet/internal/topology"
@@ -53,8 +54,9 @@ import (
 // bbNode is one frontier node: a digit prefix, its running maximum
 // label, the first rank of its block, and its bound. The root (depth 0)
 // has no bound and is ordered ahead of everything. Nodes are recycled
-// with their digit and bound storage, so the frontier allocates only
-// while it grows past its previous peak.
+// with their digit and bound storage, within a run and across runs
+// (frontier), so the frontier allocates only while it grows past its
+// previous peak.
 type bbNode struct {
 	depth  int
 	digits []int
@@ -91,6 +93,39 @@ func (h *bbHeap) Pop() any {
 	return x
 }
 
+// frontier is the branch-and-bound's storage: the heap, the expanded
+// and pruned nodes kept for reuse, the children's assignment and the
+// leaf block. A run takes one from frontiers and puts it back on every
+// exit path, so a warm run allocates no node.
+type frontier struct {
+	h       bbHeap
+	free    []*bbNode
+	ma      core.MiddleAssignment
+	leafBuf []int
+}
+
+var frontiers = sync.Pool{New: func() any { return new(frontier) }}
+
+// node returns a recycled node, or a new one with digit storage for nf
+// flows.
+func (fr *frontier) node(nf int) *bbNode {
+	k := len(fr.free)
+	if k == 0 {
+		return &bbNode{digits: make([]int, 0, nf)}
+	}
+	n := fr.free[k-1]
+	fr.free = fr.free[:k-1]
+	return n
+}
+
+// release moves the nodes left on the heap to the free list and puts
+// the frontier back in the pool.
+func (fr *frontier) release() {
+	fr.free = append(fr.free, fr.h...)
+	fr.h = fr.h[:0]
+	frontiers.Put(fr)
+}
+
 // branchBound is the pruned explorer of run. A node fixes a digit
 // prefix — flows [|F|-depth, |F|) — and covers the contiguous rank
 // block of its completions; its children take the digits the space
@@ -102,17 +137,20 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 	if err != nil {
 		return nil, err
 	}
+	defer l.bev.Release()
+	fr := frontiers.Get().(*frontier)
+	defer fr.release()
 	nf := len(fs)
-	ma := make(core.MiddleAssignment, nf)
-	h := &bbHeap{&bbNode{}}
-	// free holds expanded and pruned nodes for reuse.
-	var free []*bbNode
+	if cap(fr.ma) < nf {
+		fr.ma = make(core.MiddleAssignment, nf)
+	}
+	ma := fr.ma[:nf]
+	root := fr.node(nf)
+	root.depth, root.max, root.lo, root.digits = 0, 0, 0, root.digits[:0]
+	h := &fr.h
+	heap.Push(h, root)
 	done := ctx.Done()
 	states := 0
-	// A node at depth |F|-1 has only leaf children, so one expansion
-	// yields up to n rank-contiguous fully fixed assignments — one leaf
-	// block for the evaluator.
-	leafBuf := make([]int, 0, c.Size()*nf)
 	for pops := 0; h.Len() > 0; pops++ {
 		if done != nil && pops&ctxCheckMask == 0 {
 			select {
@@ -125,7 +163,7 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 		// The incumbent may have tightened since the node was pushed.
 		if node.depth > 0 && !best.improves(&node.bound, node.lo) {
 			eo.prunes.Inc()
-			free = append(free, node)
+			fr.free = append(fr.free, node)
 			continue
 		}
 		d := node.depth
@@ -137,7 +175,10 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 			ma[nf-1-j] = node.digits[j]
 		}
 		lo := node.lo
-		leafBuf = leafBuf[:0]
+		// A node at depth |F|-1 has only leaf children, so one expansion
+		// yields up to n rank-contiguous fully fixed assignments — one
+		// leaf block for the evaluator.
+		leafBuf := fr.leafBuf[:0]
 		for v := 1; v <= s.limit(node.max); v++ {
 			nm := max(node.max, v)
 			childLo := lo
@@ -147,12 +188,7 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 				leafBuf = append(leafBuf, ma...)
 				continue
 			}
-			var child *bbNode
-			if k := len(free); k > 0 {
-				child, free = free[k-1], free[:k-1]
-			} else {
-				child = &bbNode{digits: make([]int, 0, nf)}
-			}
+			child := fr.node(nf)
 			bv := &child.bound
 			if err := obj.bound(bv, ma, fixedFrom); err != nil {
 				return nil, err
@@ -168,13 +204,14 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 			eo.boundEvals.Inc()
 			if !best.improves(bv, childLo) {
 				eo.prunes.Inc()
-				free = append(free, child)
+				fr.free = append(fr.free, child)
 				continue
 			}
 			child.depth, child.max, child.lo = d+1, nm, childLo
 			child.digits = append(append(child.digits[:0], node.digits...), v)
 			heap.Push(h, child)
 		}
+		fr.leafBuf = leafBuf
 		if k := len(leafBuf) / nf; k > 0 {
 			// The leaves are evaluated in ascending rank under the
 			// incumbent rule; no ceiling stop: pruned States counts every
@@ -185,7 +222,7 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 			states += k
 			eo.states.Add(int64(k))
 		}
-		free = append(free, node)
+		fr.free = append(fr.free, node)
 	}
 	return &Result{Assignment: best.ma, Allocation: best.allocation(), States: states}, nil
 }

@@ -114,10 +114,22 @@ type objective struct {
 	// value of every completion.
 	bound func(dst *value, ma core.MiddleAssignment, fixedFrom int) error
 
+	// release, set with bound, hands the bound's evaluator back once the
+	// run is over.
+	release func()
+
 	// testPromote, when non-nil, makes the explorers take the leaf state
 	// or the bound whose block starts at the given rank in its promoted
 	// *big.Rat form — the promotion tests' hook.
 	testPromote func(rank int) bool
+}
+
+// done releases the objective's bound evaluator; the objective must
+// not be used after.
+func (o *objective) done() {
+	if o.release != nil {
+		o.release()
+	}
 }
 
 // valueOf sets dst to the value of a state given as its rate lane, or
@@ -184,7 +196,9 @@ func (inc *incumbent) allocation() core.Allocation {
 // branch-and-bound: a block of rank-contiguous assignments is
 // water-filled by one core.BlockEvaluator, and each state's value is
 // taken from its Rat64 lane into reused scratch and compared with the
-// incumbent's; no allocation is materialized on the way.
+// incumbent's; no allocation is materialized on the way. Its owner
+// releases the evaluator on every exit path; the incumbent keeps copies
+// of whatever it took from the evaluator's scratch.
 type leaves struct {
 	obj   *objective
 	bev   *core.BlockEvaluator
@@ -365,6 +379,7 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 				fail(err)
 				return
 			}
+			defer l.bev.Release()
 			// With tracing off the shard span is nil, every block span a
 			// nil no-op, and the block loop stays allocation-free.
 			l.span = obs.SpanFrom(ctx)

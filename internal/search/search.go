@@ -114,6 +114,7 @@ func LexMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
+	defer obj.done()
 	return run(c, fs, opts, obj, scanBlock)
 }
 
@@ -147,6 +148,7 @@ func lexObjective(c topology.Fabric, fs core.Collection, opts Options) (*objecti
 			}
 			return err
 		}
+		obj.release = pe.Release
 	}
 	return obj, nil
 }
@@ -164,6 +166,7 @@ func ThroughputMaxMin(c topology.Fabric, fs core.Collection, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
+	defer obj.done()
 	return run(c, fs, opts, obj, scanBlock)
 }
 
@@ -213,6 +216,7 @@ func throughputObjective(c topology.Fabric, fs core.Collection, opts Options) (*
 			}
 			return nil
 		}
+		obj.release = tb.Release
 	}
 	return obj, nil
 }

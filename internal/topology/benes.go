@@ -159,9 +159,6 @@ func (blk *benesBlock) appendPath(p Path, a, z, bits int) Path {
 // Network returns the underlying network.
 func (b *Benes) Network() *Network { return b.net }
 
-// Ports returns the port count N per side.
-func (b *Benes) Ports() int { return b.ports }
-
 // Size returns the number of path choices per server pair, N/2.
 func (b *Benes) Size() int { return b.ports / 2 }
 
