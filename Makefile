@@ -61,6 +61,7 @@ cover:
 # json.Marshal) and the serving handler.
 fuzz:
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzKernelRounds -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzBlockEvalMatchesSingle -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIncrementalDeltas -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzPartialBoundAdmissible -fuzztime=10s ./internal/core/

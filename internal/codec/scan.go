@@ -338,7 +338,9 @@ func decodeBatchFast(data []byte) (*Batch, bool) {
 			b.Op = string(s.data[lo:hi])
 			return ok && once(&seen, keyOp)
 		case "items":
-			b.Items = make([]BatchItem, 0, min(bytes.Count(s.data[s.i:], []byte(`"scenario"`)), MaxFlows))
+			// Grown by append: counting the items ahead would scan the
+			// rest of the body once more.
+			b.Items = make([]BatchItem, 0, 8)
 			return once(&seen, keyItems) && s.array(func() bool {
 				it, ok := s.batchItem()
 				b.Items = append(b.Items, it)

@@ -142,7 +142,9 @@ func (b *BlockEvaluator) EvalBlockCtx(ctx context.Context, mas []int, k int) (*B
 	if overflowed > 0 {
 		b.promotions += overflowed
 		b.cPromotions.Add(int64(overflowed))
-		b.jour.Emit("core.block_promotion", obs.F{"states": overflowed, "promotions": b.promotions})
+		if b.jour != nil {
+			b.jour.Emit("core.block_promotion", obs.F{"states": overflowed, "promotions": b.promotions})
+		}
 	}
 	b.res = BlockResult{be: b, k: k}
 	return &b.res, nil

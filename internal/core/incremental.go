@@ -476,7 +476,9 @@ func (ie *IncrementalEvaluator) push() {
 func (ie *IncrementalEvaluator) promote() error {
 	ie.promotions++
 	ie.cPromotions.Inc()
-	ie.jour.Emit("core.delta_promotion", obs.F{"promotions": ie.promotions})
+	if ie.jour != nil {
+		ie.jour.Emit("core.delta_promotion", obs.F{"promotions": ie.promotions})
+	}
 	return ie.fillBig()
 }
 

@@ -21,7 +21,9 @@ var errNoProgress = errors.New("waterfill: no progress (internal invariant viola
 // A driver numbers its finite constraints densely as lanes (ascending
 // LinkID order on a real network) and supplies one lane list per flow;
 // a fill only visits the touched lanes, in ascending order, so the
-// earliest lane wins every tie.
+// earliest lane wins every tie. A round costs in proportion to its live
+// lanes (those still crossed by an unfrozen flow), not to every lane
+// the fill has touched.
 //
 // Every remaining capacity is an int64 numerator remN[j] over one shared
 // denominator den, seeded once per kernel as the lcm of the capacity
@@ -43,7 +45,9 @@ type kernel struct {
 	lanes [][]int32
 	on    [][]int32
 
-	// Fill state; only touched lanes are read or written. mark is
+	// Fill state; only touched lanes are read or written. touched lists,
+	// ascending, every lane with act > 0, and the lanes the last freeze
+	// emptied until the next round's min scan drops them. mark is
 	// register's bitset of the lanes it has seen, all zero between calls.
 	act         []int32
 	touched     []int32
@@ -55,7 +59,8 @@ type kernel struct {
 
 	// Outcome of the last round: the bottleneck, the level advance
 	// minR/(den·minA) over the round's starting den, the new level, the
-	// saturated lanes and the flows frozen on them.
+	// saturated lanes and the flows frozen on them. Between the drain and
+	// the freeze, sat holds the drained-to-zero candidates.
 	minJ       int32
 	minR, minA int64
 	level      rational.Rat64
@@ -172,20 +177,30 @@ func (k *kernel) fill64(rates []rational.Rat64) (ok bool, err error) {
 	return true, nil
 }
 
-// round runs one filling round on the int64 lanes.
+// round runs one filling round on the int64 lanes in two passes over
+// the live lanes. The min scan drops from touched, in place and in
+// order, every lane that lost its last active flow, so the drain visits
+// live lanes only and the freeze only the lanes the drain brought to
+// zero; the round's outcome is that of a scan of every touched lane.
 func (k *kernel) round() (ok bool, err error) {
 	// delta_j = remN[j]/(den·act[j]); den cancels, so remN[j]/act[j] <
 	// minR/minA cross-multiplies to remN[j]·minA < minR·act[j].
 	k.minJ = -1
-	for _, j := range k.touched {
+	t, w := k.touched, 0
+	for i, j := range t {
 		a := int64(k.act[j])
 		if a == 0 {
 			continue
 		}
+		t[w] = j
+		w++
 		if k.minJ >= 0 {
 			lhs, ok1 := mulNonNeg(k.remN[j], k.minA)
 			rhs, ok2 := mulNonNeg(k.minR, a)
 			if !ok1 || !ok2 {
+				// Keep the lanes not yet scanned: the next register resets
+				// act over touched.
+				k.touched = append(t[:w], t[i+1:]...)
 				return false, nil
 			}
 			if lhs >= rhs {
@@ -194,6 +209,7 @@ func (k *kernel) round() (ok bool, err error) {
 		}
 		k.minJ, k.minR, k.minA = j, k.remN[j], a
 	}
+	k.touched = t[:w]
 	if k.minJ < 0 {
 		return true, ErrUnboundedFlow
 	}
@@ -209,36 +225,46 @@ func (k *kernel) round() (ok bool, err error) {
 	if k.level, ok = rational.Make64(k.levelN, k.den); !ok || !k.drain(k.touched, k.minR, k.minA) {
 		return false, nil
 	}
-	return true, k.freezeSaturated()
+	return true, k.freeze()
 }
 
 // drain applies a level advance minR/(den·minA) to the active lanes
 // among lanes: rescale by minA, subtract act·minR. The result is
-// non-negative because minR/minA is the minimum delta.
+// non-negative because minR/minA is the minimum delta. The lanes it
+// leaves at zero, zero-capacity lanes included, go to sat in the order
+// of lanes as the freeze's candidates.
 func (k *kernel) drain(lanes []int32, minR, minA int64) bool {
+	k.sat = k.sat[:0]
 	for _, j := range lanes {
-		if k.act[j] == 0 {
+		a := int64(k.act[j])
+		if a == 0 {
 			continue
 		}
 		r, ok1 := mulNonNeg(k.remN[j], minA)
-		used, ok2 := mulNonNeg(int64(k.act[j]), minR)
+		used, ok2 := mulNonNeg(a, minR)
 		if !ok1 || !ok2 {
 			return false
 		}
-		k.remN[j] = r - used
+		if k.remN[j] = r - used; k.remN[j] == 0 {
+			k.sat = append(k.sat, j)
+		}
 	}
 	return true
 }
 
-// freezeSaturated freezes every unfrozen flow crossing an active lane
-// with remN == 0, recording the lanes in sat and the flows in froze.
-func (k *kernel) freezeSaturated() error {
-	k.sat, k.froze = k.sat[:0], k.froze[:0]
-	for _, j := range k.touched {
-		if k.act[j] == 0 || k.remN[j] != 0 {
+// freeze freezes every unfrozen flow crossing a candidate lane in sat
+// that still has active flows, keeping in sat only the lanes it froze
+// on and recording the flows in froze. A candidate skipped here lost
+// its last active flow to an earlier candidate's freeze, exactly as a
+// scan of every touched lane with remN == 0 would skip it.
+func (k *kernel) freeze() error {
+	sat := k.sat[:0]
+	k.froze = k.froze[:0]
+	for _, j := range k.sat {
+		if k.act[j] == 0 {
 			continue
 		}
-		k.sat = append(k.sat, j)
+		sat = append(sat, j)
 		for _, f := range k.on[j] {
 			if !k.frozen[f] {
 				k.frozen[f] = true
@@ -249,6 +275,7 @@ func (k *kernel) freezeSaturated() error {
 			}
 		}
 	}
+	k.sat = sat
 	if k.left -= len(k.froze); len(k.froze) == 0 {
 		return errNoProgress
 	}
@@ -256,52 +283,17 @@ func (k *kernel) freezeSaturated() error {
 }
 
 // fillBig runs the registered fill to completion on *big.Rat, writing
-// flow f's rate to rates[f]. remN mirrors remB's sign for the scan. It
-// polls ctx once per round and returns ctx.Err() when it is done: a
-// promoted fill can run for seconds. The scratch a cancelled fill
-// leaves is reset by the next register.
+// flow f's rate to rates[f]. It polls ctx once per round and returns
+// ctx.Err() when it is done: a promoted fill can run for seconds. The
+// scratch a cancelled fill leaves is reset by the next register.
 func (k *kernel) fillBig(ctx context.Context, rates []*big.Rat) error {
-	if k.remB == nil {
-		k.remB = make([]big.Rat, len(k.capsBig))
-	}
-	for _, j := range k.touched {
-		k.remB[j].Set(k.capsBig[j])
-	}
+	k.seedBig()
 	level := new(big.Rat)
 	for k.left > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// With remB = p/q and a active flows, delta = p/(q·a), and
-		// d1 < d2 iff p1·q2·a2 < p2·q1·a1: no division per lane.
-		minJ := int32(-1)
-		for _, j := range k.touched {
-			if k.act[j] == 0 {
-				continue
-			}
-			if minJ >= 0 {
-				k.x.Mul(k.remB[j].Num(), k.remB[minJ].Denom())
-				k.x.Mul(&k.x, k.a.SetInt64(int64(k.act[minJ])))
-				k.y.Mul(k.remB[minJ].Num(), k.remB[j].Denom())
-				k.y.Mul(&k.y, k.a.SetInt64(int64(k.act[j])))
-				if k.x.Cmp(&k.y) >= 0 {
-					continue
-				}
-			}
-			minJ = j
-		}
-		if minJ < 0 {
-			return ErrUnboundedFlow
-		}
-		k.delta.Quo(&k.remB[minJ], k.actRat.SetInt64(int64(k.act[minJ])))
-		level.Add(level, &k.delta)
-		for _, j := range k.touched {
-			if k.act[j] != 0 {
-				k.tmp.Mul(&k.delta, k.actRat.SetInt64(int64(k.act[j])))
-				k.remN[j] = int64(k.remB[j].Sub(&k.remB[j], &k.tmp).Sign())
-			}
-		}
-		if err := k.freezeSaturated(); err != nil {
+		if err := k.roundBig(level); err != nil {
 			return err
 		}
 		at := rational.Copy(level)
@@ -310,6 +302,58 @@ func (k *kernel) fillBig(ctx context.Context, rates []*big.Rat) error {
 		}
 	}
 	return nil
+}
+
+// seedBig resets the touched lanes' *big.Rat remainders to their
+// capacities.
+func (k *kernel) seedBig() {
+	if k.remB == nil {
+		k.remB = make([]big.Rat, len(k.capsBig))
+	}
+	for _, j := range k.touched {
+		k.remB[j].Set(k.capsBig[j])
+	}
+}
+
+// roundBig runs one filling round on *big.Rat, raising level by its
+// delta: round's two passes, with the drain's candidates taken from the
+// sign of each remB.
+func (k *kernel) roundBig(level *big.Rat) error {
+	// With remB = p/q and a active flows, delta = p/(q·a), and
+	// d1 < d2 iff p1·q2·a2 < p2·q1·a1: no division per lane.
+	k.minJ = -1
+	t, w := k.touched, 0
+	for _, j := range t {
+		if k.act[j] == 0 {
+			continue
+		}
+		t[w] = j
+		w++
+		if k.minJ >= 0 {
+			k.x.Mul(k.remB[j].Num(), k.remB[k.minJ].Denom())
+			k.x.Mul(&k.x, k.a.SetInt64(int64(k.act[k.minJ])))
+			k.y.Mul(k.remB[k.minJ].Num(), k.remB[j].Denom())
+			k.y.Mul(&k.y, k.a.SetInt64(int64(k.act[j])))
+			if k.x.Cmp(&k.y) >= 0 {
+				continue
+			}
+		}
+		k.minJ = j
+	}
+	k.touched = t[:w]
+	if k.minJ < 0 {
+		return ErrUnboundedFlow
+	}
+	k.delta.Quo(&k.remB[k.minJ], k.actRat.SetInt64(int64(k.act[k.minJ])))
+	level.Add(level, &k.delta)
+	k.sat = k.sat[:0]
+	for _, j := range k.touched {
+		k.tmp.Mul(&k.delta, k.actRat.SetInt64(int64(k.act[j])))
+		if k.remB[j].Sub(&k.remB[j], &k.tmp).Sign() == 0 {
+			k.sat = append(k.sat, j)
+		}
+	}
+	return k.freeze()
 }
 
 // solve registers lanes and fills them: on the int64 lanes into rates

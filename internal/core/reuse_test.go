@@ -14,7 +14,7 @@ import (
 
 // reuseFabrics are the fabrics of the evaluate workloads: C_4, C_5,
 // fat-tree k=4, Benes 8 and a 2:1 oversubscribed Clos.
-func reuseFabrics(t *testing.T) []topology.Fabric {
+func reuseFabrics(t testing.TB) []topology.Fabric {
 	t.Helper()
 	c4, err := topology.NewClos(4)
 	if err != nil {

@@ -39,7 +39,9 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request, workers int, run 
 	if len(reqs) == 0 {
 		return results
 	}
-	e.Obs().Journal().Emit("engine.batch", obs.F{"items": len(reqs), "workers": workers})
+	if j := e.Obs().Journal(); j != nil {
+		j.Emit("engine.batch", obs.F{"items": len(reqs), "workers": workers})
+	}
 
 	// Work-stealing off a channel of indices keeps the result ordering
 	// trivially deterministic: slot i is written only by the goroutine

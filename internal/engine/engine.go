@@ -236,9 +236,9 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 	if !ok {
 		e.mErrors.Inc()
 	}
-	e.opts.Obs.Journal().Emit("engine.compute", obs.F{
-		"op": p.Op, "ok": ok, "elapsed_ns": elapsed.Nanoseconds(),
-	})
+	if j := e.opts.Obs.Journal(); j != nil {
+		j.Emit("engine.compute", obs.F{"op": p.Op, "ok": ok, "elapsed_ns": elapsed.Nanoseconds()})
+	}
 	if err != nil {
 		return nil, err
 	}

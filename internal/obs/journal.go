@@ -26,7 +26,9 @@ type event struct {
 // line, each carrying a monotonic timestamp (nanoseconds since the
 // journal was opened), the run ID, the event name, and free-form
 // fields. Writes are serialized by a mutex, so a Journal is safe for
-// concurrent use by search workers. A nil *Journal is a no-op.
+// concurrent use by search workers. A nil *Journal is a no-op, but an
+// F and its boxed values are allocated before Emit can return, so a
+// call site on a per-request path checks for nil first.
 type Journal struct {
 	mu    sync.Mutex
 	w     io.Writer

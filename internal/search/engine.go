@@ -243,7 +243,9 @@ func (l *leaves) eval(ctx context.Context, mas []int, k, lo int) (int, error) {
 		}
 		l.best.take(&l.cand, rank, mas[i*nf:(i+1)*nf], rates, a)
 		l.eo.improvements.Inc()
-		l.eo.j.Emit("search.incumbent", obs.F{"shard": l.shard, "rank": rank})
+		if l.eo.j != nil {
+			l.eo.j.Emit("search.incumbent", obs.F{"shard": l.shard, "rank": rank})
+		}
 		if l.obj.ceiling != nil && l.best.val.cmp(l.obj.ceiling) >= 0 {
 			return rank + 1, nil
 		}
@@ -292,9 +294,11 @@ func run(c topology.Fabric, fs core.Collection, opts Options, obj *objective, bl
 	}
 	eo := newEngineObs(opts.Obs)
 	eo.spaceTotal.Add(int64(s.total()))
-	eo.j.Emit("search.start", obs.F{
-		"space": label, "total": s.total(), "workers": workers, "flows": len(fs), "n": c.Size(),
-	})
+	if eo.j != nil {
+		eo.j.Emit("search.start", obs.F{
+			"space": label, "total": s.total(), "workers": workers, "flows": len(fs), "n": c.Size(),
+		})
+	}
 	sp, ctx := obs.StartSpan(ctx, "search.run")
 	sp.Attr("space", label).Attr("total", s.total()).Attr("workers", workers)
 	start := time.Now()
@@ -313,10 +317,14 @@ func run(c topology.Fabric, fs core.Collection, opts Options, obj *objective, bl
 	eo.duration.Observe(time.Since(start))
 	sp.Attr("ok", err == nil).End()
 	if err != nil {
-		eo.j.Emit("search.error", obs.F{"error": err.Error()})
+		if eo.j != nil {
+			eo.j.Emit("search.error", obs.F{"error": err.Error()})
+		}
 		return nil, err
 	}
-	eo.j.Emit("search.end", obs.F{"states": res.States})
+	if eo.j != nil {
+		eo.j.Emit("search.end", obs.F{"states": res.States})
+	}
 	return res, nil
 }
 
@@ -363,7 +371,9 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 		}
 		bounds[w+1] = hi
 		shards[w].rank = -1
-		eo.j.Emit("search.shard_start", obs.F{"shard": w, "lo": bounds[w], "hi": hi})
+		if eo.j != nil {
+			eo.j.Emit("search.shard_start", obs.F{"shard": w, "lo": bounds[w], "hi": hi})
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -419,7 +429,9 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 					lowerStop(int64(stop))
 					stopped.Store(true)
 					eo.earlyExits.Inc()
-					eo.j.Emit("search.stop_rank", obs.F{"shard": w, "rank": stop})
+					if eo.j != nil {
+						eo.j.Emit("search.stop_rank", obs.F{"shard": w, "rank": stop})
+					}
 					return
 				}
 				rank += k
@@ -443,9 +455,11 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 		if improved {
 			best = *inc
 		}
-		eo.j.Emit("search.shard_merge", obs.F{
-			"shard": w, "evaluated": evaluated[w], "rank": inc.rank, "improved": improved,
-		})
+		if eo.j != nil {
+			eo.j.Emit("search.shard_merge", obs.F{
+				"shard": w, "evaluated": evaluated[w], "rank": inc.rank, "improved": improved,
+			})
+		}
 	}
 	// The gauge tracks every early exit, including a stop rank equal to
 	// the space total (optimum first attained at the last rank).

@@ -877,7 +877,9 @@ func (s *Server) reply(w http.ResponseWriter, op string, status int, body []byte
 	}
 	w.WriteHeader(status)
 	w.Write(body)
-	s.obs.Journal().Emit("server.request", obs.F{
-		"op": op, "status": status, "cache": cacheState, "elapsed_ns": elapsed.Nanoseconds(),
-	})
+	if j := s.obs.Journal(); j != nil {
+		j.Emit("server.request", obs.F{
+			"op": op, "status": status, "cache": cacheState, "elapsed_ns": elapsed.Nanoseconds(),
+		})
+	}
 }
