@@ -54,12 +54,14 @@ serve:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz pass over the allocator and its kernel drivers, the edge
-# colorer, the search's value compare, the simplex (and its integer
-# path against the big.Rat tableau), the codec (its fast paths against
-# encoding/json and big.Rat, the response body writer against
-# json.Marshal) and the serving handler.
+# Short fuzz pass over the Rat64 arithmetic against big.Rat, the
+# allocator and its kernel drivers, the edge colorer, the search's value
+# compare, the simplex (and its integer path against the big.Rat
+# tableau), the codec (its fast paths against encoding/json and big.Rat,
+# the response body writer against json.Marshal) and the serving
+# handler.
 fuzz:
+	$(GO) test -fuzz=FuzzRat64 -fuzztime=10s ./internal/rational/
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzKernelRounds -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzBlockEvalMatchesSingle -fuzztime=10s ./internal/core/

@@ -3,9 +3,10 @@ package closnet
 // The benchmark harness regenerates every table and figure of the paper
 // (one Benchmark per experiment ID of DESIGN.md's index) and quantifies
 // the design choices called out in DESIGN.md §5 as ablations: the
-// kernel's water filling against the *big.Rat reference walk,
-// Hopcroft–Karp vs greedy matching, and symmetry reduction in the
-// routing-space search.
+// kernel's water filling against the *big.Rat reference walk and
+// symmetry reduction in the routing-space search. The Hopcroft–Karp vs
+// greedy matching ablation lives beside its baseline in
+// internal/matching.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -19,6 +20,7 @@ import (
 	"closnet/internal/doom"
 	"closnet/internal/experiments"
 	"closnet/internal/matching"
+	"closnet/internal/reference"
 	"closnet/internal/search"
 	"closnet/internal/topology"
 	"closnet/internal/workload"
@@ -136,41 +138,10 @@ func BenchmarkWaterfillExact(b *testing.B) {
 // BenchmarkWaterfillReference times the *big.Rat reference walk the
 // kernel is tested against, on the same instance.
 func BenchmarkWaterfillReference(b *testing.B) {
-	c, fs, r := waterfillInstance(b)
+	c, _, r := waterfillInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ReferenceMaxMinFair(c.Network(), fs, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablation: Hopcroft–Karp vs greedy matching ---------------------------
-
-func matchingInstance() matching.Graph {
-	rng := rand.New(rand.NewSource(2))
-	g := matching.Graph{NumLeft: 128, NumRight: 128}
-	for e := 0; e < 1024; e++ {
-		g.Edges = append(g.Edges, matching.Edge{Left: rng.Intn(128), Right: rng.Intn(128)})
-	}
-	return g
-}
-
-func BenchmarkMatchingHopcroftKarp(b *testing.B) {
-	g := matchingInstance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matching.MaxMatching(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMatchingGreedy(b *testing.B) {
-	g := matchingInstance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matching.GreedyMatching(g); err != nil {
+		if _, err := reference.MaxMinFair(c.Network(), r); err != nil {
 			b.Fatal(err)
 		}
 	}

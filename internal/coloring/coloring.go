@@ -150,39 +150,3 @@ func (st *state) flipChain(r, a, b int) {
 		st.assign(ei, c)
 	}
 }
-
-// Verify reports an error unless color is a proper edge coloring of g
-// using colors in [0, colors).
-func Verify(g matching.Graph, color []int, colors int) error {
-	if len(color) != len(g.Edges) {
-		return fmt.Errorf("coloring: %d colors for %d edges", len(color), len(g.Edges))
-	}
-	seenL := make(map[[2]int]int)
-	seenR := make(map[[2]int]int)
-	for ei, c := range color {
-		if c < 0 || c >= colors {
-			return fmt.Errorf("coloring: edge %d has color %d, want [0,%d)", ei, c, colors)
-		}
-		e := g.Edges[ei]
-		if other, ok := seenL[[2]int{e.Left, c}]; ok {
-			return fmt.Errorf("coloring: edges %d and %d share left node %d with color %d", other, ei, e.Left, c)
-		}
-		if other, ok := seenR[[2]int{e.Right, c}]; ok {
-			return fmt.Errorf("coloring: edges %d and %d share right node %d with color %d", other, ei, e.Right, c)
-		}
-		seenL[[2]int{e.Left, c}] = ei
-		seenR[[2]int{e.Right, c}] = ei
-	}
-	return nil
-}
-
-// ClassSizes returns the number of edges per color class.
-func ClassSizes(color []int, colors int) []int {
-	sizes := make([]int, colors)
-	for _, c := range color {
-		if c >= 0 && c < colors {
-			sizes[c]++
-		}
-	}
-	return sizes
-}

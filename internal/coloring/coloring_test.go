@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -38,8 +39,8 @@ func TestEdgeColorSimpleCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EdgeColor: %v", err)
 			}
-			if err := Verify(tt.g, color, tt.colors); err != nil {
-				t.Errorf("Verify: %v", err)
+			if err := verify(tt.g, color, tt.colors); err != nil {
+				t.Errorf("verify: %v", err)
 			}
 		})
 	}
@@ -68,8 +69,8 @@ func TestEdgeColorKempeChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EdgeColor: %v", err)
 	}
-	if err := Verify(g, color, 2); err != nil {
-		t.Errorf("Verify: %v", err)
+	if err := verify(g, color, 2); err != nil {
+		t.Errorf("verify: %v", err)
 	}
 }
 
@@ -86,11 +87,11 @@ func TestEdgeColorCompleteBipartite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K_{%d,%d}: %v", n, n, err)
 		}
-		if err := Verify(g, color, n); err != nil {
+		if err := verify(g, color, n); err != nil {
 			t.Fatalf("K_{%d,%d}: %v", n, n, err)
 		}
 		// Each color class must be a perfect matching of size n.
-		for c, size := range ClassSizes(color, n) {
+		for c, size := range classSizes(color, n) {
 			if size != n {
 				t.Errorf("K_{%d,%d}: color %d has %d edges, want %d", n, n, c, size, n)
 			}
@@ -116,7 +117,7 @@ func TestEdgeColorRandomMultigraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v (graph %+v)", trial, err, g)
 		}
-		if err := Verify(g, color, d); err != nil {
+		if err := verify(g, color, d); err != nil {
 			t.Fatalf("trial %d: %v (graph %+v, colors %v)", trial, err, g, color)
 		}
 	}
@@ -124,30 +125,30 @@ func TestEdgeColorRandomMultigraphs(t *testing.T) {
 
 func TestVerifyRejectsBadColorings(t *testing.T) {
 	g := bg(2, 2, 0, 0, 0, 1)
-	if err := Verify(g, []int{0, 0}, 2); err == nil {
+	if err := verify(g, []int{0, 0}, 2); err == nil {
 		t.Error("shared left endpoint color accepted")
 	}
 	g2 := bg(2, 1, 0, 0, 1, 0)
-	if err := Verify(g2, []int{1, 1}, 2); err == nil {
+	if err := verify(g2, []int{1, 1}, 2); err == nil {
 		t.Error("shared right endpoint color accepted")
 	}
-	if err := Verify(g, []int{0}, 2); err == nil {
+	if err := verify(g, []int{0}, 2); err == nil {
 		t.Error("short coloring accepted")
 	}
-	if err := Verify(g, []int{0, 5}, 2); err == nil {
+	if err := verify(g, []int{0, 5}, 2); err == nil {
 		t.Error("out-of-range color accepted")
 	}
-	if err := Verify(g, []int{0, 1}, 2); err != nil {
+	if err := verify(g, []int{0, 1}, 2); err != nil {
 		t.Errorf("valid coloring rejected: %v", err)
 	}
 }
 
 func TestClassSizes(t *testing.T) {
-	sizes := ClassSizes([]int{0, 1, 1, 2, -1}, 3)
+	sizes := classSizes([]int{0, 1, 1, 2, -1}, 3)
 	want := []int{1, 2, 1}
 	for i := range want {
 		if sizes[i] != want[i] {
-			t.Errorf("ClassSizes[%d] = %d, want %d", i, sizes[i], want[i])
+			t.Errorf("classSizes[%d] = %d, want %d", i, sizes[i], want[i])
 		}
 	}
 }
@@ -177,8 +178,44 @@ func TestColoringYieldsLinkDisjointRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(g, color, n); err != nil {
+		if err := verify(g, color, n); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// verify reports an error unless color is a proper edge coloring of g
+// using colors in [0, colors).
+func verify(g matching.Graph, color []int, colors int) error {
+	if len(color) != len(g.Edges) {
+		return fmt.Errorf("coloring: %d colors for %d edges", len(color), len(g.Edges))
+	}
+	seenL := make(map[[2]int]int)
+	seenR := make(map[[2]int]int)
+	for ei, c := range color {
+		if c < 0 || c >= colors {
+			return fmt.Errorf("coloring: edge %d has color %d, want [0,%d)", ei, c, colors)
+		}
+		e := g.Edges[ei]
+		if other, ok := seenL[[2]int{e.Left, c}]; ok {
+			return fmt.Errorf("coloring: edges %d and %d share left node %d with color %d", other, ei, e.Left, c)
+		}
+		if other, ok := seenR[[2]int{e.Right, c}]; ok {
+			return fmt.Errorf("coloring: edges %d and %d share right node %d with color %d", other, ei, e.Right, c)
+		}
+		seenL[[2]int{e.Left, c}] = ei
+		seenR[[2]int{e.Right, c}] = ei
+	}
+	return nil
+}
+
+// classSizes returns the number of edges per color class.
+func classSizes(color []int, colors int) []int {
+	sizes := make([]int, colors)
+	for _, c := range color {
+		if c >= 0 && c < colors {
+			sizes[c]++
+		}
+	}
+	return sizes
 }

@@ -29,7 +29,7 @@ func FuzzEdgeColor(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EdgeColor with Δ=%d colors: %v", d, err)
 		}
-		if err := Verify(g, color, d); err != nil {
+		if err := verify(g, color, d); err != nil {
 			t.Fatalf("improper coloring: %v", err)
 		}
 	})

@@ -77,12 +77,6 @@ func IsMaxMinFair(net *topology.Network, fs Collection, r Routing, a Allocation)
 	return nil
 }
 
-// LexLess reports whether a↑ < b↑ in lexicographic order, the order of
-// Definition 2.1.
-func LexLess(a, b Allocation) bool {
-	return rational.LexCompareSorted(a, b) < 0
-}
-
 // Throughput returns t(a), the total rate over all flows.
 func Throughput(a Allocation) *big.Rat {
 	return a.Sum()

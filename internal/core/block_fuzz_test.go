@@ -7,7 +7,7 @@ import (
 // FuzzBlockEvalMatchesSingle is the block evaluator's differential
 // fuzz: a random small Clos instance plus a random assignment block,
 // with BlockEvaluator output required to be Vec.Equal-identical to
-// ReferenceMaxMinFair on every element. The mode byte additionally
+// reference.MaxMinFair on every element. The mode byte additionally
 // drives the promotion protocol through its regimes: pinned big.Rat blocks
 // (ForceBig) and mixed blocks where the test hook forces a
 // pseudo-random subset of states through a mid-fill promotion.

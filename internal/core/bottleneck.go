@@ -50,19 +50,3 @@ func Bottlenecks(net *topology.Network, fs Collection, r Routing, a Allocation) 
 	}
 	return reports, nil
 }
-
-// SaturatedLinks returns the IDs of all finite links whose load equals
-// their capacity under allocation a.
-func SaturatedLinks(net *topology.Network, r Routing, a Allocation) []topology.LinkID {
-	loads := LinkLoads(net, r, a)
-	var ids []topology.LinkID
-	for _, l := range net.Links() {
-		if l.Unbounded {
-			continue
-		}
-		if loads[l.ID].Cmp(l.Capacity) == 0 {
-			ids = append(ids, l.ID)
-		}
-	}
-	return ids
-}

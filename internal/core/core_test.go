@@ -119,10 +119,10 @@ func TestExample23Ordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !LexLess(aA, macro) {
+	if rational.LexCompareSorted(aA, macro) >= 0 {
 		t.Error("routing A should be lex-below macro")
 	}
-	if !LexLess(aB, aA) {
+	if rational.LexCompareSorted(aB, aA) >= 0 {
 		t.Error("routing B should be lex-below routing A")
 	}
 }
@@ -410,8 +410,8 @@ func TestThroughputAndLexLess(t *testing.T) {
 		t.Error("throughput of [1/2,1/2] should be 1")
 	}
 	// sorted a = [1/2,1/2], sorted b = [1/3,1]: b < a lexicographically.
-	if !LexLess(b, a) || LexLess(a, b) {
-		t.Error("LexLess disagrees with sorted lexicographic order")
+	if rational.LexCompareSorted(b, a) >= 0 || rational.LexCompareSorted(a, b) <= 0 {
+		t.Error("LexCompareSorted disagrees with sorted lexicographic order")
 	}
 }
 

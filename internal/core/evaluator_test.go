@@ -32,7 +32,7 @@ func eval1(b *BlockEvaluator, ma MiddleAssignment) (Allocation, error) {
 
 // TestEvaluatorMatchesClosMaxMinFair: a k = 1 block must return exactly
 // the allocation ClosMaxMinFair promises, as the reference computes it
-// (ReferenceMaxMinFair over ClosRouting) — same rationals, not merely
+// (reference.MaxMinFair over ClosRouting) — same rationals, not merely
 // equal floats — over every assignment of a small instance, on both the
 // Rat64 kernel and the pinned big.Rat fallback.
 func TestEvaluatorMatchesClosMaxMinFair(t *testing.T) {

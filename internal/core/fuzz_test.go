@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"closnet/internal/reference"
 	"closnet/internal/topology"
 )
 
@@ -10,7 +11,7 @@ import (
 // arbitrary byte-encoded instances on C_2 and on the macro-switch
 // carrying the same flows, and checks the full invariant set on both:
 // feasibility, the bottleneck property (Lemma 2.2) and exact agreement
-// with ReferenceMaxMinFair.
+// with reference.MaxMinFair.
 func FuzzWaterfill(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 2, 1, 3, 4, 0, 5, 6, 1})
@@ -52,7 +53,7 @@ func FuzzWaterfill(f *testing.F) {
 			if err := IsMaxMinFair(in.net, in.fs, in.r, a); err != nil {
 				t.Fatalf("%s: bottleneck property: %v", in.name, err)
 			}
-			want, err := ReferenceMaxMinFair(in.net, in.fs, in.r)
+			want, err := reference.MaxMinFair(in.net, in.r)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", in.name, err)
 			}

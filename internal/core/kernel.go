@@ -16,7 +16,7 @@ var errNoProgress = errors.New("waterfill: no progress (internal invariant viola
 
 // kernel is the package's one production water filling — the exact
 // progressive filling of §2.2 — driven by MaxMinFair and every evaluator
-// in the package (ReferenceMaxMinFair, the tests' oracle, is the only
+// in the package (reference.MaxMinFair, the tests' oracle, is the only
 // other filling).
 // A driver numbers its finite constraints densely as lanes (ascending
 // LinkID order on a real network) and supplies one lane list per flow;

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"closnet/internal/rational"
+	"closnet/internal/reference"
 	"closnet/internal/topology"
 )
 
@@ -19,7 +20,7 @@ import (
 // shared denominator is seeded above 1 (every fabric in the repository
 // has integral capacities and den0 = 1). The int64 fast path must
 // complete without promotion, and it, the big.Rat path and
-// ReferenceMaxMinFair must agree exactly.
+// reference.MaxMinFair must agree exactly.
 func TestKernelFractionalCapacities(t *testing.T) {
 	r := rational.R
 	for _, tc := range []struct {
@@ -48,7 +49,7 @@ func TestKernelFractionalCapacities(t *testing.T) {
 			l4, _ := net.AddLink(s3, d, r(2, 3))
 			fs := NewCollection(s1, d, s1, d, s2, d, s3, d)
 			rt := Routing{{l1, l3}, {l1, l3}, {l2, l3}, {l4}}
-			want, err := ReferenceMaxMinFair(net, fs, rt)
+			want, err := reference.MaxMinFair(net, rt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +175,7 @@ func TestMulNonNeg(t *testing.T) {
 	}
 }
 
-// referenceClos is ReferenceMaxMinFair over ClosRouting: the oracle the
+// referenceClos is reference.MaxMinFair over ClosRouting: the oracle the
 // kernel drivers' differential tests compare against, independent of
 // the kernel they check.
 func referenceClos(c topology.Fabric, fs Collection, ma MiddleAssignment) (Allocation, error) {
@@ -182,7 +183,7 @@ func referenceClos(c topology.Fabric, fs Collection, ma MiddleAssignment) (Alloc
 	if err != nil {
 		return nil, err
 	}
-	return ReferenceMaxMinFair(c.Network(), fs, r)
+	return reference.MaxMinFair(c.Network(), r)
 }
 
 // oracleRound is the kernel's round before live-lane rounds, kept as

@@ -154,6 +154,22 @@ func TestQuickThroughputWithinCutBounds(t *testing.T) {
 	}
 }
 
+// saturatedLinks returns the IDs of all finite links whose load equals
+// their capacity under allocation a.
+func saturatedLinks(net *topology.Network, r Routing, a Allocation) []topology.LinkID {
+	loads := LinkLoads(net, r, a)
+	var ids []topology.LinkID
+	for _, l := range net.Links() {
+		if l.Unbounded {
+			continue
+		}
+		if loads[l.ID].Cmp(l.Capacity) == 0 {
+			ids = append(ids, l.ID)
+		}
+	}
+	return ids
+}
+
 // TestBottlenecksExplainMaxMinFairness: the analysis API agrees with the
 // verifier — water-filled allocations have a bottleneck for every flow,
 // and the reported links are genuinely saturated.
@@ -170,7 +186,7 @@ func TestBottlenecksExplainMaxMinFairness(t *testing.T) {
 			t.Fatal(err)
 		}
 		saturated := map[topology.LinkID]bool{}
-		for _, l := range SaturatedLinks(c.Network(), r, a) {
+		for _, l := range saturatedLinks(c.Network(), r, a) {
 			saturated[l] = true
 		}
 		for fi, rep := range reports {

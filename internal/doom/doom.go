@@ -222,12 +222,14 @@ func RouteCtx(ctx context.Context, c topology.Fabric, fs core.Collection, victim
 	reg.Counter("doom.routes").Inc()
 	reg.Counter("doom.matched_flows").Add(int64(len(matched)))
 	reg.Counter("doom.doomed_flows").Add(int64(len(fs) - len(matched)))
-	o.Journal().Emit("doom.route", obs.F{
-		"flows":       len(fs),
-		"matched":     len(matched),
-		"doom_middle": res.DoomMiddle,
-		"class_sizes": sizes,
-	})
+	if j := o.Journal(); j != nil {
+		j.Emit("doom.route", obs.F{
+			"flows":       len(fs),
+			"matched":     len(matched),
+			"doom_middle": res.DoomMiddle,
+			"class_sizes": sizes,
+		})
+	}
 	return res, nil
 }
 

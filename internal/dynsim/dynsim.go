@@ -12,11 +12,10 @@
 // flow-completion-time framing its conclusions discuss.
 //
 // Rates are reported as float64, but under FairSharing they are read
-// off a core.IncrementalEvaluator: every arrival, departure and
-// failure-driven reroute is a single-flow delta against the exact
-// max-min state instead of a from-scratch water-fill, so event cost
-// scales with how much of the bottleneck structure the delta actually
-// disturbs.
+// off a core.IncrementalEvaluator: every arrival and departure is a
+// single-flow delta against the exact max-min state instead of a
+// from-scratch water-fill, so event cost scales with how much of the
+// bottleneck structure the delta actually disturbs.
 package dynsim
 
 import (
@@ -37,32 +36,6 @@ type Router interface {
 	Name() string
 	// Place returns the 1-based middle-switch index for the flow.
 	Place(s *State, f core.Flow) (int, error)
-}
-
-// Rerouter is an optional Router extension: when a link failure
-// displaces an active flow, a router implementing Rerouter chooses the
-// replacement middle. Routers without it get the default policy — a
-// uniformly random middle whose path is still alive for the flow,
-// keeping the old one only when no alternative survives.
-type Rerouter interface {
-	// Reroute returns the 1-based middle to move a displaced flow to.
-	// old is the middle whose path just lost a link.
-	Reroute(s *State, f core.Flow, old int) (int, error)
-}
-
-// LinkFailure schedules the permanent failure of one fabric link at a
-// simulated time: I_ToR→M_Middle when In is true, M_Middle→O_ToR
-// otherwise. Failures are routing events, not capacity events: the
-// allocator's capacities are fixed at build time, so the simulator
-// models the local fast-rerouting reaction (flows leave the failed
-// link immediately; nothing is ever placed across it again) rather
-// than a capacity drop — the model of the randomized local fast
-// rerouting line of work.
-type LinkFailure struct {
-	Time   float64
-	In     bool
-	ToR    int
-	Middle int
 }
 
 // Discipline decides the instantaneous service rates of the active
@@ -112,10 +85,6 @@ type Config struct {
 	// Seed drives all randomness (arrivals, sizes, endpoints, router
 	// tie-breaking).
 	Seed int64
-	// Failures schedules fabric-link failures; each displaces the active
-	// flows routed across the failed link (see LinkFailure). May be
-	// unsorted; Run processes them in time order.
-	Failures []LinkFailure
 	// Obs attaches the runtime observability layer: arrival/departure/
 	// recompute counters, per-round allocation counts, and a journal
 	// event per flow-starvation transition (an active flow's rate
@@ -134,11 +103,6 @@ type Result struct {
 	Duration float64
 	// TotalBytes is the sum of all flow sizes.
 	TotalBytes float64
-	// LinkFailures is the number of failure events processed before the
-	// last departure (late-scheduled failures never fire).
-	LinkFailures int
-	// Reroutes counts flows displaced by link failures.
-	Reroutes int
 }
 
 // MeanFCT returns the mean flow completion time.
@@ -186,11 +150,7 @@ type State struct {
 	// rates crossing I_i->M_m and M_m->O_o.
 	inLoad  [][]float64
 	outLoad [][]float64
-	// failedIn[i-1][m-1] and failedOut[o-1][m-1] mark failed fabric
-	// links (see LinkFailure).
-	failedIn  [][]bool
-	failedOut [][]bool
-	rng       *rand.Rand
+	rng     *rand.Rand
 }
 
 // Clos returns the topology under simulation.
@@ -199,21 +159,6 @@ func (s *State) Clos() *topology.Clos { return s.clos }
 // FabricLoad returns the current load of I_i→M_m and M_m→O_o.
 func (s *State) FabricLoad(i, m, o int) (in, out float64) {
 	return s.inLoad[i-1][m-1], s.outLoad[o-1][m-1]
-}
-
-// LinkAlive reports whether fabric link I_tor→M_middle (in=true) or
-// M_middle→O_tor (in=false) has not failed.
-func (s *State) LinkAlive(in bool, tor, middle int) bool {
-	if in {
-		return !s.failedIn[tor-1][middle-1]
-	}
-	return !s.failedOut[tor-1][middle-1]
-}
-
-// PathAlive reports whether the path I_i→M_m→O_o avoids every failed
-// link.
-func (s *State) PathAlive(i, m, o int) bool {
-	return !s.failedIn[i-1][m-1] && !s.failedOut[o-1][m-1]
 }
 
 // RNG returns the run's random source (for randomized routers).
@@ -248,20 +193,11 @@ func Run(cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := cfg.Clos
 	st := &State{
-		clos:      c,
-		inLoad:    zeroGrid(c.NumToRs(), c.Size()),
-		outLoad:   zeroGrid(c.NumToRs(), c.Size()),
-		failedIn:  boolGrid(c.NumToRs(), c.Size()),
-		failedOut: boolGrid(c.NumToRs(), c.Size()),
-		rng:       rng,
+		clos:    c,
+		inLoad:  zeroGrid(c.NumToRs(), c.Size()),
+		outLoad: zeroGrid(c.NumToRs(), c.Size()),
+		rng:     rng,
 	}
-	fails := append([]LinkFailure(nil), cfg.Failures...)
-	for i, lf := range fails {
-		if lf.Time < 0 || lf.ToR < 1 || lf.ToR > c.NumToRs() || lf.Middle < 1 || lf.Middle > c.Size() {
-			return nil, fmt.Errorf("dynsim: failure %d: invalid (t=%v, tor=%d, middle=%d)", i, lf.Time, lf.ToR, lf.Middle)
-		}
-	}
-	sort.SliceStable(fails, func(a, b int) bool { return fails[a].Time < fails[b].Time })
 
 	// Under FairSharing every event is a single-flow delta against the
 	// incremental exact max-min evaluator; the matching scheduler keeps
@@ -302,7 +238,6 @@ func Run(cfg Config) (*Result, error) {
 	var active []*activeFlow
 	clock := 0.0
 	nextArrival := 0
-	nextFail := 0
 
 	// Observability handles; all nil-safe when cfg.Obs is nil.
 	reg := cfg.Obs.Registry()
@@ -312,19 +247,12 @@ func Run(cfg Config) (*Result, error) {
 	cRecomputes := reg.Counter("dynsim.rate_recomputes")
 	cAllocations := reg.Counter("dynsim.round_allocations")
 	cStarvations := reg.Counter("dynsim.starvation_events")
-	cFailures := reg.Counter("dynsim.link_failures")
-	cReroutes := reg.Counter("dynsim.reroutes")
 
 	for nextArrival < cfg.NumFlows || len(active) > 0 {
-		// Next event: link failure, arrival, or earliest completion at
-		// current rates.
+		// Next event: arrival, or earliest completion at current rates.
 		tArr := math.Inf(1)
 		if nextArrival < cfg.NumFlows {
 			tArr = arrivals[nextArrival]
-		}
-		tFail := math.Inf(1)
-		if nextFail < len(fails) {
-			tFail = fails[nextFail].Time
 		}
 		tDone := math.Inf(1)
 		var done *activeFlow
@@ -338,12 +266,12 @@ func Run(cfg Config) (*Result, error) {
 				done = af
 			}
 		}
-		if tArr == math.Inf(1) && tDone == math.Inf(1) && tFail == math.Inf(1) {
+		if tArr == math.Inf(1) && tDone == math.Inf(1) {
 			return nil, fmt.Errorf("dynsim: deadlock with %d active flows at t=%v", len(active), clock)
 		}
 
 		// Advance the clock, draining remaining sizes at current rates.
-		tNext := math.Min(tFail, math.Min(tArr, tDone))
+		tNext := math.Min(tArr, tDone)
 		dt := tNext - clock
 		for _, af := range active {
 			af.remaining -= af.rate * dt
@@ -351,51 +279,6 @@ func Run(cfg Config) (*Result, error) {
 		clock = tNext
 
 		switch {
-		case tFail <= tNext:
-			// Link failure: mark the link dead and displace the active
-			// flows crossing it onto surviving paths (a reroute delta
-			// each under FairSharing).
-			lf := fails[nextFail]
-			nextFail++
-			if lf.In {
-				st.failedIn[lf.ToR-1][lf.Middle-1] = true
-			} else {
-				st.failedOut[lf.ToR-1][lf.Middle-1] = true
-			}
-			res.LinkFailures++
-			cFailures.Inc()
-			jour.Emit("dynsim.link_failed", obs.F{"t": clock, "in": lf.In, "tor": lf.ToR, "middle": lf.Middle})
-			for _, af := range active {
-				if af.middle != lf.Middle {
-					continue
-				}
-				var hit bool
-				if lf.In {
-					i, _ := c.InputOf(af.flow.Src)
-					hit = i == lf.ToR
-				} else {
-					o, _ := c.OutputOf(af.flow.Dst)
-					hit = o == lf.ToR
-				}
-				if !hit {
-					continue
-				}
-				m, err := chooseReroute(cfg.Router, st, af.flow, af.middle)
-				if err != nil {
-					return nil, fmt.Errorf("dynsim: reroute: %w", err)
-				}
-				if m == af.middle {
-					continue // no surviving alternative: the flow stays put
-				}
-				af.middle = m
-				if ie != nil {
-					if err := ie.Reroute(af.handle, m); err != nil {
-						return nil, fmt.Errorf("dynsim: reroute delta: %w", err)
-					}
-				}
-				res.Reroutes++
-				cReroutes.Inc()
-			}
 		case tDone <= tArr && done != nil:
 			// Departure.
 			res.FCTs[done.id] = clock - done.arrived
@@ -408,9 +291,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			cDepartures.Inc()
 		default:
-			// Arrival: route it and admit it. A router may be
-			// failure-oblivious (ECMP), so a placement onto a dead path is
-			// immediately redirected by the reroute policy.
+			// Arrival: route it and admit it.
 			f := flows[nextArrival]
 			m, err := cfg.Router.Place(st, f)
 			if err != nil {
@@ -418,15 +299,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			if m < 1 || m > c.Size() {
 				return nil, fmt.Errorf("dynsim: router chose middle %d outside [1,%d]", m, c.Size())
-			}
-			if i, ok := c.InputOf(f.Src); ok {
-				if o, ok := c.OutputOf(f.Dst); ok && !st.PathAlive(i, m, o) {
-					if m2, err := chooseReroute(cfg.Router, st, f, m); err == nil && m2 != m {
-						m = m2
-						res.Reroutes++
-						cReroutes.Inc()
-					}
-				}
 			}
 			af := &activeFlow{
 				id:        nextArrival,
@@ -505,56 +377,10 @@ func recomputeRates(c *topology.Clos, st *State, active []*activeFlow, d Discipl
 	return nil
 }
 
-// chooseReroute picks the replacement middle for a flow displaced from
-// old: the router's own Rerouter policy when it has one, otherwise a
-// uniformly random middle whose path is still alive (old when none is).
-func chooseReroute(r Router, s *State, f core.Flow, old int) (int, error) {
-	if rr, ok := r.(Rerouter); ok {
-		m, err := rr.Reroute(s, f, old)
-		if err != nil {
-			return 0, err
-		}
-		if m < 1 || m > s.clos.Size() {
-			return 0, fmt.Errorf("dynsim: rerouter chose middle %d outside [1,%d]", m, s.clos.Size())
-		}
-		return m, nil
-	}
-	return defaultReroute(s, f, old)
-}
-
-func defaultReroute(s *State, f core.Flow, old int) (int, error) {
-	i, ok := s.clos.InputOf(f.Src)
-	if !ok {
-		return 0, fmt.Errorf("dynsim: flow source is not a server")
-	}
-	o, ok := s.clos.OutputOf(f.Dst)
-	if !ok {
-		return 0, fmt.Errorf("dynsim: flow destination is not a server")
-	}
-	alive := make([]int, 0, s.clos.Size())
-	for m := 1; m <= s.clos.Size(); m++ {
-		if m != old && s.PathAlive(i, m, o) {
-			alive = append(alive, m)
-		}
-	}
-	if len(alive) == 0 {
-		return old, nil
-	}
-	return alive[s.rng.Intn(len(alive))], nil
-}
-
 func zeroGrid(rows, cols int) [][]float64 {
 	g := make([][]float64, rows)
 	for i := range g {
 		g[i] = make([]float64, cols)
-	}
-	return g
-}
-
-func boolGrid(rows, cols int) [][]bool {
-	g := make([][]bool, rows)
-	for i := range g {
-		g[i] = make([]bool, cols)
 	}
 	return g
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"closnet/internal/obs"
 	"closnet/internal/topology"
 )
 
@@ -22,6 +23,8 @@ func baseConfig() Config {
 
 func TestRunCompletesAllFlows(t *testing.T) {
 	cfg := baseConfig()
+	o := &obs.Obs{Reg: obs.NewRegistry()}
+	cfg.Obs = o
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +47,18 @@ func TestRunCompletesAllFlows(t *testing.T) {
 	if res.TotalBytes <= 0 {
 		t.Error("non-positive total bytes")
 	}
+	// Every arrival and departure is a delta of the incremental
+	// evaluator, which reuses recorded rounds.
+	snap := o.Reg.Snapshot()
+	if a, d := snap.Counters["dynsim.arrivals"], snap.Counters["dynsim.departures"]; a != int64(cfg.NumFlows) || d != a {
+		t.Errorf("dynsim.arrivals = %d, dynsim.departures = %d, want %d each", a, d, cfg.NumFlows)
+	}
+	if got := snap.Counters["core.delta_fills"]; got <= 0 {
+		t.Error("no incremental delta fills recorded under FairSharing")
+	}
+	if got := snap.Counters["core.delta_levels_skipped"]; got <= 0 {
+		t.Error("incremental evaluator never reused a recorded round")
+	}
 }
 
 func TestRunIsDeterministic(t *testing.T) {
@@ -59,6 +74,36 @@ func TestRunIsDeterministic(t *testing.T) {
 		if a.FCTs[i] != b.FCTs[i] {
 			t.Fatalf("flow %d: FCT %v vs %v with same seed", i, a.FCTs[i], b.FCTs[i])
 		}
+	}
+}
+
+// TestRouterDeterminism: same seed + config ⇒ identical Result for every
+// router, each run on a fresh router (round-robin keeps state).
+func TestRouterDeterminism(t *testing.T) {
+	for _, newRouter := range []func() Router{NewECMPRouter, NewLeastLoadedRouter, NewRoundRobinRouter} {
+		t.Run(newRouter().Name(), func(t *testing.T) {
+			run := func() *Result {
+				cfg := baseConfig()
+				cfg.Clos = topology.MustClos(3)
+				cfg.Router = newRouter()
+				cfg.ArrivalRate = 8
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			a, b := run(), run()
+			if a.Duration != b.Duration {
+				t.Fatalf("Duration %v vs %v with same seed", a.Duration, b.Duration)
+			}
+			for i := range a.FCTs {
+				if a.FCTs[i] != b.FCTs[i] || a.Slowdowns[i] != b.Slowdowns[i] {
+					t.Fatalf("flow %d: FCT %v vs %v, slowdown %v vs %v with same seed",
+						i, a.FCTs[i], b.FCTs[i], a.Slowdowns[i], b.Slowdowns[i])
+				}
+			}
+		})
 	}
 }
 
@@ -269,43 +314,5 @@ func TestSizeDistSamplers(t *testing.T) {
 	}
 	if SizeExponential.String() == "" || SizeParetoBounded.String() == "" || SizeDist(9).String() == "" {
 		t.Error("unnamed size distribution")
-	}
-}
-
-func TestPowerOfTwoRouter(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Router = NewPowerOfTwoRouter()
-	cfg.NumFlows = 200
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanFCT() <= 0 {
-		t.Error("no progress under power-of-two router")
-	}
-}
-
-// TestPowerOfTwoBetweenECMPAndLeastLoaded: under load, two choices
-// should not be worse than one (ECMP), up to simulation noise; assert a
-// weak ordering with slack.
-func TestPowerOfTwoBetweenECMPAndLeastLoaded(t *testing.T) {
-	run := func(r Router) float64 {
-		cfg := baseConfig()
-		cfg.Clos = topology.MustClos(3)
-		cfg.Router = r
-		cfg.ArrivalRate = 12
-		cfg.MeanSize = 1.0
-		cfg.NumFlows = 600
-		cfg.Seed = 5
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MeanFCT()
-	}
-	ecmp := run(NewECMPRouter())
-	po2 := run(NewPowerOfTwoRouter())
-	if po2 > ecmp*1.05 {
-		t.Errorf("power-of-two mean FCT %v clearly worse than ECMP %v", po2, ecmp)
 	}
 }

@@ -225,7 +225,9 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 		return nil, fmt.Errorf("engine: unknown op %q (known: %v)", p.Op, e.Ops())
 	}
 	sp, ctx := obs.StartSpan(ctx, "engine.compute")
-	sp.Attr("op", p.Op)
+	if sp != nil {
+		sp.Attr("op", p.Op)
+	}
 	start := time.Now()
 	body, err := fn(ctx, e, p)
 	elapsed := time.Since(start)

@@ -127,23 +127,23 @@ func (p *evalPool) put(key [32]byte, bev *core.BlockEvaluator) {
 // is key, out of the pool, building (and instrumenting) one on a miss —
 // on the shared prepared fabric of canon's shape, from the scratch of
 // an evaluator released there when it has one, so a miss resolves only
-// the flows' lanes. The returned put func returns the evaluator for
-// reuse; callers must not touch the evaluator or any scratch-aliasing
+// the flows' lanes. put(key, bev) returns the evaluator for reuse;
+// callers must not touch the evaluator or any scratch-aliasing
 // BlockResult views after put.
-func (p *evalPool) acquire(key [32]byte, canon *codec.Scenario, o *obs.Obs) (*core.BlockEvaluator, func(), error) {
+func (p *evalPool) acquire(key [32]byte, canon *codec.Scenario, o *obs.Obs) (*core.BlockEvaluator, error) {
 	if bev := p.get(key); bev != nil {
 		p.reuses.Inc()
-		return bev, func() { p.put(key, bev) }, nil
+		return bev, nil
 	}
 	fab, err := p.fabrics.get(shapeOf(canon))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bev, err := core.NewBlockEvaluator(fab, canon.FlowsOn(fab))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bev.Instrument(o)
 	p.builds.Inc()
-	return bev, func() { p.put(key, bev) }, nil
+	return bev, nil
 }

@@ -37,7 +37,7 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bevA, putA, err := p.acquire(key, scen, nil)
+	bevA, err := p.acquire(key, scen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +55,12 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 		p.put(k, idle())
 	}
 
-	putA()
-	bevA2, putA2, err := p.acquire(key, scen, nil)
+	p.put(key, bevA)
+	bevA2, err := p.acquire(key, scen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer putA2()
+	defer p.put(key, bevA2)
 	if bevA2 != bevA {
 		t.Fatal("leased key was evicted: re-acquire rebuilt instead of reusing the returned evaluator")
 	}

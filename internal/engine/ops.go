@@ -32,11 +32,11 @@ func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error
 // topology, bounded by ctx, and returns what body writes from the
 // rates: the Rat64 lane unless the state was promoted.
 func fill(ctx context.Context, e *Engine, p *Prepared, ma core.MiddleAssignment, body func(codec.Rates) []byte) ([]byte, error) {
-	bev, put, err := e.evals.acquire(p.TopoHash, p.Canon, e.opts.Obs)
+	bev, err := e.evals.acquire(p.TopoHash, p.Canon, e.opts.Obs)
 	if err != nil {
 		return nil, err
 	}
-	defer put()
+	defer e.evals.put(p.TopoHash, bev)
 	sp, _ := obs.StartSpan(ctx, "core.block_fill")
 	res, err := bev.EvalBlockCtx(ctx, ma, 1)
 	sp.Attr("block", 1).End()
@@ -44,7 +44,7 @@ func fill(ctx context.Context, e *Engine, p *Prepared, ma core.MiddleAssignment,
 		return nil, err
 	}
 	// The lane aliases the evaluator's scratch, so the body is written
-	// before put returns the evaluator to the pool.
+	// before the deferred put returns the evaluator to the pool.
 	rates := codec.Rates{Lane: res.Rates64(0)}
 	if res.Promoted(0) {
 		rates = codec.Rates{Big: res.Alloc(0)}

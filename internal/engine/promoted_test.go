@@ -14,12 +14,12 @@ import (
 // computed on the promoted path; it returns the evaluator.
 func forceBigEvaluator(t *testing.T, e *Engine, p *Prepared) *core.BlockEvaluator {
 	t.Helper()
-	bev, put, err := e.evals.acquire(p.TopoHash, p.Canon, nil)
+	bev, err := e.evals.acquire(p.TopoHash, p.Canon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bev.ForceBig(true)
-	put()
+	e.evals.put(p.TopoHash, bev)
 	return bev
 }
 
@@ -71,11 +71,11 @@ func TestPromotedBodiesMatchFastPath(t *testing.T) {
 				t.Fatalf("matrix %d batch item %d: promoted body\n%s\nfast body\n%s", m, i, got[i].Resp.Body, want[i].Resp.Body)
 			}
 		}
-		bev, put, err := slow.evals.acquire(p.TopoHash, p.Canon, nil)
+		bev, err := slow.evals.acquire(p.TopoHash, p.Canon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		put()
+		slow.evals.put(p.TopoHash, bev)
 		if bev != pinned {
 			t.Fatal("the pinned evaluator left the pool: the bodies above prove nothing")
 		}

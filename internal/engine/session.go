@@ -173,7 +173,9 @@ func (ss *Sessions) pruneLocked() {
 			delete(ss.table, id)
 			ss.expired++
 			ss.cExpired.Inc()
-			ss.o.Journal().Emit("engine.session_expired", obs.F{"session": id})
+			if j := ss.o.Journal(); j != nil {
+				j.Emit("engine.session_expired", obs.F{"session": id})
+			}
 		}
 	}
 	ss.gOpen.Set(int64(len(ss.table)))
@@ -247,8 +249,12 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 	ss.gOpen.Set(int64(len(ss.table)))
 	ss.mu.Unlock()
 
-	sp.Attr("session", s.id).Attr("flows", len(s.flows))
-	ss.o.Journal().Emit("engine.session_opened", obs.F{"session": s.id, "flows": len(s.flows)})
+	if sp != nil {
+		sp.Attr("session", s.id).Attr("flows", len(s.flows))
+	}
+	if j := ss.o.Journal(); j != nil {
+		j.Emit("engine.session_opened", obs.F{"session": s.id, "flows": len(s.flows)})
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.responseLocked(OpSessionOpen, -1)
@@ -282,7 +288,9 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 	if err := d.Validate(s.tors, s.servers, s.middles); err != nil {
 		return nil, err
 	}
-	sp.Attr("session", id).Attr("op", d.Op)
+	if sp != nil {
+		sp.Attr("session", id).Attr("op", d.Op)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -346,8 +354,12 @@ func (ss *Sessions) Close(ctx context.Context, id string) (*SessionResponse, err
 	if !ok {
 		return nil, ErrSessionNotFound
 	}
-	sp.Attr("session", id)
-	ss.o.Journal().Emit("engine.session_closed", obs.F{"session": id, "deltas": s.seq})
+	if sp != nil {
+		sp.Attr("session", id)
+	}
+	if j := ss.o.Journal(); j != nil {
+		j.Emit("engine.session_closed", obs.F{"session": id, "deltas": s.seq})
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &SessionResponse{Session: id, Body: codec.SessionCloseBody(id, s.seq)}, nil

@@ -17,6 +17,8 @@ import (
 	"closnet/internal/core"
 	"closnet/internal/corpus"
 	"closnet/internal/lp"
+	"closnet/internal/rational"
+	"closnet/internal/reference"
 	"closnet/internal/search"
 	"closnet/internal/topology"
 )
@@ -49,7 +51,7 @@ func familyInstances(t *testing.T) map[string]struct {
 }
 
 // oracle scans all n^|F| assignments with a plain base-n counter and
-// an independent evaluation path (ClosRouting + ReferenceMaxMinFair,
+// an independent evaluation path (ClosRouting + reference.MaxMinFair,
 // not the kernel), returning the lex-max-min and max-throughput
 // optima. It deliberately shares no enumeration or evaluation code
 // with package search.
@@ -63,11 +65,11 @@ func oracle(t *testing.T, c topology.Fabric, fs core.Collection) (lexBest, tpBes
 		if err != nil {
 			t.Fatalf("oracle routing %v: %v", ma, err)
 		}
-		a, err := core.ReferenceMaxMinFair(c.Network(), fs, r)
+		a, err := reference.MaxMinFair(c.Network(), r)
 		if err != nil {
 			t.Fatalf("oracle waterfill %v: %v", ma, err)
 		}
-		if lexBest == nil || core.LexLess(lexBest, a) {
+		if lexBest == nil || rational.LexCompareSorted(lexBest, a) < 0 {
 			lexBest = a
 			lexMA = append(core.MiddleAssignment(nil), ma...)
 		}
@@ -108,7 +110,7 @@ func TestCrossFamilyOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s lex: %v", name, sname, err)
 			}
-			if core.LexLess(lex.Allocation, lexBest) || core.LexLess(lexBest, lex.Allocation) {
+			if rational.LexCompareSorted(lex.Allocation, lexBest) != 0 {
 				t.Errorf("%s/%s lex optimum %v != oracle %v",
 					name, sname, lex.Allocation.SortedCopy(), lexBest.SortedCopy())
 			}
@@ -125,7 +127,7 @@ func TestCrossFamilyOracle(t *testing.T) {
 }
 
 // TestCrossFamilyEvaluatorAgreement: for each family, the block
-// evaluator and ClosRouting + ReferenceMaxMinFair produce identical
+// evaluator and ClosRouting + reference.MaxMinFair produce identical
 // allocations on every assignment of a sample.
 func TestCrossFamilyEvaluatorAgreement(t *testing.T) {
 	for name, in := range familyInstances(t) {
@@ -149,7 +151,7 @@ func TestCrossFamilyEvaluatorAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s routing %v: %v", name, ma, err)
 			}
-			ref, err := core.ReferenceMaxMinFair(in.c.Network(), in.fs, r)
+			ref, err := reference.MaxMinFair(in.c.Network(), r)
 			if err != nil {
 				t.Fatalf("%s reference %v: %v", name, ma, err)
 			}

@@ -61,8 +61,8 @@ func PrefixPaths(c topology.Fabric, fs core.Collection, ma core.MiddleAssignment
 
 // ThroughputProblem builds the splittable maximum-throughput LP over
 // the given candidate paths: maximize the total rate, subject to link
-// capacities and x ≥ 0. It is the problem SplittableMaxThroughput
-// solves, exported so callers can certify its dual solutions.
+// capacities and x ≥ 0, exported so callers can certify its dual
+// solutions.
 func ThroughputProblem(net *topology.Network, fs core.Collection, paths PathSets) (Problem, error) {
 	if len(paths) != len(fs) {
 		return Problem{}, fmt.Errorf("lp: %d path sets for %d flows", len(paths), len(fs))

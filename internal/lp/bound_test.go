@@ -142,7 +142,7 @@ func TestSplittableThroughputBoundMatchesLP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, _, err := SplittableMaxThroughput(c.Network(), fs, paths)
+		opt, _, err := splittableMaxThroughput(c.Network(), fs, paths)
 		if err != nil {
 			t.Fatal(err)
 		}

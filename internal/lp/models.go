@@ -30,19 +30,6 @@ func ClosAllPaths(c topology.Fabric, fs core.Collection) (PathSets, error) {
 	return ps, nil
 }
 
-// MacroPaths returns the unique path of each flow in the macro-switch.
-func MacroPaths(ms *topology.MacroSwitch, fs core.Collection) (PathSets, error) {
-	ps := make(PathSets, len(fs))
-	for i, f := range fs {
-		p, err := ms.Path(f.Src, f.Dst)
-		if err != nil {
-			return nil, fmt.Errorf("flow %d: %w", i, err)
-		}
-		ps[i] = []topology.Path{p}
-	}
-	return ps, nil
-}
-
 // varLayout maps (flow, path) pairs to dense LP variable indices.
 type varLayout struct {
 	offset []int // per flow
@@ -101,45 +88,6 @@ func flowTotalCoeffs(l varLayout, paths PathSets, f, numVars int) []*big.Rat {
 		coeffs[l.offset[f]+pi] = rational.One()
 	}
 	return coeffs
-}
-
-// SplittableMaxThroughput solves the splittable (classic network flow)
-// maximum-throughput LP: maximize the total rate over all flows, where
-// each flow may be divided arbitrarily over its candidate paths, subject
-// to link capacities. It returns the optimum and the per-flow totals.
-func SplittableMaxThroughput(net *topology.Network, fs core.Collection, paths PathSets) (*big.Rat, rational.Vec, error) {
-	if len(paths) != len(fs) {
-		return nil, nil, fmt.Errorf("lp: %d path sets for %d flows", len(paths), len(fs))
-	}
-	l := layout(paths)
-	obj := make([]*big.Rat, l.total)
-	for j := range obj {
-		obj[j] = rational.One()
-	}
-	p := Problem{
-		NumVars:     l.total,
-		Objective:   obj,
-		Constraints: linkConstraints(net, paths, l, l.total),
-	}
-	sol, err := Solve(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sol.Status != Optimal {
-		return nil, nil, fmt.Errorf("lp: max throughput LP is %v", sol.Status)
-	}
-	rates := flowTotals(l, paths, sol.X)
-	return sol.Objective, rates, nil
-}
-
-func flowTotals(l varLayout, paths PathSets, x []*big.Rat) rational.Vec {
-	rates := rational.NewVec(len(paths))
-	for fi := range paths {
-		for pi := range paths[fi] {
-			rates[fi].Add(rates[fi], x[l.offset[fi]+pi])
-		}
-	}
-	return rates
 }
 
 // SplittableMaxMin computes the splittable max-min fair allocation by

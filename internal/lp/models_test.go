@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -9,6 +11,45 @@ import (
 	"closnet/internal/rational"
 	"closnet/internal/topology"
 )
+
+// macroPaths returns the unique path of each flow in the macro-switch.
+func macroPaths(ms *topology.MacroSwitch, fs core.Collection) (PathSets, error) {
+	ps := make(PathSets, len(fs))
+	for i, f := range fs {
+		p, err := ms.Path(f.Src, f.Dst)
+		if err != nil {
+			return nil, fmt.Errorf("flow %d: %w", i, err)
+		}
+		ps[i] = []topology.Path{p}
+	}
+	return ps, nil
+}
+
+// splittableMaxThroughput solves ThroughputProblem, the splittable
+// (classic network flow) maximum-throughput LP, on the primal simplex
+// alone: the oracle SplittableThroughputBound's certified dual value is
+// checked against. It returns the optimum and the per-flow totals.
+func splittableMaxThroughput(net *topology.Network, fs core.Collection, paths PathSets) (*big.Rat, rational.Vec, error) {
+	p, err := ThroughputProblem(net, fs, paths)
+	if err != nil {
+		return nil, nil, err
+	}
+	sol, err := Solve(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sol.Status != Optimal {
+		return nil, nil, fmt.Errorf("lp: max throughput LP is %v", sol.Status)
+	}
+	l := layout(paths)
+	rates := rational.NewVec(len(paths))
+	for fi := range paths {
+		for pi := range paths[fi] {
+			rates[fi].Add(rates[fi], sol.X[l.offset[fi]+pi])
+		}
+	}
+	return sol.Objective, rates, nil
+}
 
 // example23Clos builds the Example 2.3 collection over C_2.
 func example23Clos(c *topology.Clos) core.Collection {
@@ -29,11 +70,11 @@ func TestSplittableMaxThroughputMacroExample33(t *testing.T) {
 		ms.Source(2, 1), ms.Dest(2, 1),
 		ms.Source(2, 1), ms.Dest(1, 1),
 	)
-	paths, err := MacroPaths(ms, fs)
+	paths, err := macroPaths(ms, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, rates, err := SplittableMaxThroughput(ms.Network(), fs, paths)
+	total, rates, err := splittableMaxThroughput(ms.Network(), fs, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +109,11 @@ func TestSplittableThroughputMatchesMatching(t *testing.T) {
 				Right: (di-1)*n + dj - 1,
 			})
 		}
-		paths, err := MacroPaths(ms, fs)
+		paths, err := macroPaths(ms, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total, _, err := SplittableMaxThroughput(ms.Network(), fs, paths)
+		total, _, err := splittableMaxThroughput(ms.Network(), fs, paths)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +140,7 @@ func TestSplittableMaxMinMatchesWaterfillOnFixedPaths(t *testing.T) {
 		ms.Source(2, 2), ms.Dest(2, 2),
 		ms.Source(1, 1), ms.Dest(1, 1),
 	)
-	paths, err := MacroPaths(ms, fs)
+	paths, err := macroPaths(ms, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +204,7 @@ func TestSplittableMaxMinEmptyAndErrors(t *testing.T) {
 	if _, err := SplittableMaxMin(c.Network(), fs, PathSets{{}}); err == nil {
 		t.Error("flow without candidate paths accepted")
 	}
-	if _, _, err := SplittableMaxThroughput(c.Network(), fs, PathSets{}); err == nil {
+	if _, _, err := splittableMaxThroughput(c.Network(), fs, PathSets{}); err == nil {
 		t.Error("mismatched path sets accepted by throughput model")
 	}
 }
@@ -176,7 +217,7 @@ func TestClosAllPathsAndMacroPathsErrors(t *testing.T) {
 		t.Error("non-source origin accepted")
 	}
 	badFlow2 := core.Collection{{Src: ms.Input(1), Dst: ms.Dest(1, 1)}}
-	if _, err := MacroPaths(ms, badFlow2); err == nil {
+	if _, err := macroPaths(ms, badFlow2); err == nil {
 		t.Error("non-source origin accepted by macro paths")
 	}
 }
@@ -191,7 +232,7 @@ func TestSplittableMaxMinSharedBottleneck(t *testing.T) {
 		ms.Source(1, 1), ms.Dest(2, 1),
 		ms.Source(2, 1), ms.Dest(2, 1), // then capped by t2.1
 	)
-	paths, err := MacroPaths(ms, fs)
+	paths, err := macroPaths(ms, fs)
 	if err != nil {
 		t.Fatal(err)
 	}

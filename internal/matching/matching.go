@@ -6,8 +6,8 @@
 // destinations and whose edges are the flows; and the Doom-Switch
 // algorithm (Algorithm 1) starts from such a matching.
 //
-// The implementation is Hopcroft–Karp, O(E·sqrt(V)), plus a simple greedy
-// augmenting-path matcher kept as an ablation baseline.
+// The implementation is Hopcroft–Karp, O(E·sqrt(V)). The package's tests
+// keep a greedy matcher beside it as the benchmarks' ablation baseline.
 package matching
 
 import (
@@ -164,47 +164,4 @@ func MaxMatching(g Graph) (Matching, error) {
 		}
 	}
 	return m, nil
-}
-
-// GreedyMatching returns a (maximal, not necessarily maximum) matching
-// built by a single greedy pass. It is kept as an ablation baseline for
-// the benchmarks; library code uses MaxMatching.
-func GreedyMatching(g Graph) (Matching, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	usedL := make([]bool, g.NumLeft)
-	usedR := make([]bool, g.NumRight)
-	var m Matching
-	for i, e := range g.Edges {
-		if usedL[e.Left] || usedR[e.Right] {
-			continue
-		}
-		usedL[e.Left] = true
-		usedR[e.Right] = true
-		m = append(m, i)
-	}
-	return m, nil
-}
-
-// Verify reports an error unless m is a valid matching of g: edge indices
-// in range and no two edges sharing an endpoint.
-func Verify(g Graph, m Matching) error {
-	usedL := make([]bool, g.NumLeft)
-	usedR := make([]bool, g.NumRight)
-	for _, ei := range m {
-		if ei < 0 || ei >= len(g.Edges) {
-			return fmt.Errorf("matching: edge index %d out of range", ei)
-		}
-		e := g.Edges[ei]
-		if usedL[e.Left] {
-			return fmt.Errorf("matching: left node %d matched twice", e.Left)
-		}
-		if usedR[e.Right] {
-			return fmt.Errorf("matching: right node %d matched twice", e.Right)
-		}
-		usedL[e.Left] = true
-		usedR[e.Right] = true
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -65,8 +66,8 @@ func TestMaxMatchingSimpleCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MaxMatching: %v", err)
 			}
-			if err := Verify(tt.g, m); err != nil {
-				t.Fatalf("Verify: %v", err)
+			if err := verify(tt.g, m); err != nil {
+				t.Fatalf("verify: %v", err)
 			}
 			if len(m) != tt.want {
 				t.Errorf("matching size = %d, want %d", len(m), tt.want)
@@ -88,7 +89,7 @@ func TestMaxMatchingAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(g, m); err != nil {
+		if err := verify(g, m); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if want := bruteForceMax(g); len(m) != want {
@@ -105,11 +106,11 @@ func TestGreedyMatchingIsValidAndMaximal(t *testing.T) {
 		for e := 0; e < rng.Intn(12); e++ {
 			g.Edges = append(g.Edges, Edge{rng.Intn(nl), rng.Intn(nr)})
 		}
-		m, err := GreedyMatching(g)
+		m, err := greedyMatching(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(g, m); err != nil {
+		if err := verify(g, m); err != nil {
 			t.Fatal(err)
 		}
 		// Maximal: no remaining edge has both endpoints free.
@@ -143,7 +144,7 @@ func TestValidateErrors(t *testing.T) {
 		if _, err := MaxMatching(g); err == nil {
 			t.Errorf("graph %d: expected error", i)
 		}
-		if _, err := GreedyMatching(g); err == nil {
+		if _, err := greedyMatching(g); err == nil {
 			t.Errorf("graph %d: greedy expected error", i)
 		}
 	}
@@ -151,16 +152,16 @@ func TestValidateErrors(t *testing.T) {
 
 func TestVerifyRejectsBadMatchings(t *testing.T) {
 	g := Graph{2, 2, []Edge{{0, 0}, {0, 1}, {1, 1}}}
-	if err := Verify(g, Matching{0, 1}); err == nil {
+	if err := verify(g, Matching{0, 1}); err == nil {
 		t.Error("shared left endpoint accepted")
 	}
-	if err := Verify(g, Matching{1, 2}); err == nil {
+	if err := verify(g, Matching{1, 2}); err == nil {
 		t.Error("shared right endpoint accepted")
 	}
-	if err := Verify(g, Matching{5}); err == nil {
+	if err := verify(g, Matching{5}); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
-	if err := Verify(g, Matching{0, 2}); err != nil {
+	if err := verify(g, Matching{0, 2}); err != nil {
 		t.Errorf("valid matching rejected: %v", err)
 	}
 }
@@ -195,7 +196,82 @@ func TestMaxMatchingLargeBipartite(t *testing.T) {
 	if len(m) != 40 {
 		t.Errorf("matching size = %d, want 40", len(m))
 	}
-	if err := Verify(g, m); err != nil {
+	if err := verify(g, m); err != nil {
 		t.Error(err)
+	}
+}
+
+// greedyMatching returns a (maximal, not necessarily maximum) matching
+// built by a single greedy pass: the ablation baseline of
+// BenchmarkMatchingGreedy.
+func greedyMatching(g Graph) (Matching, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	usedL := make([]bool, g.NumLeft)
+	usedR := make([]bool, g.NumRight)
+	var m Matching
+	for i, e := range g.Edges {
+		if usedL[e.Left] || usedR[e.Right] {
+			continue
+		}
+		usedL[e.Left] = true
+		usedR[e.Right] = true
+		m = append(m, i)
+	}
+	return m, nil
+}
+
+// verify reports an error unless m is a valid matching of g: edge indices
+// in range and no two edges sharing an endpoint.
+func verify(g Graph, m Matching) error {
+	usedL := make([]bool, g.NumLeft)
+	usedR := make([]bool, g.NumRight)
+	for _, ei := range m {
+		if ei < 0 || ei >= len(g.Edges) {
+			return fmt.Errorf("matching: edge index %d out of range", ei)
+		}
+		e := g.Edges[ei]
+		if usedL[e.Left] {
+			return fmt.Errorf("matching: left node %d matched twice", e.Left)
+		}
+		if usedR[e.Right] {
+			return fmt.Errorf("matching: right node %d matched twice", e.Right)
+		}
+		usedL[e.Left] = true
+		usedR[e.Right] = true
+	}
+	return nil
+}
+
+// The Hopcroft–Karp vs greedy matching ablation of DESIGN.md §5, on a
+// random 128×128 multigraph with 1,024 edges.
+
+func matchingInstance() Graph {
+	rng := rand.New(rand.NewSource(2))
+	g := Graph{NumLeft: 128, NumRight: 128}
+	for e := 0; e < 1024; e++ {
+		g.Edges = append(g.Edges, Edge{Left: rng.Intn(128), Right: rng.Intn(128)})
+	}
+	return g
+}
+
+func BenchmarkMatchingHopcroftKarp(b *testing.B) {
+	g := matchingInstance()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MaxMatching(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMatchingGreedy(b *testing.B) {
+	g := matchingInstance()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := greedyMatching(g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -62,7 +62,6 @@ type Result struct {
 	// residual[i] is the residual capacity of internal edge i.
 	residual []int64
 	original []edge
-	graph    *Graph
 }
 
 // Flow returns the flow pushed through the edge returned by AddEdge.
@@ -141,28 +140,7 @@ func (g *Graph) Max(s, t int) (*Result, error) {
 			total += f
 		}
 	}
-	return &Result{Value: total, residual: res, original: g.edges, graph: g}, nil
-}
-
-// MinCut returns the source side of a minimum s-t cut after a Max run:
-// the set of nodes reachable from s in the residual graph, as a boolean
-// slice indexed by node.
-func (r *Result) MinCut(s int) []bool {
-	g := r.graph
-	side := make([]bool, g.numNodes)
-	side[s] = true
-	queue := []int{s}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		for _, ei := range g.heads[u] {
-			v := g.edges[ei].to
-			if r.residual[ei] > 0 && !side[v] {
-				side[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return side
+	return &Result{Value: total, residual: res, original: g.edges}, nil
 }
 
 func minInt64(a, b int64) int64 {

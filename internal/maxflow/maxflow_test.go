@@ -119,6 +119,26 @@ func TestFlowConservationAndCapacity(t *testing.T) {
 	}
 }
 
+// minCut returns the source side of a minimum s-t cut after r = g.Max:
+// the set of nodes reachable from s in the residual graph, as a boolean
+// slice indexed by node.
+func minCut(g *Graph, r *Result, s int) []bool {
+	side := make([]bool, g.numNodes)
+	side[s] = true
+	queue := []int{s}
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, ei := range g.heads[u] {
+			v := g.edges[ei].to
+			if r.residual[ei] > 0 && !side[v] {
+				side[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return side
+}
+
 // TestMaxFlowMinCut checks the max-flow min-cut theorem on random graphs:
 // the capacity of the extracted cut equals the flow value.
 func TestMaxFlowMinCut(t *testing.T) {
@@ -144,7 +164,7 @@ func TestMaxFlowMinCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		side := r.MinCut(0)
+		side := minCut(g, r, 0)
 		if !side[0] || side[n-1] {
 			t.Fatalf("trial %d: cut does not separate terminals", trial)
 		}

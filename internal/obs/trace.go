@@ -154,7 +154,10 @@ func (s *Span) Child(name string) *Span {
 }
 
 // Attr attaches one key/value to the span (shown in the journal event
-// and the flight-recorder summary). Returns s for chaining.
+// and the flight-recorder summary). Returns s for chaining. A nil span
+// is a no-op, but a dynamic v is boxed into an interface before Attr
+// can return, so a call site on a per-request path checks for nil
+// first.
 func (s *Span) Attr(key string, v any) *Span {
 	if s == nil {
 		return nil

@@ -300,7 +300,9 @@ func run(c topology.Fabric, fs core.Collection, opts Options, obj *objective, bl
 		})
 	}
 	sp, ctx := obs.StartSpan(ctx, "search.run")
-	sp.Attr("space", label).Attr("total", s.total()).Attr("workers", workers)
+	if sp != nil {
+		sp.Attr("space", label).Attr("total", s.total()).Attr("workers", workers)
+	}
 	start := time.Now()
 	var res *Result
 	if opts.Pruned {

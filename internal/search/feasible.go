@@ -79,31 +79,6 @@ func FeasibleRouting(ctx context.Context, c *topology.Clos, fs core.Collection, 
 	return p.parallelWitness(w)
 }
 
-// ForEachFeasibleRouting enumerates the feasible routings for the given
-// demands, invoking visit for each; visit returns false to stop early.
-// The assignment passed to visit is only valid during the call. It is
-// used to check structural claims quantified over all feasible routings,
-// such as Claim 4.5. Enumeration is always serial and in depth-first
-// order, so visitors observe a deterministic sequence.
-//
-// Enumeration is up to interchangeability: flows with the same input
-// switch, output switch and demand are indistinguishable to every fabric
-// constraint, so only one canonical representative per equivalence class
-// of routings is visited (within a class, middles are assigned in
-// non-decreasing order). Any structural property invariant under
-// permuting identical flows — such as the counting conditions of
-// Claim 4.5 — is therefore checked over all feasible routings.
-func ForEachFeasibleRouting(c *topology.Clos, fs core.Collection, demands rational.Vec, maxNodes int, visit func(core.MiddleAssignment) bool) error {
-	p, err := newFeasibleProblem(context.Background(), c, fs, demands, maxNodes)
-	if err != nil {
-		return err
-	}
-	if p == nil {
-		return nil
-	}
-	return p.search(visit)
-}
-
 // feasibleProblem is the routing-independent part of a feasibility
 // query, shared by the serial backtracker and every parallel branch
 // worker: flow endpoints resolved to switch indices, the placement

@@ -6,6 +6,7 @@ import (
 
 	"closnet/internal/core"
 	"closnet/internal/rational"
+	"closnet/internal/reference"
 	"closnet/internal/topology"
 )
 
@@ -121,7 +122,7 @@ func TestEnumerateAborts(t *testing.T) {
 	}
 }
 
-// referenceClos is core.ReferenceMaxMinFair over core.ClosRouting: the
+// referenceClos is reference.MaxMinFair over core.ClosRouting: the
 // exact fill the oracles compare the kernel-driven search against,
 // independent of the kernel.
 func referenceClos(c topology.Fabric, fs core.Collection, ma core.MiddleAssignment) (core.Allocation, error) {
@@ -129,5 +130,5 @@ func referenceClos(c topology.Fabric, fs core.Collection, ma core.MiddleAssignme
 	if err != nil {
 		return nil, err
 	}
-	return core.ReferenceMaxMinFair(c.Network(), fs, r)
+	return reference.MaxMinFair(c.Network(), r)
 }

@@ -349,6 +349,31 @@ func TestFeasibleRoutingDropType3(t *testing.T) {
 	}
 }
 
+// forEachFeasibleRouting enumerates the feasible routings for the given
+// demands, invoking visit for each; visit returns false to stop early.
+// The assignment passed to visit is only valid during the call. The
+// tests use it to check structural claims quantified over all feasible
+// routings, such as Claim 4.5. Enumeration is always serial and in depth-first
+// order, so visitors observe a deterministic sequence.
+//
+// Enumeration is up to interchangeability: flows with the same input
+// switch, output switch and demand are indistinguishable to every fabric
+// constraint, so only one canonical representative per equivalence class
+// of routings is visited (within a class, middles are assigned in
+// non-decreasing order). Any structural property invariant under
+// permuting identical flows — such as the counting conditions of
+// Claim 4.5 — is therefore checked over all feasible routings.
+func forEachFeasibleRouting(c *topology.Clos, fs core.Collection, demands rational.Vec, maxNodes int, visit func(core.MiddleAssignment) bool) error {
+	p, err := newFeasibleProblem(context.Background(), c, fs, demands, maxNodes)
+	if err != nil {
+		return err
+	}
+	if p == nil {
+		return nil
+	}
+	return p.search(visit)
+}
+
 // TestForEachFeasibleRoutingClaim45 verifies Claim 4.5's conditions on
 // actual feasible routings of the type-1/type-2 sub-collection of the
 // Theorem 4.3 instance: (1) per input switch, each middle receives all
@@ -365,7 +390,7 @@ func TestForEachFeasibleRoutingClaim45(t *testing.T) {
 	demands := append(rational.Vec{}, in.MacroRates[:t3]...)
 
 	visited := 0
-	err = ForEachFeasibleRouting(in.Clos, fs, demands, 2_000_000, func(ma core.MiddleAssignment) bool {
+	err = forEachFeasibleRouting(in.Clos, fs, demands, 2_000_000, func(ma core.MiddleAssignment) bool {
 		visited++
 		// Condition 2: type-2.b flows per middle == n-1.
 		countB := make([]int, n+1)
@@ -451,7 +476,7 @@ func TestFeasibleRoutingBudget(t *testing.T) {
 	t3 := in.FlowsOfType(adversary.Type3)[0]
 	fs := append(core.Collection{}, in.Flows[:t3]...)
 	demands := append(rational.Vec{}, in.MacroRates[:t3]...)
-	err = ForEachFeasibleRouting(in.Clos, fs, demands, 10, func(core.MiddleAssignment) bool { return true })
+	err = forEachFeasibleRouting(in.Clos, fs, demands, 10, func(core.MiddleAssignment) bool { return true })
 	if !errors.Is(err, ErrSearchBudget) {
 		t.Errorf("err = %v, want ErrSearchBudget", err)
 	}

@@ -1,7 +1,5 @@
 package topology
 
-import "fmt"
-
 // FullBisection reports whether the Clos fabric has full bisection
 // bandwidth (§1): for every ToR switch, the fabric-facing capacity
 // (number of middle switches, at unit capacity) is at least the
@@ -9,17 +7,4 @@ import "fmt"
 // holds with equality; oversubscribed rectangular fabrics fail it.
 func FullBisection(c *Clos) bool {
 	return c.Size() >= c.ServersPerToR()
-}
-
-// BisectionGap returns serverCapacity − fabricCapacity per ToR (servers
-// minus middles). Zero means exactly full bisection (the paper's
-// setting); positive values measure oversubscription, negative values
-// spare fabric capacity.
-func BisectionGap(c *Clos) int {
-	return c.ServersPerToR() - c.Size()
-}
-
-// OversubscriptionRatio renders the conventional s:m form.
-func OversubscriptionRatio(c *Clos) string {
-	return fmt.Sprintf("%d:%d", c.ServersPerToR(), c.Size())
 }

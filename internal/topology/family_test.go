@@ -118,10 +118,6 @@ func TestNewOversubscribedClos(t *testing.T) {
 	if c.NumToRs() != 4 || c.ServersPerToR() != 4 || c.Size() != 2 {
 		t.Errorf("shape (%d, %d, %d), want (4, 4, 2)", c.NumToRs(), c.ServersPerToR(), c.Size())
 	}
-	// OversubscriptionRatio renders the raw servers:middles form.
-	if got := OversubscriptionRatio(c); got != "4:2" {
-		t.Errorf("ratio %q, want 4:2", got)
-	}
 	validateAllPaths(t, c, nil)
 
 	for _, bad := range [][4]int{

@@ -141,9 +141,6 @@ func NewFatTree(k int) (*FatTree, error) {
 // Network returns the underlying network.
 func (ft *FatTree) Network() *Network { return ft.net }
 
-// K returns the pod count k.
-func (ft *FatTree) K() int { return ft.k }
-
 // Size returns the number of path choices per server pair, (k/2)².
 func (ft *FatTree) Size() int { return ft.half * ft.half }
 

@@ -11,15 +11,13 @@
 // Generators are deterministic given the caller's *rand.Rand, and every
 // generator also emits the parallel macro-switch collection so that
 // network rates can be compared against macro-switch rates flow by flow.
-// ByName exposes the generators as a named registry with canonical
-// parameters, so CLIs and scenario builders select models by flag.
+// Generators lists them as a named registry with canonical parameters.
 package workload
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"closnet/internal/core"
 	"closnet/internal/topology"
@@ -175,26 +173,4 @@ func Generators() []Generator {
 			return Skewed(rng, c, ms, numFlows, 1.1)
 		}},
 	}
-}
-
-// Names returns the registered generator names in sorted order.
-func Names() []string {
-	gens := Generators()
-	names := make([]string, len(gens))
-	for i, g := range gens {
-		names[i] = g.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ByName returns the named generator, or an error listing the known
-// names.
-func ByName(name string) (Generator, error) {
-	for _, g := range Generators() {
-		if g.Name == name {
-			return g, nil
-		}
-	}
-	return Generator{}, fmt.Errorf("workload: unknown generator %q (known: %v)", name, Names())
 }

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"closnet/internal/core"
@@ -230,39 +228,23 @@ func TestNegativeFlowCountRejected(t *testing.T) {
 	}
 }
 
-// TestGeneratorRegistry: the registry exposes all four models, Names is
-// sorted, ByName round-trips, and unknown names error with the known
-// list.
+// TestGeneratorRegistry: the registry exposes all four models in
+// presentation order, and each draws a valid pair.
 func TestGeneratorRegistry(t *testing.T) {
-	names := Names()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("Names() not sorted: %v", names)
-	}
-	want := []string{"hotspot", "permutation", "skewed", "uniform"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
+	want := []string{"uniform", "permutation", "hotspot", "skewed"}
+	gens := Generators()
+	if len(gens) != len(want) {
+		t.Fatalf("%d generators, want %v", len(gens), want)
 	}
 	c, ms := pairTopologies(2)
-	for _, name := range names {
-		g, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
-		}
-		if g.Name != name {
-			t.Errorf("ByName(%s).Name = %s", name, g.Name)
+	for i, g := range gens {
+		if g.Name != want[i] {
+			t.Errorf("generator %d is %s, want %s", i, g.Name, want[i])
 		}
 		p, err := g.Draw(rand.New(rand.NewSource(5)), c, ms, 6)
 		if err != nil {
-			t.Fatalf("%s draw: %v", name, err)
+			t.Fatalf("%s draw: %v", g.Name, err)
 		}
 		checkPair(t, c, ms, p)
-	}
-	if _, err := ByName("zipfian"); err == nil || !strings.Contains(err.Error(), "hotspot") {
-		t.Errorf("ByName(zipfian) = %v, want error listing known names", err)
 	}
 }
