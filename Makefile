@@ -58,8 +58,8 @@ cover:
 # allocator and its kernel drivers, the edge colorer, the search's value
 # compare, the simplex (and its integer path against the big.Rat
 # tableau), the codec (its fast paths against encoding/json and big.Rat,
-# the response body writer against json.Marshal) and the serving
-# handler.
+# a batch's shared canonical prefixes against the one-pass oracle, the
+# response body writer against json.Marshal) and the serving handler.
 fuzz:
 	$(GO) test -fuzz=FuzzRat64 -fuzztime=10s ./internal/rational/
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzDecodeFastMatchesJSON -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzDecodeBatchMatchesJSON -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz=FuzzCanonicalizeBatch -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzCanonicalEncodeMatchesJSON -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzNormalizeDemandMatchesBigRat -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz='^FuzzResponseBody$$' -fuzztime=10s ./internal/codec/

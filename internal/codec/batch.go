@@ -36,6 +36,10 @@ type batchItem struct {
 // Decode's error in its slot and leaves its siblings alone. Envelopes
 // outside the fast subset are decoded as batchRequest and item by
 // item, with the same result.
+//
+// Items whose flows or demands array repeats the previous such array
+// byte for byte share one decoded slice: treat a decoded scenario's
+// Flows and Demands as read-only.
 func DecodeBatch(data []byte) (*Batch, error) {
 	if b, ok := decodeBatchFast(data); ok {
 		return b, nil

@@ -70,6 +70,23 @@ func (e *encoder) fork() {
 	}
 }
 
+// save flushes and returns h's state, or nil when it cannot be saved or
+// a string so far needed escaping (the caller hashes json.Marshal's
+// bytes then, which a saved state cannot continue).
+func (e *encoder) save() []byte {
+	e.flush(0)
+	state, err := e.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil || !e.ok {
+		return nil
+	}
+	return state
+}
+
+// restore sets h to a state save returned.
+func (e *encoder) restore(state []byte) bool {
+	return e.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state) == nil
+}
+
 // sum returns h's digest without allocating.
 func (e *encoder) sum(h hash.Hash) [32]byte {
 	h.Sum(e.digest[:0])
@@ -120,8 +137,8 @@ func (e *encoder) head(s *Scenario) {
 	e.buf = append(e.buf, ']')
 }
 
-// tail writes the fields after the flow list and the closing '}'.
-func (e *encoder) tail(s *Scenario) {
+// demands writes the demands field, if there are demands.
+func (e *encoder) demands(s *Scenario) {
 	if len(s.Demands) > 0 {
 		e.buf = append(e.buf, `,"demands":[`...)
 		for i, d := range s.Demands {
@@ -133,6 +150,11 @@ func (e *encoder) tail(s *Scenario) {
 		}
 		e.buf = append(e.buf, ']')
 	}
+}
+
+// assignment writes the assignment field, if there is an assignment,
+// and the closing '}'.
+func (e *encoder) assignment(s *Scenario) {
 	if len(s.Assignment) > 0 {
 		e.buf = append(e.buf, `,"assignment":[`...)
 		for i, m := range s.Assignment {

@@ -36,11 +36,17 @@ import (
 // of the instance as stated, and evaluation results are reported in
 // canonical flow order.
 func Canonical(s *Scenario) (*Scenario, error) {
-	f, err := canonicalize(s, false)
+	var z canonicalizer
+	f, err := z.canonicalize(s, nil, false)
 	return f.Scenario, err
 }
 
 // CanonicalForm is the outcome of one canonicalization pass.
+//
+// The forms CanonicalizeBatch returns for consecutive scenarios with
+// one canonical prefix share their Scenario's Flows and Demands, and
+// their Perm when no two flows tie on endpoints and demand: treat all
+// three as read-only.
 type CanonicalForm struct {
 	// Scenario is the canonical form (Canonical).
 	Scenario *Scenario
@@ -59,7 +65,31 @@ type CanonicalForm struct {
 // canonical form, its permutation and both addresses, hashed from one
 // encoding of the canonical form.
 func Canonicalize(s *Scenario) (CanonicalForm, error) {
-	return canonicalize(s, true)
+	var z canonicalizer
+	return z.canonicalize(s, nil, true)
+}
+
+// CanonicalizeBatch canonicalizes the scenarios in order: slot i holds
+// Canonicalize(ss[i])'s form or error. A scenario with the shape, flows
+// and demands of the one before it (the same family spelling, equal
+// flow lists, equal demand strings; the name may differ) starts from
+// that one's canonical prefix — everything the content hash covers
+// except the assignment — and only sorts its assignment into the runs
+// of identical flows and hashes its assignment. The forms that share a
+// prefix share its slices (see CanonicalForm). Every scenario must be
+// non-nil.
+func CanonicalizeBatch(ss []*Scenario) ([]CanonicalForm, []error) {
+	forms := make([]CanonicalForm, len(ss))
+	errs := make([]error, len(ss))
+	var z canonicalizer
+	for i, s := range ss {
+		var next *Scenario
+		if i+1 < len(ss) {
+			next = ss[i+1]
+		}
+		forms[i], errs[i] = z.canonicalize(s, next, true)
+	}
+	return forms, errs
 }
 
 // Hash returns the SHA-256 content address of the scenario: the hash
@@ -97,20 +127,120 @@ func TopologyHash(s *Scenario) ([32]byte, error) {
 	return f.TopoHash, err
 }
 
-// canonicalize is the one canonicalization pass behind every exported
-// entry point: validate, normalize the demands, sort the flows, build
-// the canonical form, and, when hash is set, hash both addresses.
-func canonicalize(s *Scenario, hash bool) (CanonicalForm, error) {
-	if err := s.validate(); err != nil {
+// canonicalizer is the one canonicalization pass behind every exported
+// entry point, run over a sequence of scenarios: one for Canonicalize,
+// a batch for CanonicalizeBatch. Each call looks one scenario ahead:
+// when the next scenario shares the current one's canonical prefix
+// (sharesPrefix), the prefix is kept and the next call starts from it.
+//
+// Sharing is exact. The content preimage is the topology preimage (the
+// shape and the sorted flows), then the demands, then the assignment.
+// Identical flows encode identically, and so do equal normalized
+// demands, so neither the bytes through the demands nor the SHA-256
+// state after them depend on how ties are broken. And a stable sort by
+// the full key (endpoints, demand, assignment) equals a stable sort by
+// (endpoints, demand) followed by a stable sort by assignment within
+// each run of identical (flow, demand) pairs: that is how every
+// scenario is sorted, the prefix's sort done once for all that share
+// it.
+type canonicalizer struct {
+	p prefix
+	// kept reports that p is the prefix of the scenario the next call
+	// canonicalizes.
+	kept bool
+}
+
+// prefix is a scenario's canonical prefix: everything its content hash
+// covers except the assignment.
+type prefix struct {
+	// c is the canonical form of the scenario the prefix was built for:
+	// its shape, sorted flows and normalized, permuted demands are the
+	// prefix, and a scenario that reuses the prefix copies them.
+	c *Scenario
+	// perm sorts the flows by (endpoints, demand); when ties is set, each
+	// scenario still sorts the runs of identical (flow, demand) pairs by
+	// assignment.
+	perm []int
+	ties bool
+	// topo is the topology address.
+	topo [32]byte
+	// state is the SHA-256 state of the content preimage after the
+	// demands, saved only when the prefix is kept.
+	state []byte
+}
+
+// canonicalize validates and canonicalizes s, starting from the kept
+// prefix when there is one, and keeps s's prefix when next shares it.
+// With hash unset it leaves both addresses zero.
+func (z *canonicalizer) canonicalize(s, next *Scenario, hash bool) (CanonicalForm, error) {
+	reuse := z.kept
+	keep := next != nil && sharesPrefix(s, next)
+	z.kept = false
+	// A reused prefix was validated with the scenario it came from, so
+	// of s's checks only the assignment's can fail, in the message the
+	// full validation would give.
+	var err error
+	if reuse {
+		err = s.validateAssignment()
+	} else {
+		err = s.validate()
+	}
+	if err != nil {
+		z.kept = reuse && keep
 		return CanonicalForm{}, err
 	}
+	p := &z.p
+	if !reuse {
+		if err := p.build(s); err != nil {
+			return CanonicalForm{}, err
+		}
+	}
+	c := p.c
+	if reuse {
+		// The prefix's form with s's assignment in place of its own.
+		shared := *p.c
+		shared.Assignment = nil
+		c = &shared
+	}
+	f := CanonicalForm{Scenario: c, Perm: p.perm}
+	if s.Assignment != nil {
+		if p.ties {
+			f.Perm = sortTies(c, f.Perm, s.Assignment, reuse || keep)
+		}
+		c.Assignment = make([]int, len(f.Perm))
+		for i, fi := range f.Perm {
+			c.Assignment[i] = s.Assignment[fi]
+		}
+	}
+	if hash {
+		f.Hash, f.TopoHash = z.hashes(c, reuse, keep)
+		z.kept = keep && p.state != nil
+	}
+	return f, nil
+}
+
+// sharesPrefix reports whether b spells a's canonical prefix the same
+// way: the same family spelling and shape, equal flow lists and equal
+// demand strings. The name is not compared, since the canonical form
+// drops it; respellings ("2/4" for "1/2", "clos" for "") do not share
+// and are canonicalized on their own.
+func sharesPrefix(a, b *Scenario) bool {
+	return a.Topology == b.Topology && a.Tors == b.Tors && a.Servers == b.Servers && a.Middles == b.Middles &&
+		slices.Equal(a.Flows, b.Flows) &&
+		(a.Demands == nil) == (b.Demands == nil) && slices.Equal(a.Demands, b.Demands)
+}
+
+// build computes the canonical prefix of a validated scenario:
+// normalize the demands, sort the flows by (endpoints, demand), and
+// permute flows and demands into that order.
+func (p *prefix) build(s *Scenario) error {
 	var demands []string
 	if s.Demands != nil {
 		demands = make([]string, len(s.Demands))
 		for fi, str := range s.Demands {
 			d, err := normDemand(str)
 			if err != nil {
-				return CanonicalForm{}, fmt.Errorf("codec: flow %d demand %q %v", fi, str, err)
+				return fmt.Errorf("codec: flow %d demand %q %v", fi, str, err)
 			}
 			demands[fi] = d
 		}
@@ -136,12 +266,16 @@ func canonicalize(s *Scenario, hash bool) (CanonicalForm, error) {
 			// Normalized spellings are equal exactly when the values are,
 			// but "2" vs "11" must order as rationals, not as text.
 			return cmpDemands(demands[a], demands[b])
-		case len(s.Assignment) > 0:
-			return cmp.Compare(s.Assignment[a], s.Assignment[b])
 		}
 		return 0
 	}
-	sorted := slices.IsSortedFunc(perm, order)
+	// One pass checks the order and finds ties: order is 0 exactly for
+	// identical (flow, demand) pairs.
+	sorted, ties := true, false
+	for i := 1; i < n && sorted; i++ {
+		o := order(i-1, i)
+		sorted, ties = o <= 0, ties || o == 0
+	}
 	if !sorted {
 		slices.SortStableFunc(perm, order)
 	}
@@ -170,17 +304,76 @@ func canonicalize(s *Scenario, hash bool) (CanonicalForm, error) {
 			}
 		}
 	}
-	if s.Assignment != nil {
-		c.Assignment = make([]int, n)
-		for i, fi := range perm {
-			c.Assignment[i] = s.Assignment[fi]
+	if !sorted {
+		ties = false
+		for i := 1; i < n && !ties; i++ {
+			ties = sameFlow(c, i-1, i)
 		}
 	}
-	f := CanonicalForm{Scenario: c, Perm: perm}
-	if hash {
-		f.Hash, f.TopoHash = hashCanonical(c)
+	*p = prefix{c: c, perm: perm, ties: ties}
+	return nil
+}
+
+// sameFlow reports whether canonical flows i and j are identical (flow,
+// demand) pairs.
+func sameFlow(c *Scenario, i, j int) bool {
+	return c.Flows[i] == c.Flows[j] && (c.Demands == nil || c.Demands[i] == c.Demands[j])
+}
+
+// sortTies sorts every run of perm whose flows and demands in c are
+// identical by assignment, stably, and returns perm, copied first when
+// shared is set and some run needs sorting.
+func sortTies(c *Scenario, perm, assignment []int, shared bool) []int {
+	byMiddle := func(a, b int) int { return cmp.Compare(assignment[a], assignment[b]) }
+	for lo := 0; lo < len(perm); {
+		hi := lo + 1
+		for hi < len(perm) && sameFlow(c, lo, hi) {
+			hi++
+		}
+		if hi-lo > 1 && !slices.IsSortedFunc(perm[lo:hi], byMiddle) {
+			if shared {
+				perm, shared = slices.Clone(perm), false
+			}
+			slices.SortStableFunc(perm[lo:hi], byMiddle)
+		}
+		lo = hi
 	}
-	return f, nil
+	return perm
+}
+
+// hashes returns both addresses of c, the canonical form built on z's
+// prefix, from its streamed encoding: the topology preimage is the
+// content preimage cut after the flow list, closed with '}'. A reused
+// prefix contributes its topology address and its saved state, so only
+// the assignment is hashed; keep saves the state after the demands for
+// the next scenario. When a string would need escaping (never for a
+// validated canonical form: its only strings are a known family name
+// and normalized demands), it falls back to json.Marshal, whose output
+// the encoder reproduces.
+func (z *canonicalizer) hashes(c *Scenario, reuse, keep bool) (sum, topo [32]byte) {
+	p := &z.p
+	e := getEncoder()
+	defer putEncoder(e)
+	if reuse && e.restore(p.state) {
+		e.assignment(c)
+		e.flush(0)
+		return e.sum(e.h), p.topo
+	}
+	e.head(c)
+	e.fork()
+	e.topo.Write(closeBrace)
+	topo = e.sum(e.topo)
+	e.demands(c)
+	if keep {
+		p.topo, p.state = topo, e.save()
+	}
+	e.assignment(c)
+	e.flush(0)
+	sum = e.sum(e.h)
+	if !e.ok {
+		return marshalHashes(c)
+	}
+	return sum, topo
 }
 
 // normDemand returns the canonical spelling of a demand: big.Rat's
@@ -284,29 +477,7 @@ func cmpDemands(x, y string) int {
 	return rx.Cmp(ry)
 }
 
-// hashCanonical hashes both addresses of a canonical scenario from its
-// streamed encoding: the topology preimage is the content preimage cut
-// after the flow list, closed with '}'. When a string would need
-// escaping (never for a validated canonical form: its only strings are
-// a known family name and normalized demands), it falls back to
-// json.Marshal, whose output the encoder reproduces.
-func hashCanonical(c *Scenario) (sum, topo [32]byte) {
-	e := getEncoder()
-	defer putEncoder(e)
-	e.head(c)
-	e.fork()
-	e.topo.Write(closeBrace)
-	topo = e.sum(e.topo)
-	e.tail(c)
-	e.flush(0)
-	sum = e.sum(e.h)
-	if !e.ok {
-		return marshalHashes(c)
-	}
-	return sum, topo
-}
-
-// marshalHashes is hashCanonical by json.Marshal.
+// marshalHashes is canonicalizer.hashes by json.Marshal.
 func marshalHashes(c *Scenario) (sum, topo [32]byte) {
 	data, _ := json.Marshal(c) // a Scenario always marshals
 	sum = sha256.Sum256(data)

@@ -243,14 +243,21 @@ func (s *Scenario) validate() error {
 	if s.Demands != nil && len(s.Demands) != len(s.Flows) {
 		return fmt.Errorf("codec: %d demands for %d flows", len(s.Demands), len(s.Flows))
 	}
-	if s.Assignment != nil {
-		if len(s.Assignment) != len(s.Flows) {
-			return fmt.Errorf("codec: %d assignments for %d flows", len(s.Assignment), len(s.Flows))
-		}
-		for fi, m := range s.Assignment {
-			if m < 1 || m > s.Middles {
-				return fmt.Errorf("codec: flow %d middle %d out of range [1,%d]", fi, m, s.Middles)
-			}
+	return s.validateAssignment()
+}
+
+// validateAssignment is validate's last check: the assignment, if any,
+// names a middle in range for every flow.
+func (s *Scenario) validateAssignment() error {
+	if s.Assignment == nil {
+		return nil
+	}
+	if len(s.Assignment) != len(s.Flows) {
+		return fmt.Errorf("codec: %d assignments for %d flows", len(s.Assignment), len(s.Flows))
+	}
+	for fi, m := range s.Assignment {
+		if m < 1 || m > s.Middles {
+			return fmt.Errorf("codec: flow %d middle %d out of range [1,%d]", fi, m, s.Middles)
 		}
 	}
 	return nil

@@ -16,21 +16,30 @@ type BatchResult struct {
 }
 
 // Runner computes one request of a batch; i is the request's index in
-// the batch, for transports that keep per-item side state. Engine.Run
-// is the default; transports substitute their own pipeline (the HTTP
-// server routes each item through its result cache and singleflight
-// group) so batch items behave exactly like single calls.
+// the batch, for transports that keep per-item side state. The default
+// computes the request as Engine.Run does; transports substitute their
+// own pipeline (the HTTP server routes each item through its result
+// cache and singleflight group) so batch items behave exactly like
+// single calls.
 type Runner func(ctx context.Context, i int, req Request) (*Response, error)
 
 // RunBatch computes the requests with bounded fan-out: at most workers
 // computations in flight at once (workers <= 0 means len(reqs)), every
-// item run through run (nil = e.Run), results in request order
-// regardless of completion order. One failing item does not stop the
-// others — its slot carries the error. ctx cancellation drains the
-// fan-out: items not yet started return ctx.Err() without computing.
+// item run through run, results in request order regardless of
+// completion order. One failing item does not stop the others — its
+// slot carries the error. ctx cancellation drains the fan-out: items
+// not yet started return ctx.Err() without computing. A nil run
+// prepares every request in order first (PrepareBatch) and then
+// computes each as Run would, with the same response or error.
 func (e *Engine) RunBatch(ctx context.Context, reqs []Request, workers int, run Runner) []BatchResult {
 	if run == nil {
-		run = func(ctx context.Context, _ int, req Request) (*Response, error) { return e.Run(ctx, req) }
+		preps, errs := e.PrepareBatch(reqs)
+		run = func(ctx context.Context, i int, _ Request) (*Response, error) {
+			if errs[i] != nil {
+				return nil, errs[i]
+			}
+			return e.respond(ctx, preps[i])
+		}
 	}
 	if workers <= 0 || workers > len(reqs) {
 		workers = len(reqs)

@@ -24,7 +24,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"closnet/internal/codec"
@@ -198,21 +200,83 @@ func (e *Engine) fabric(s *codec.Scenario) (*core.PreparedFabric, core.Collectio
 // scenario in one codec pass, returning the content-addressed request.
 // It does no computation.
 func (e *Engine) Prepare(req Request) (*Prepared, error) {
-	if _, ok := e.ops[req.Op]; !ok {
-		switch req.Op {
-		case OpSessionOpen, OpSessionDelta, OpSessionClose:
-			return nil, fmt.Errorf("engine: op %q is stateful and served through the session API, not Prepare/Compute", req.Op)
-		}
-		return nil, fmt.Errorf("engine: unknown op %q (known: %v)", req.Op, e.Ops())
-	}
-	if req.Scenario == nil {
-		return nil, fmt.Errorf("engine: op %q without a scenario", req.Op)
+	if err := e.check(req); err != nil {
+		return nil, err
 	}
 	form, err := codec.Canonicalize(req.Scenario)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{Op: req.Op, Canon: form.Scenario, Hash: form.Hash, TopoHash: form.TopoHash}, nil
+}
+
+// PrepareBatch prepares the requests: slot i holds what
+// Prepare(reqs[i]) returns, the prepared request or its error. The
+// batch is cut into one contiguous part per processor, and each part is
+// prepared in order, its scenarios canonicalized in one
+// codec.CanonicalizeBatch pass: a request whose scenario has the shape,
+// flows and demands of the one before it reuses that one's canonical
+// prefix, and their Canon scenarios share Flows and Demands (read-only,
+// as every Canon is). The parts run in parallel, so a batch of distinct
+// scenarios is canonicalized on every processor, as it would be by the
+// fan-out's workers.
+func (e *Engine) PrepareBatch(reqs []Request) ([]*Prepared, []error) {
+	preps := make([]*Prepared, len(reqs))
+	errs := make([]error, len(reqs))
+	parts := min(runtime.GOMAXPROCS(0), len(reqs))
+	var wg sync.WaitGroup
+	for k := 1; k < parts; k++ {
+		lo, hi := k*len(reqs)/parts, (k+1)*len(reqs)/parts
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.prepareInOrder(reqs[lo:hi], preps[lo:hi], errs[lo:hi])
+		}()
+	}
+	if parts > 0 {
+		hi := len(reqs) / parts
+		e.prepareInOrder(reqs[:hi], preps[:hi], errs[:hi])
+	}
+	wg.Wait()
+	return preps, errs
+}
+
+// prepareInOrder is PrepareBatch on one part, in order.
+func (e *Engine) prepareInOrder(reqs []Request, preps []*Prepared, errs []error) {
+	scens := make([]*codec.Scenario, 0, len(reqs))
+	at := make([]int, 0, len(reqs))
+	for i, req := range reqs {
+		if errs[i] = e.check(req); errs[i] == nil {
+			scens = append(scens, req.Scenario)
+			at = append(at, i)
+		}
+	}
+	forms, ferrs := codec.CanonicalizeBatch(scens)
+	ps := make([]Prepared, len(forms))
+	for j, i := range at {
+		if errs[i] = ferrs[j]; errs[i] != nil {
+			continue
+		}
+		f := &forms[j]
+		ps[j] = Prepared{Op: reqs[i].Op, Canon: f.Scenario, Hash: f.Hash, TopoHash: f.TopoHash}
+		preps[i] = &ps[j]
+	}
+}
+
+// check validates a request's op against the registry and its scenario's
+// presence.
+func (e *Engine) check(req Request) error {
+	if _, ok := e.ops[req.Op]; !ok {
+		switch req.Op {
+		case OpSessionOpen, OpSessionDelta, OpSessionClose:
+			return fmt.Errorf("engine: op %q is stateful and served through the session API, not Prepare/Compute", req.Op)
+		}
+		return fmt.Errorf("engine: unknown op %q (known: %v)", req.Op, e.Ops())
+	}
+	if req.Scenario == nil {
+		return fmt.Errorf("engine: op %q without a scenario", req.Op)
+	}
+	return nil
 }
 
 // Compute runs one prepared request through the op registry and
@@ -253,6 +317,11 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.respond(ctx, p)
+}
+
+// respond computes a prepared request into its Response.
+func (e *Engine) respond(ctx context.Context, p *Prepared) (*Response, error) {
 	body, err := e.Compute(ctx, p)
 	if err != nil {
 		return nil, err

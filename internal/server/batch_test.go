@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"closnet/internal/codec"
 	"closnet/internal/corpus"
 )
 
@@ -56,6 +57,72 @@ func TestBatchMatchesSingleCalls(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("batch body is not the concatenation of the single-call bodies:\ngot:  %s\nwant: %s", got, want.Bytes())
 	}
+
+	// An assignment sweep, whose items share one traffic matrix and so
+	// one canonical prefix: identical flows tie on endpoints, some broken
+	// by demand and the rest by assignment, and demands are spelled two
+	// ways. Sent once in the fast subset, where consecutive items share
+	// their decoded flows and demands, and once with an item between
+	// shared ones respelled outside it, which sends the envelope to the
+	// encoding/json fallback.
+	sweep := sweepItems(t, [][]int{{1, 2, 3, 1, 2, 3}, {3, 3, 1, 2, 1, 1}, {2, 1, 1, 3, 3, 2}, {1, 1, 1, 1, 1, 1}})
+	respelled := bytes.Replace(sweep[2], []byte(`"tors":`), []byte(`"Tors":`), 1)
+	for _, items := range [][][]byte{sweep, {sweep[0], sweep[1], respelled, sweep[3], sweep[4]}} {
+		want.Reset()
+		for _, item := range items {
+			resp, single := post(t, ts.URL+"/v1/evaluate", string(item))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("single sweep item: status %d, body %s", resp.StatusCode, single)
+			}
+			want.Write(single)
+		}
+		resp, got := post(t, ts.URL+"/v1/batch", batchEnvelope(t, "evaluate", items...))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep batch: status %d, body %s", resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("sweep batch body is not the concatenation of the single-call bodies:\ngot:  %s\nwant: %s", got, want.Bytes())
+		}
+	}
+}
+
+// sweepItems renders one C_3 traffic matrix under each assignment, as
+// json.Marshal writes it, followed by the matrix under the first
+// assignment with its demands respelled ("2/4" for "1/2", "2/2" for
+// "1"). The flows {2,1}→{1,1} tie and are ordered by demand; the flows
+// {1,1}→{3,2} include two that tie on demand as well, ordered by
+// assignment.
+func sweepItems(t *testing.T, assignments [][]int) [][]byte {
+	t.Helper()
+	s := codec.Scenario{
+		Name: "sweep", Tors: 3, Servers: 2, Middles: 3,
+		Flows: []codec.FlowJSON{
+			{SrcSwitch: 2, SrcServer: 1, DstSwitch: 1, DstServer: 1},
+			{SrcSwitch: 1, SrcServer: 1, DstSwitch: 3, DstServer: 2},
+			{SrcSwitch: 1, SrcServer: 1, DstSwitch: 3, DstServer: 2},
+			{SrcSwitch: 2, SrcServer: 1, DstSwitch: 1, DstServer: 1},
+			{SrcSwitch: 1, SrcServer: 1, DstSwitch: 3, DstServer: 2},
+			{SrcSwitch: 3, SrcServer: 2, DstSwitch: 2, DstServer: 2},
+		},
+		Demands: []string{"1/2", "1", "1/3", "1", "1", "1/3"},
+	}
+	var items [][]byte
+	for _, ma := range assignments {
+		s.Assignment = ma
+		items = append(items, mustMarshal(t, &s))
+	}
+	s.Assignment = assignments[0]
+	s.Demands = []string{"2/4", "2/2", "1/3", "1", "1", "1/3"}
+	return append(items, mustMarshal(t, &s))
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestBatchEnvelopeDefaultOp checks the envelope-level op applies to
@@ -174,6 +241,26 @@ func TestBatchItemFailure(t *testing.T) {
 		if err := json.Unmarshal(line, &e); err != nil || e.Error == "" {
 			t.Errorf("failed item %d carries no error body: %s", i+1, line)
 		}
+	}
+
+	// A bad item inside an assignment sweep: its middle is out of range,
+	// its flows and demands are its neighbors'. Its slot carries the
+	// single call's 400 body, and the shared items around it succeed.
+	sweep := sweepItems(t, [][]int{{1, 2, 3, 1, 2, 3}, {3, 3, 1, 2, 1, 4}, {2, 1, 1, 3, 3, 2}})
+	var want bytes.Buffer
+	for i, item := range sweep[:3] {
+		resp, single := post(t, ts.URL+"/v1/evaluate", string(item))
+		if wantStatus := []int{200, 400, 200}[i]; resp.StatusCode != wantStatus {
+			t.Fatalf("single sweep item %d: status %d, want %d; body %s", i, resp.StatusCode, wantStatus, single)
+		}
+		want.Write(single)
+	}
+	resp, got = post(t, ts.URL+"/v1/batch", batchEnvelope(t, "evaluate", sweep[:3]...))
+	if resp.StatusCode != http.StatusMultiStatus || resp.Header.Get("X-Closnet-Batch-Errors") != "1" {
+		t.Fatalf("sweep with a bad item: status %d, %q errors; body %s", resp.StatusCode, resp.Header.Get("X-Closnet-Batch-Errors"), got)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("sweep with a bad item is not the concatenation of the single-call bodies:\ngot:  %s\nwant: %s", got, want.Bytes())
 	}
 }
 

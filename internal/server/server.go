@@ -658,11 +658,12 @@ func (e *statusError) Error() string { return fmt.Sprintf("status %d", e.status)
 
 // handleBatch is the POST /v1/batch transport adapter: decode the
 // envelope ({"op": default, "items": [{"op": ..., "scenario": ...}]})
-// and its items in one pass (codec.DecodeBatch), fan the items out
-// through engine.RunBatch with each item routed through the same cache
-// → singleflight → admission pipeline as a single call, and concatenate
-// the bodies in request order — exactly the bytes N single calls would
-// have returned. An item without an op inherits the envelope default.
+// and its items in one pass (codec.DecodeBatch), prepare the items in
+// order (engine.PrepareBatch), fan them out through engine.RunBatch with
+// each item routed through the same cache → singleflight → admission
+// pipeline as a single call, and concatenate the bodies in request
+// order — exactly the bytes N single calls would have returned. An item
+// without an op inherits the envelope default.
 // All items succeeded → 200; otherwise 207 with the failing slots
 // carrying the single-call error body they would have gotten alone, and
 // the X-Closnet-Batch-Errors header counting them.
@@ -686,7 +687,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody()
+	dsp, _ := obs.StartSpan(r.Context(), "server.decode")
 	breq, err := codec.DecodeBatch(body)
+	dsp.Attr("ok", err == nil).End()
 	if err != nil {
 		s.reply(w, "batch", http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 		return
@@ -704,31 +707,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		breq.Op = "evaluate"
 	}
 
-	// The fan-out only sees well-formed requests; a malformed item fails
+	// The items are prepared in request order before the fan-out, so an
+	// item that repeats the previous one's traffic matrix reuses its
+	// canonical prefix. An item that failed to decode or to prepare fails
 	// its own slot, exactly as the single call would have failed with
 	// 400.
 	reqs := make([]engine.Request, len(breq.Items))
-	itemErr := make([]*statusError, len(breq.Items))
 	for i, it := range breq.Items {
-		if it.Err != nil {
-			itemErr[i] = &statusError{http.StatusBadRequest, codec.ErrorBody(it.Err.Error())}
-			continue
-		}
 		op := it.Op
 		if op == "" {
 			op = breq.Op
 		}
 		reqs[i] = engine.Request{Op: op, Scenario: it.Scenario}
 	}
+	psp, _ := obs.StartSpan(r.Context(), "engine.prepare")
+	preps, errs := s.eng.PrepareBatch(reqs)
+	psp.End()
 
-	run := func(ctx context.Context, i int, req engine.Request) (*engine.Response, error) {
-		if itemErr[i] != nil {
-			return nil, itemErr[i]
+	run := func(ctx context.Context, i int, _ engine.Request) (*engine.Response, error) {
+		err := breq.Items[i].Err
+		if err == nil {
+			err = errs[i]
 		}
-		p, err := s.eng.Prepare(req)
 		if err != nil {
 			return nil, &statusError{http.StatusBadRequest, codec.ErrorBody(err.Error())}
 		}
+		p := preps[i]
 		status, respBody, _ := s.serveOp(ctx, p)
 		if status != http.StatusOK {
 			return nil, &statusError{status, respBody}

@@ -160,6 +160,43 @@ func TestDebugRequests(t *testing.T) {
 	}
 }
 
+// TestDebugRequestsBatch: a /v1/batch entry in the flight recorder
+// carries the spans of the envelope's decode and of the in-order
+// prepare that runs before the fan-out, beside its items' cache
+// lookups.
+func TestDebugRequestsBatch(t *testing.T) {
+	_, ts, _ := newTestServer(t, Options{})
+	sweep := sweepItems(t, [][]int{{1, 2, 3, 1, 2, 3}, {3, 3, 1, 2, 1, 1}})
+	resp, body := post(t, ts.URL+"/v1/batch", batchEnvelope(t, "evaluate", sweep...))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Requests []flightEntry `json:"requests"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Requests) != 1 || out.Requests[0].Op != "batch" {
+		t.Fatalf("recorded %+v, want the one batch", out.Requests)
+	}
+	count := map[string]int{}
+	for _, sp := range out.Requests[0].Spans {
+		count[sp.Name]++
+	}
+	for name, want := range map[string]int{"server.decode": 1, "engine.prepare": 1, "server.cache": len(sweep)} {
+		if count[name] != want {
+			t.Errorf("batch trace has %d %s spans, want %d (have %v)", count[name], name, want, count)
+		}
+	}
+}
+
 // TestFlightRecorderRing: the ring retains exactly the last
 // flightRingSize entries, newest first.
 func TestFlightRecorderRing(t *testing.T) {
