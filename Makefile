@@ -59,7 +59,8 @@ cover:
 # compare, the simplex (and its integer path against the big.Rat
 # tableau), the codec (its fast paths against encoding/json and big.Rat,
 # a batch's shared canonical prefixes against the one-pass oracle, the
-# response body writer against json.Marshal) and the serving handler.
+# response body writer against json.Marshal), typed span attributes
+# against encoding/json of a map, and the serving handler.
 fuzz:
 	$(GO) test -fuzz=FuzzRat64 -fuzztime=10s ./internal/rational/
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCanonicalEncodeMatchesJSON -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz=FuzzNormalizeDemandMatchesBigRat -fuzztime=10s ./internal/codec/
 	$(GO) test -fuzz='^FuzzResponseBody$$' -fuzztime=10s ./internal/codec/
+	$(GO) test -fuzz=FuzzSpanAttrsMatchMap -fuzztime=10s ./internal/obs/
 	$(GO) test -fuzz=FuzzServe -fuzztime=10s ./internal/server/
 
 clean:

@@ -289,13 +289,11 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 		return nil, fmt.Errorf("engine: unknown op %q (known: %v)", p.Op, e.Ops())
 	}
 	sp, ctx := obs.StartSpan(ctx, "engine.compute")
-	if sp != nil {
-		sp.Attr("op", p.Op)
-	}
+	sp.Str("op", p.Op)
 	start := time.Now()
 	body, err := fn(ctx, e, p)
 	elapsed := time.Since(start)
-	sp.Attr("ok", err == nil).End()
+	sp.Bool("ok", err == nil).End()
 	e.mComputes.Inc()
 	e.mLatency.Observe(elapsed)
 	ok = err == nil

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -232,9 +233,8 @@ func TestComputeSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := obs.NewTrace(nil)
-	root := tr.StartSpan("server.request")
-	ctx := obs.ContextWithSpan(context.Background(), root)
+	tr := obs.NewTrace(nil, nil)
+	root, ctx := tr.Start(context.Background(), "server.request")
 	traced, err := eng.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestComputeSpans(t *testing.T) {
 		t.Errorf("tracing changed the response body:\n%s\n%s", plain.Body, traced.Body)
 	}
 
-	spans := tr.Spans()
+	spans := tr.Finish().Records()
 	byName := map[string]obs.SpanRecord{}
 	byID := map[int64]obs.SpanRecord{}
 	for _, s := range spans {
@@ -265,7 +265,7 @@ func TestComputeSpans(t *testing.T) {
 			t.Errorf("%s parent is %q, want %q", chain[0], parent.Name, chain[1])
 		}
 	}
-	if got := byName["engine.compute"].Attrs["op"]; got != engine.OpSearchLex {
-		t.Errorf("engine.compute op attr %v", got)
+	if got, _ := json.Marshal(byName["engine.compute"].Attrs); string(got) != `{"ok":true,"op":"search:lex"}` {
+		t.Errorf("engine.compute attrs %s", got)
 	}
 }

@@ -37,9 +37,9 @@ func fill(ctx context.Context, e *Engine, p *Prepared, ma core.MiddleAssignment,
 		return nil, err
 	}
 	defer e.evals.put(p.TopoHash, bev)
-	sp, _ := obs.StartSpan(ctx, "core.block_fill")
+	sp := obs.Start(ctx, "core.block_fill")
 	res, err := bev.EvalBlockCtx(ctx, ma, 1)
-	sp.Attr("block", 1).End()
+	sp.Int("block", 1).End()
 	if err != nil {
 		return nil, err
 	}

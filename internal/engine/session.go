@@ -189,7 +189,7 @@ func (ss *Sessions) pruneLocked() {
 // state the hashes commit to. A missing assignment defaults to middle 1
 // for every flow, mirroring the evaluate op.
 func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionResponse, error) {
-	sp, _ := obs.StartSpan(ctx, "session.open")
+	sp := obs.Start(ctx, "session.open")
 	defer sp.End()
 	if scen == nil {
 		return nil, fmt.Errorf("engine: session open without a scenario")
@@ -249,9 +249,7 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 	ss.gOpen.Set(int64(len(ss.table)))
 	ss.mu.Unlock()
 
-	if sp != nil {
-		sp.Attr("session", s.id).Attr("flows", len(s.flows))
-	}
+	sp.Str("session", s.id).Int("flows", len(s.flows))
 	if j := ss.o.Journal(); j != nil {
 		j.Emit("engine.session_opened", obs.F{"session": s.id, "flows": len(s.flows)})
 	}
@@ -279,7 +277,7 @@ func (ss *Sessions) lookup(id string) (*Session, error) {
 // past the scenario size caps (codec.CheckFlows) leave the session
 // unchanged.
 func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*SessionResponse, error) {
-	sp, _ := obs.StartSpan(ctx, "session.delta")
+	sp := obs.Start(ctx, "session.delta")
 	defer sp.End()
 	s, err := ss.lookup(id)
 	if err != nil {
@@ -288,9 +286,7 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 	if err := d.Validate(s.tors, s.servers, s.middles); err != nil {
 		return nil, err
 	}
-	if sp != nil {
-		sp.Attr("session", id).Attr("op", d.Op)
-	}
+	sp.Str("session", id).Str("op", d.Op)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -340,7 +336,7 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 // Close removes a session. Closing twice (or an expired session)
 // returns ErrSessionNotFound.
 func (ss *Sessions) Close(ctx context.Context, id string) (*SessionResponse, error) {
-	sp, _ := obs.StartSpan(ctx, "session.close")
+	sp := obs.Start(ctx, "session.close")
 	defer sp.End()
 	ss.mu.Lock()
 	s, ok := ss.table[id]
@@ -354,9 +350,7 @@ func (ss *Sessions) Close(ctx context.Context, id string) (*SessionResponse, err
 	if !ok {
 		return nil, ErrSessionNotFound
 	}
-	if sp != nil {
-		sp.Attr("session", id)
-	}
+	sp.Str("session", id)
 	if j := ss.o.Journal(); j != nil {
 		j.Emit("engine.session_closed", obs.F{"session": id, "deltas": s.seq})
 	}

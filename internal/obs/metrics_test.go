@@ -105,7 +105,7 @@ func TestDisabledNoAlloc(t *testing.T) {
 		g  *Gauge
 		tm *Timer
 		h  *Histogram
-		sp *Span
+		sp Span
 		j  *Journal
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -116,7 +116,7 @@ func TestDisabledNoAlloc(t *testing.T) {
 		tm.Observe(time.Millisecond)
 		h.Observe(time.Millisecond)
 		_ = h.Quantile(0.5)
-		sp.Child("x").Attr("k", 1).End()
+		sp.Int("k", 1).End()
 		j.Emit("ev", nil)
 		_ = c.Value()
 		_ = g.Value()

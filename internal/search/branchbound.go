@@ -132,7 +132,7 @@ func (fr *frontier) release() {
 // allows after the prefix, in ascending rank order.
 func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, obj *objective, eo engineObs) (*Result, error) {
 	best := incumbent{rank: -1}
-	// No span parent: a pruned search opens no core.block_fill spans.
+	// No blockSpans: a pruned search opens no core.block_fill spans.
 	l, err := newLeaves(c, fs, obj, eo, 0, &best)
 	if err != nil {
 		return nil, err

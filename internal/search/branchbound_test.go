@@ -301,15 +301,14 @@ func TestPrunedStateCap(t *testing.T) {
 func TestPrunedOpensNoBlockSpans(t *testing.T) {
 	c, fs := journalInstance()
 	for _, pruned := range []bool{true, false} {
-		tr := obs.NewTrace(nil)
-		root := tr.StartSpan("test")
-		ctx := obs.ContextWithSpan(context.Background(), root)
+		tr := obs.NewTrace(nil, nil)
+		root, ctx := tr.Start(context.Background(), "test")
 		if _, err := LexMaxMin(c, fs, Options{Pruned: pruned, Workers: 1, Ctx: ctx}); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
 		count := map[string]int{}
-		for _, s := range tr.Spans() {
+		for _, s := range tr.Finish().Records() {
 			count[s.Name]++
 		}
 		if count["search.run"] != 1 {

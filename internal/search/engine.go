@@ -205,9 +205,10 @@ type leaves struct {
 	eo    engineObs
 	shard int
 	best  *incumbent
-	// span, when non-nil, parents one core.block_fill span per block.
-	span *obs.Span
-	cand value
+	// blockSpans opens one core.block_fill span per block under the
+	// span of eval's ctx.
+	blockSpans bool
+	cand       value
 }
 
 func newLeaves(c topology.Fabric, fs core.Collection, obj *objective, eo engineObs, shard int, best *incumbent) (*leaves, error) {
@@ -224,9 +225,12 @@ func newLeaves(c topology.Fabric, fs core.Collection, obj *objective, eo engineO
 // value attains the ceiling, or -1. A promoted state's fill is bounded
 // by ctx.
 func (l *leaves) eval(ctx context.Context, mas []int, k, lo int) (int, error) {
-	bsp := l.span.Child("core.block_fill")
+	var bsp obs.Span
+	if l.blockSpans {
+		bsp = obs.Start(ctx, "core.block_fill")
+	}
 	res, err := l.bev.EvalBlockCtx(ctx, mas, k)
-	bsp.Attr("block", k).End()
+	bsp.Int("block", k).End()
 	if err != nil {
 		return -1, err
 	}
@@ -300,9 +304,7 @@ func run(c topology.Fabric, fs core.Collection, opts Options, obj *objective, bl
 		})
 	}
 	sp, ctx := obs.StartSpan(ctx, "search.run")
-	if sp != nil {
-		sp.Attr("space", label).Attr("total", s.total()).Attr("workers", workers)
-	}
+	sp.Str("space", label).Int("total", s.total()).Int("workers", workers)
 	start := time.Now()
 	var res *Result
 	if opts.Pruned {
@@ -317,7 +319,7 @@ func run(c topology.Fabric, fs core.Collection, opts Options, obj *objective, bl
 		err = ctx.Err()
 	}
 	eo.duration.Observe(time.Since(start))
-	sp.Attr("ok", err == nil).End()
+	sp.Bool("ok", err == nil).End()
 	if err != nil {
 		if eo.j != nil {
 			eo.j.Emit("search.error", obs.F{"error": err.Error()})
@@ -384,7 +386,7 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			wsp, ctx := obs.StartSpan(ctx, "search.shard")
-			wsp.Attr("shard", w)
+			wsp.Int("shard", w)
 			defer wsp.End()
 			l, err := newLeaves(c, fs, obj, eo, w, &shards[w])
 			if err != nil {
@@ -392,9 +394,9 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 				return
 			}
 			defer l.bev.Release()
-			// With tracing off the shard span is nil, every block span a
-			// nil no-op, and the block loop stays allocation-free.
-			l.span = obs.SpanFrom(ctx)
+			// With tracing off every block span is the zero Span, and the
+			// block loop stays allocation-free.
+			l.blockSpans = true
 			nf := len(fs)
 			ma := make(core.MiddleAssignment, nf)
 			cur := s.seek(lo, ma)

@@ -36,7 +36,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -265,10 +264,13 @@ func New(opts Options) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.traceRequests(s.mux) }
 
 // statusWriter captures the response status for the middleware; the
-// implicit 200 of a bare Write is the zero-config default.
+// implicit 200 of a bare Write is the zero-config default. op names the
+// engine operation the request addressed, for the flight recorder: the
+// bare endpoint unless the handler resolved an op (setOp).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	op     string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -280,6 +282,13 @@ func (w *statusWriter) WriteHeader(code int) {
 // which readBody's read deadline goes through.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
+// setOp records the op a handler resolved for the request w answers.
+func setOp(w http.ResponseWriter, op string) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.op = op
+	}
+}
+
 // traceRequests is the request-scoped observability middleware: it
 // opens one obs.Trace per request, echoes the trace ID as the
 // X-Closnet-Request-Id response header (set before the handler runs, so
@@ -289,44 +298,36 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // surface — records the finished request into the flight recorder
 // behind GET /v1/debug/requests. Span events reach the journal as they
 // complete; with no journal attached the spans still feed the recorder.
+// The trace stores its spans in a log the recorder no longer holds, and
+// the recorder keeps the finished log, so a request allocates no span
+// storage once the ring has filled.
 func (s *Server) traceRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(s.obs.Journal())
+		tr := obs.NewTrace(s.obs.Journal(), s.flights.spanLog())
 		w.Header().Set("X-Closnet-Request-Id", tr.ID())
-		root := tr.StartSpan("server.request")
-		root.Attr("method", r.Method).Attr("path", r.URL.Path)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		root, ctx := tr.Start(r.Context(), "server.request")
+		root.Str("method", r.Method).Str("path", r.URL.Path)
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, op: strings.TrimPrefix(r.URL.Path, "/v1/")}
 		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(obs.ContextWithSpan(r.Context(), root)))
-		root.Attr("status", sw.status).End()
+		next.ServeHTTP(sw, r.WithContext(ctx))
+		root.Int("status", sw.status).End()
+		spans := tr.Finish()
 		if !strings.HasPrefix(r.URL.Path, "/v1/") || r.URL.Path == "/v1/debug/requests" {
+			s.flights.recycle(spans)
 			return
 		}
 		s.flights.record(flightEntry{
-			ID:           tr.ID(),
-			Time:         start.UTC().Format(time.RFC3339Nano),
-			Method:       r.Method,
-			Path:         r.URL.Path,
-			Op:           flightOp(r),
-			Status:       sw.status,
-			Cache:        w.Header().Get("X-Closnet-Cache"),
-			DurNs:        time.Since(start).Nanoseconds(),
-			Spans:        tr.Spans(),
-			SpansDropped: tr.Dropped(),
+			ID:     tr.ID(),
+			Time:   start.UTC(),
+			Method: r.Method,
+			Path:   r.URL.Path,
+			Op:     sw.op,
+			Status: sw.status,
+			Cache:  w.Header().Get("X-Closnet-Cache"),
+			DurNs:  time.Since(start).Nanoseconds(),
+			spans:  spans,
 		})
 	})
-}
-
-// flightOp names the engine operation a request addressed, for the
-// flight recorder: the resolved op when the endpoint and its query
-// parameters are well-formed, the bare endpoint otherwise (a malformed
-// objective still deserves a legible recorder entry).
-func flightOp(r *http.Request) string {
-	endpoint := strings.TrimPrefix(r.URL.Path, "/v1/")
-	if op, err := resolveOp(endpoint, r); err == nil {
-		return op
-	}
-	return endpoint
 }
 
 // Engine returns the compute engine the handlers dispatch through.
@@ -480,6 +481,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		// The flight recorder names a request by its resolved op even
+		// when the method or the drain gate refuses it; a malformed
+		// query keeps the bare endpoint.
+		op, opErr := resolveOp(endpoint, r)
+		if opErr == nil {
+			setOp(w, op)
+		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			s.reply(w, endpoint, http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
@@ -491,9 +499,8 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 		}
 		defer s.endRequest()
 
-		op, err := resolveOp(endpoint, r)
-		if err != nil {
-			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
+		if opErr != nil {
+			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(opErr.Error()), "", start)
 			return
 		}
 		body, releaseBody, err := s.readBody(w, r)
@@ -512,16 +519,16 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 			return
 		}
 
-		dsp, _ := obs.StartSpan(r.Context(), "server.decode")
+		dsp := obs.Start(r.Context(), "server.decode")
 		scen, err := codec.Decode(body)
-		dsp.Attr("ok", err == nil).End()
+		dsp.Bool("ok", err == nil).End()
 		if err != nil {
 			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
 		}
-		psp, _ := obs.StartSpan(r.Context(), "engine.prepare")
+		psp := obs.Start(r.Context(), "engine.prepare")
 		p, err := s.eng.Prepare(engine.Request{Op: op, Scenario: scen})
-		psp.Attr("ok", err == nil).End()
+		psp.Bool("ok", err == nil).End()
 		if err != nil {
 			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
@@ -546,14 +553,14 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 // "hit", "miss", "coalesced" or "" (follower whose wait was cut short).
 func (s *Server) serveOp(ctx context.Context, p *engine.Prepared) (status int, body []byte, cacheState string) {
 	key := cacheKey{op: p.Op, hash: p.Hash}
-	csp, _ := obs.StartSpan(ctx, "server.cache")
+	csp := obs.Start(ctx, "server.cache")
 	cached, ok := s.cache.get(key)
 	if ok {
-		csp.Attr("state", "hit").End()
+		csp.Str("state", "hit").End()
 		s.mHits.Inc()
 		return http.StatusOK, cached, "hit"
 	}
-	csp.Attr("state", "miss").End()
+	csp.Str("state", "miss").End()
 	s.mMisses.Inc()
 
 	call, leader := s.flight.join(key)
@@ -563,9 +570,9 @@ func (s *Server) serveOp(ctx context.Context, p *engine.Prepared) (status int, b
 		// its client set none.
 		wctx, cancel := s.withTimeout(ctx)
 		defer cancel()
-		wsp, _ := obs.StartSpan(wctx, "server.coalesce_wait")
+		wsp := obs.Start(wctx, "server.coalesce_wait")
 		respBody, status, err := call.wait(wctx)
-		wsp.Attr("ok", err == nil).End()
+		wsp.Bool("ok", err == nil).End()
 		if err != nil {
 			status, respBody = mapComputeError(err)
 			return status, respBody, ""
@@ -590,9 +597,9 @@ func (s *Server) serveOp(ctx context.Context, p *engine.Prepared) (status int, b
 func (s *Server) lead(reqCtx context.Context, call *flightCall, key cacheKey, p *engine.Prepared) (status int, body []byte) {
 	ctx, cancel := s.withTimeout(context.WithoutCancel(reqCtx))
 	defer cancel()
-	asp, _ := obs.StartSpan(ctx, "server.admit")
+	asp := obs.Start(ctx, "server.admit")
 	err := s.admit.acquire(ctx)
-	asp.Attr("ok", err == nil).End()
+	asp.Bool("ok", err == nil).End()
 	if err != nil {
 		if errors.Is(err, errSaturated) {
 			s.mRejects.Inc()
@@ -687,9 +694,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseBody()
-	dsp, _ := obs.StartSpan(r.Context(), "server.decode")
+	dsp := obs.Start(r.Context(), "server.decode")
 	breq, err := codec.DecodeBatch(body)
-	dsp.Attr("ok", err == nil).End()
+	dsp.Bool("ok", err == nil).End()
 	if err != nil {
 		s.reply(w, "batch", http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 		return
@@ -720,7 +727,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = engine.Request{Op: op, Scenario: it.Scenario}
 	}
-	psp, _ := obs.StartSpan(r.Context(), "engine.prepare")
+	psp := obs.Start(r.Context(), "engine.prepare")
 	preps, errs := s.eng.PrepareBatch(reqs)
 	psp.End()
 
@@ -742,20 +749,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results := s.eng.RunBatch(r.Context(), reqs, s.opts.Workers, run)
 	s.mBatchItems.Add(int64(len(results)))
 
-	var out bytes.Buffer
-	failed := 0
-	for _, res := range results {
-		if res.Err != nil {
+	// The response is the item bodies back to back, copied into one
+	// buffer of their total size.
+	bodies := make([][]byte, len(results))
+	failed, size := 0, 0
+	for i, res := range results {
+		if res.Err == nil {
+			bodies[i] = res.Resp.Body
+		} else {
 			failed++
 			var se *statusError
 			if errors.As(res.Err, &se) {
-				out.Write(se.body)
+				bodies[i] = se.body
 			} else {
-				out.Write(codec.ErrorBody(res.Err.Error()))
+				bodies[i] = codec.ErrorBody(res.Err.Error())
 			}
-			continue
 		}
-		out.Write(res.Resp.Body)
+		size += len(bodies[i])
+	}
+	out := make([]byte, 0, size)
+	for _, b := range bodies {
+		out = append(out, b...)
 	}
 	status := http.StatusOK
 	if failed > 0 {
@@ -763,7 +777,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Closnet-Batch-Errors", strconv.Itoa(failed))
 	}
 	w.Header().Set("X-Closnet-Batch-Items", strconv.Itoa(len(results)))
-	s.reply(w, "batch", status, out.Bytes(), "", start)
+	s.reply(w, "batch", status, out, "", start)
 }
 
 // bodyPool recycles request-body buffers: on the cache-hit fast path
@@ -839,17 +853,18 @@ func resolveOp(endpoint string, r *http.Request) (string, error) {
 	if endpoint != "search" {
 		return endpoint, nil
 	}
-	objective := r.URL.Query().Get("objective")
+	query := r.URL.Query()
+	objective := query.Get("objective")
 	if objective == "" {
 		objective = "lex"
 	}
 	switch objective {
 	case "lex", "throughput", "relative":
 	default:
-		return "", fmt.Errorf("unknown objective %q (lex, throughput, relative)", r.URL.Query().Get("objective"))
+		return "", fmt.Errorf("unknown objective %q (lex, throughput, relative)", objective)
 	}
 	op := "search:" + objective
-	switch strategy := r.URL.Query().Get("strategy"); strategy {
+	switch strategy := query.Get("strategy"); strategy {
 	case "", "exhaustive":
 	case "pruned":
 		if objective == "relative" {

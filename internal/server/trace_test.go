@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"closnet/internal/obs"
 )
@@ -97,29 +102,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// debugEntry is one /v1/debug/requests entry as a client decodes it.
+type debugEntry struct {
+	ID     string `json:"id"`
+	Time   string `json:"time"`
+	Method string `json:"method"`
+	Path   string `json:"path"`
+	Op     string `json:"op"`
+	Status int    `json:"status"`
+	Cache  string `json:"cache"`
+	DurNs  int64  `json:"dur_ns"`
+	Spans  []struct {
+		ID     int64          `json:"id"`
+		Parent int64          `json:"parent"`
+		Name   string         `json:"name"`
+		Attrs  map[string]any `json:"attrs"`
+	} `json:"spans"`
+	SpansDropped int `json:"spans_dropped"`
+}
+
+// debugRequests reads the flight recorder through h.
+func debugRequests(h http.Handler) ([]debugEntry, error) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/debug/requests", nil))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("debug requests: status %d", rec.Code)
+	}
+	var out struct {
+		Requests []debugEntry `json:"requests"`
+	}
+	err := json.Unmarshal(rec.Body.Bytes(), &out)
+	return out.Requests, err
+}
+
 // TestDebugRequests: the flight recorder surfaces the recent requests
 // newest-first with trace IDs matching the response headers, cache
 // state, and the span tree of a computed request reaching the engine.
 func TestDebugRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, Options{})
+	s, ts, _ := newTestServer(t, Options{})
 	respMiss, _ := post(t, ts.URL+"/v1/evaluate", scenarioBody)
 	respHit, _ := post(t, ts.URL+"/v1/evaluate", scenarioBody)
 
-	resp, err := http.Get(ts.URL + "/v1/debug/requests")
+	reqs, err := debugRequests(s.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Requests []flightEntry `json:"requests"`
+	if len(reqs) != 2 {
+		t.Fatalf("recorded %d requests, want 2", len(reqs))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Requests) != 2 {
-		t.Fatalf("recorded %d requests, want 2", len(out.Requests))
-	}
-	hit, miss := out.Requests[0], out.Requests[1] // newest first
+	hit, miss := reqs[0], reqs[1] // newest first
 	if hit.ID != respHit.Header.Get("X-Closnet-Request-Id") || miss.ID != respMiss.Header.Get("X-Closnet-Request-Id") {
 		t.Errorf("recorder IDs %q/%q do not match response headers", hit.ID, miss.ID)
 	}
@@ -144,19 +175,43 @@ func TestDebugRequests(t *testing.T) {
 
 	// The debug endpoint itself must not record, or reading the ring
 	// would pollute it.
-	resp2, err := http.Get(ts.URL + "/v1/debug/requests")
+	reqs, err = debugRequests(s.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	var out2 struct {
-		Requests []flightEntry `json:"requests"`
+	if len(reqs) != 2 {
+		t.Errorf("reading the recorder added entries: %d", len(reqs))
 	}
-	if err := json.NewDecoder(resp2.Body).Decode(&out2); err != nil {
-		t.Fatal(err)
-	}
-	if len(out2.Requests) != 2 {
-		t.Errorf("reading the recorder added entries: %d", len(out2.Requests))
+}
+
+// TestDebugRequestsOpAndTime: an entry names the op the handler
+// resolved, also for a request refused before it reached the op, and
+// the bare endpoint when the query is malformed; its time is the
+// request's start in UTC, written as time.RFC3339Nano.
+func TestDebugRequestsOpAndTime(t *testing.T) {
+	s, _, _ := newTestServer(t, Options{})
+	h := s.Handler()
+	for _, c := range []struct{ method, target, body, op string }{
+		{http.MethodPost, "/v1/search?objective=throughput&strategy=pruned", scenarioBody, "search:throughput:pruned"},
+		{http.MethodPost, "/v1/search?objective=bogus", scenarioBody, "search"},
+		{http.MethodGet, "/v1/search?objective=relative", "", "search:relative"},
+		{http.MethodPost, "/v1/search", "{", "search:lex"},
+		{http.MethodPost, "/v1/doom", scenarioBody, "doom"},
+		{http.MethodPost, "/v1/session/0000/delta", "{}", "session/0000/delta"},
+	} {
+		before := time.Now().UTC()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
+		reqs, err := debugRequests(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reqs[0].Op; got != c.op {
+			t.Errorf("%s %s recorded op %q, want %q", c.method, c.target, got, c.op)
+		}
+		at, err := time.Parse(time.RFC3339Nano, reqs[0].Time)
+		if err != nil || at.Format(time.RFC3339Nano) != reqs[0].Time || at.Location() != time.UTC || at.Before(before.Truncate(time.Second)) {
+			t.Errorf("%s %s recorded time %q (%v), want the start in UTC as RFC3339Nano", c.method, c.target, reqs[0].Time, err)
+		}
 	}
 }
 
@@ -165,29 +220,22 @@ func TestDebugRequests(t *testing.T) {
 // prepare that runs before the fan-out, beside its items' cache
 // lookups.
 func TestDebugRequestsBatch(t *testing.T) {
-	_, ts, _ := newTestServer(t, Options{})
+	s, ts, _ := newTestServer(t, Options{})
 	sweep := sweepItems(t, [][]int{{1, 2, 3, 1, 2, 3}, {3, 3, 1, 2, 1, 1}})
 	resp, body := post(t, ts.URL+"/v1/batch", batchEnvelope(t, "evaluate", sweep...))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/debug/requests")
+	reqs, err := debugRequests(s.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Requests []flightEntry `json:"requests"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Requests) != 1 || out.Requests[0].Op != "batch" {
-		t.Fatalf("recorded %+v, want the one batch", out.Requests)
+	if len(reqs) != 1 || reqs[0].Op != "batch" {
+		t.Fatalf("recorded %+v, want the one batch", reqs)
 	}
 	count := map[string]int{}
-	for _, sp := range out.Requests[0].Spans {
+	for _, sp := range reqs[0].Spans {
 		count[sp.Name]++
 	}
 	for name, want := range map[string]int{"server.decode": 1, "engine.prepare": 1, "server.cache": len(sweep)} {
@@ -195,6 +243,208 @@ func TestDebugRequestsBatch(t *testing.T) {
 			t.Errorf("batch trace has %d %s spans, want %d (have %v)", count[name], name, want, count)
 		}
 	}
+}
+
+// checkEntry reports what keeps a flight-recorder entry from being one
+// whole request: it must have one server.request span, the root, ending
+// last with the entry's path and status; every other span's parent in
+// the entry; and only spans its op opens, with one decode, one prepare,
+// a cache lookup per batch item and a search.run per computed search.
+func checkEntry(e debugEntry, batchItems int) error {
+	names := map[string]bool{
+		"server.request": true, "server.decode": true, "engine.prepare": true, "server.cache": true,
+		"server.admit": true, "server.coalesce_wait": true, "engine.compute": true, "core.block_fill": true,
+	}
+	if strings.HasPrefix(e.Op, "search:") {
+		names["search.run"], names["search.shard"] = true, true
+	}
+	ids := map[int64]bool{}
+	for _, sp := range e.Spans {
+		if ids[sp.ID] {
+			return fmt.Errorf("span ID %d repeats", sp.ID)
+		}
+		ids[sp.ID] = true
+	}
+	count := map[string]int{}
+	for i, sp := range e.Spans {
+		count[sp.Name]++
+		if !names[sp.Name] {
+			return fmt.Errorf("%s span in a %s entry", sp.Name, e.Op)
+		}
+		if root := i == len(e.Spans)-1; root != (sp.Parent == 0) || root != (sp.Name == "server.request") {
+			return fmt.Errorf("span %d of %d is %s with parent %d", i, len(e.Spans), sp.Name, sp.Parent)
+		}
+		if sp.Parent != 0 && !ids[sp.Parent] {
+			return fmt.Errorf("%s span's parent %d is not in the entry", sp.Name, sp.Parent)
+		}
+	}
+	if len(e.Spans) == 0 || e.SpansDropped != 0 {
+		return fmt.Errorf("%d spans, %d dropped", len(e.Spans), e.SpansDropped)
+	}
+	root := e.Spans[len(e.Spans)-1].Attrs
+	if root["path"] != e.Path || root["status"] != float64(e.Status) || e.Status != http.StatusOK {
+		return fmt.Errorf("root attrs %v in an entry for %s with status %d", root, e.Path, e.Status)
+	}
+	cache := 1
+	if e.Op == "batch" {
+		cache = batchItems
+	}
+	if count["server.decode"] != 1 || count["engine.prepare"] != 1 || count["server.cache"] != cache {
+		return fmt.Errorf("span counts %v", count)
+	}
+	if names["search.run"] && count["search.run"] != count["engine.compute"] {
+		return fmt.Errorf("%d search.run spans for %d computes", count["search.run"], count["engine.compute"])
+	}
+	return nil
+}
+
+// TestFlightRecorderConcurrent: batch, search and evaluate requests from
+// several goroutines wrap the flight ring twice, so span logs pass from
+// overwritten entries to new traces while other requests are still
+// recording, and a reader copies the ring all the while. Every entry it
+// reads must be one whole request (checkEntry).
+func TestFlightRecorderConcurrent(t *testing.T) {
+	s, _, _ := newTestServer(t, Options{CacheSize: -1, Workers: 2})
+	h := s.Handler()
+	sweep := sweepItems(t, [][]int{{1, 2, 3, 1, 2, 3}, {3, 3, 1, 2, 1, 1}})
+	traffic := []struct{ target, body string }{
+		{"/v1/batch", batchEnvelope(t, "evaluate", sweep...)},
+		{"/v1/search?objective=lex", scenarioBody},
+		{"/v1/search?objective=throughput&strategy=pruned", scenarioBody},
+		{"/v1/evaluate", scenarioBody},
+		{"/v1/evaluate", otherScenarioBody},
+	}
+	const writers = 4
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2*flightRingSize/writers; i++ {
+				c := traffic[(w+i)%len(traffic)]
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.target, strings.NewReader(c.body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s: status %d: %s", c.target, rec.Code, rec.Body.Bytes())
+					return
+				}
+			}
+		}(w)
+	}
+	read := make(chan int)
+	go func() {
+		reads := 0
+		defer func() { read <- reads }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			reqs, err := debugRequests(h)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, e := range reqs {
+				if err := checkEntry(e, len(sweep)); err != nil {
+					t.Errorf("entry %s (%s): %v", e.ID, e.Op, err)
+					return
+				}
+			}
+			reads++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if reads := <-read; reads == 0 {
+		t.Error("the reader never read the ring")
+	}
+	reqs, err := debugRequests(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reqs) != flightRingSize {
+		t.Fatalf("ring holds %d entries, want %d", len(reqs), flightRingSize)
+	}
+	for _, e := range reqs {
+		if err := checkEntry(e, len(sweep)); err != nil {
+			t.Fatalf("entry %s (%s): %v", e.ID, e.Op, err)
+		}
+	}
+}
+
+// TestTracedBatchAllocs pins what one traced 32-item /v1/batch request
+// allocates through Handler() with the result cache off, once the
+// flight ring has filled and span logs are reused: its spans, their
+// attributes and their storage allocate nothing but a context per
+// engine.compute.
+func TestTracedBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops released evaluators at random under -race")
+	}
+	srv, err := New(Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	body := batchBenchBodies(t, 1, true)[0]
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for i := 0; i < flightRingSize; i++ {
+		serve()
+	}
+	if allocs := testing.AllocsPerRun(20, serve); allocs > tracedBatchAllocs {
+		t.Errorf("a traced 32-item batch allocates %.0f objects, want at most %d", allocs, tracedBatchAllocs)
+	}
+}
+
+// tracedBatchAllocs bounds TestTracedBatchAllocs: 575–578 measured
+// (go1.24, amd64), where the same batch allocated 1,124 when every span
+// allocated its record, a context and an attribute map.
+const tracedBatchAllocs = 600
+
+// TestFlightRingFootprint: a full flight ring of batch-sweep-shaped
+// requests — 32-item batches, 131 spans each — holds at most 5 MiB: the
+// live heap with the ring full, less the live heap once the ring is
+// replaced by an empty one.
+func TestFlightRingFootprint(t *testing.T) {
+	srv, err := New(Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	bodies := batchBenchBodies(t, 4, true)
+	for i := 0; i < flightRingSize; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	full := liveHeap()
+	srv.flights = newFlightRecorder()
+	ring := full - liveHeap()
+	t.Logf("the ring of %d batches holds %.2f MiB", flightRingSize, float64(ring)/(1<<20))
+	if ring > 5<<20 {
+		t.Errorf("the ring of %d batches holds %.2f MiB, want at most 5", flightRingSize, float64(ring)/(1<<20))
+	}
+}
+
+// liveHeap returns the bytes of live heap objects. Two collections
+// also empty the sync.Pools, whose contents survive one.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // TestFlightRecorderRing: the ring retains exactly the last
