@@ -22,15 +22,28 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Persist the search/evaluator perf numbers as a JSON artifact.
-bench-json:
-	$(GO) run ./cmd/closbench -o BENCH_search.json
+# The rows of BENCH_search.json: the evaluator, lex-search and delta
+# trace ablations of the root package, and the fill, search-mix,
+# session-delta and LP-bound benchmarks of core, engine and lp.
+BENCH_ROWS = ^Benchmark(Evaluator|EvaluatorBigRat|LexSearch(Full|Canonical|Pruned)(C5)?|DeltaTrace|BlockFill|SearchMix|SessionDelta|ThroughputBound)$$
+BENCH_PKGS = . ./internal/core ./internal/engine ./internal/lp
 
-# The incremental-evaluator smoke pair: full per-event recompute vs the
-# delta-aware water filling on the 64-event C_5 trace, failing below
-# the CI speedup bar.
+# Record 10 runs of each row as means with 95% intervals, with the go
+# version and the commit; run it on a clean tree, since a modified one
+# is flagged. The report goes through a temporary file, so a failed run
+# leaves BENCH_search.json as it was.
+bench-json:
+	$(GO) test -run '^$$' -bench '$(BENCH_ROWS)' -benchmem -count 10 $(BENCH_PKGS) \
+		| $(GO) run -buildvcs=true ./internal/stats/benchjson > BENCH_search.json.tmp \
+		|| { rm -f BENCH_search.json.tmp; exit 1; }
+	mv BENCH_search.json.tmp BENCH_search.json
+
+# The incremental evaluator must replay the 64-event C_5 delta trace at
+# least twice as fast as per-event full recompute, in the mean of 3 runs.
 bench-delta:
-	$(GO) run ./cmd/closbench -only-delta -min-delta-speedup 2
+	$(GO) test -run '^$$' -bench '^BenchmarkDeltaTrace$$' -count 3 . \
+		| $(GO) run ./internal/stats/benchjson \
+		| jq -er '.packages.closnet | .["BenchmarkDeltaTrace/full"].metrics["ns/op"].mean / .["BenchmarkDeltaTrace/incremental"].metrics["ns/op"].mean | "full/incremental ns/op: \(.)", . >= 2'
 
 # Re-measure every theorem bound; non-zero exit on any violation.
 verify:

@@ -3,12 +3,14 @@ package closnet
 // The benchmark harness regenerates every table and figure of the paper
 // (one Benchmark per experiment ID of DESIGN.md's index) and quantifies
 // the design choices called out in DESIGN.md §5 as ablations: the
-// kernel's water filling against the *big.Rat reference walk and
-// symmetry reduction in the routing-space search. The Hopcroft–Karp vs
-// greedy matching ablation lives beside its baseline in
-// internal/matching.
+// kernel's water filling against the *big.Rat reference walk, symmetry
+// reduction and pruning in the routing-space search, and incremental
+// against full re-evaluation under arrivals and departures. The
+// Hopcroft–Karp vs greedy matching ablation lives beside its baseline
+// in internal/matching.
 //
 // Run with: go test -bench=. -benchmem
+// make bench-json records the ablation rows in BENCH_search.json.
 
 import (
 	"context"
@@ -223,15 +225,27 @@ func searchInstance(b *testing.B) (*topology.Clos, core.Collection) {
 	return in.Clos, in.Flows
 }
 
+// benchLex times one lex-max-min search per op and reports the states
+// it visits as states/op (search.Result.States: enumerated states, or
+// bound plus leaf evaluations when pruned), so the state reductions of
+// the full, canonical and pruned modes read straight off the rows.
+func benchLex(b *testing.B, c *topology.Clos, fs core.Collection, opts search.Options) {
+	states := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := search.LexMaxMin(c, fs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		states = res.States
+	}
+	b.ReportMetric(float64(states), "states/op")
+}
+
 // BenchmarkLexSearchFull scans all n^|F| assignments of Example 2.3.
 func BenchmarkLexSearchFull(b *testing.B) {
 	c, fs := searchInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := search.LexMaxMin(c, fs, search.Options{FullSpace: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLex(b, c, fs, search.Options{FullSpace: true})
 }
 
 // BenchmarkLexSearchCanonical is the default symmetry-canonical
@@ -239,12 +253,34 @@ func BenchmarkLexSearchFull(b *testing.B) {
 // same instance — bit-identical result, fewer states.
 func BenchmarkLexSearchCanonical(b *testing.B) {
 	c, fs := searchInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := search.LexMaxMin(c, fs, search.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLex(b, c, fs, search.Options{})
+}
+
+// BenchmarkLexSearchPruned is the bound-guided branch-and-bound over
+// the canonical space on the same instance.
+func BenchmarkLexSearchPruned(b *testing.B) {
+	c, fs := searchInstance(b)
+	benchLex(b, c, fs, search.Options{Pruned: true})
+}
+
+// The C_5 rows search a contended 7-flow instance on five middles, large
+// enough that the full, canonical and pruned states/op differ by orders
+// of magnitude (TestPrunedC5Reduction in internal/search pins the
+// ratios).
+
+func BenchmarkLexSearchFullC5(b *testing.B) {
+	c, fs := enumInstance(b, 5, 7)
+	benchLex(b, c, fs, search.Options{FullSpace: true})
+}
+
+func BenchmarkLexSearchCanonicalC5(b *testing.B) {
+	c, fs := enumInstance(b, 5, 7)
+	benchLex(b, c, fs, search.Options{})
+}
+
+func BenchmarkLexSearchPrunedC5(b *testing.B) {
+	c, fs := enumInstance(b, 5, 7)
+	benchLex(b, c, fs, search.Options{Pruned: true})
 }
 
 // --- Serial vs parallel routing-space search -------------------------------
@@ -269,12 +305,7 @@ func enumInstance(b *testing.B, n, flows int) (*topology.Clos, core.Collection) 
 
 func benchLexWorkers(b *testing.B, n, flows, workers int) {
 	c, fs := enumInstance(b, n, flows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := search.LexMaxMin(c, fs, search.Options{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLex(b, c, fs, search.Options{Workers: workers})
 }
 
 func BenchmarkLexSearchC3Serial(b *testing.B) { benchLexWorkers(b, 3, 7, 1) }
@@ -298,6 +329,107 @@ func benchThroughputWorkers(b *testing.B, n, flows, workers int) {
 func BenchmarkThroughputSearchC3Serial(b *testing.B) { benchThroughputWorkers(b, 3, 7, 1) }
 
 func BenchmarkThroughputSearchC3Workers4(b *testing.B) { benchThroughputWorkers(b, 3, 7, 4) }
+
+// --- Ablation: incremental vs full re-evaluation under arrive/depart ------
+
+// deltaEvent is one step of the dynamic-workload trace: an arrival
+// (flow + middle) or the departure of the live flow at index depart
+// (indices shift as earlier flows leave, exactly as both replayers
+// maintain their live lists).
+type deltaEvent struct {
+	arrive bool
+	flow   core.Flow
+	middle int
+	depart int
+}
+
+// deltaTrace generates the seeded C_5 arrival/departure trace both
+// BenchmarkDeltaTrace modes replay: arrivals dominate (p = 0.6) so the
+// live set grows into the tens of flows and the water filling has
+// several freeze rounds per event.
+func deltaTrace(c *topology.Clos, events int) []deltaEvent {
+	rng := rand.New(rand.NewSource(7))
+	evs := make([]deltaEvent, 0, events)
+	live := 0
+	for len(evs) < events {
+		if live == 0 || rng.Float64() < 0.6 {
+			evs = append(evs, deltaEvent{
+				arrive: true,
+				flow: core.Flow{
+					Src: c.Source(rng.Intn(c.NumToRs())+1, rng.Intn(c.ServersPerToR())+1),
+					Dst: c.Dest(rng.Intn(c.NumToRs())+1, rng.Intn(c.ServersPerToR())+1),
+				},
+				middle: rng.Intn(c.Size()) + 1,
+			})
+			live++
+		} else {
+			evs = append(evs, deltaEvent{depart: rng.Intn(live)})
+			live--
+		}
+	}
+	return evs
+}
+
+// BenchmarkDeltaTrace replays the 64-event C_5 trace once per op, the
+// arrive/depart regime of a centralized rate controller that re-plans
+// on every event. incremental sends each event through one
+// core.IncrementalEvaluator, whose refill replays the rounds the delta
+// leaves unaffected; full builds a core.BlockEvaluator over the live
+// flows after every event and water-fills from scratch. Both produce
+// bit-identical rates (the core property tests pin that); make
+// bench-delta requires full to take at least twice as long.
+func BenchmarkDeltaTrace(b *testing.B) {
+	c := topology.MustClos(5)
+	evs := deltaTrace(c, 64)
+	b.Run("incremental", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ie := core.NewIncrementalEvaluator(c)
+			handles := make([]core.FlowID, 0, len(evs))
+			for _, ev := range evs {
+				if ev.arrive {
+					h, err := ie.Arrive(ev.flow, ev.middle)
+					if err != nil {
+						b.Fatal(err)
+					}
+					handles = append(handles, h)
+				} else {
+					h := handles[ev.depart]
+					handles = append(handles[:ev.depart], handles[ev.depart+1:]...)
+					if err := ie.Depart(h); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			flows := make(core.Collection, 0, len(evs))
+			ma := make(core.MiddleAssignment, 0, len(evs))
+			for _, ev := range evs {
+				if ev.arrive {
+					flows = append(flows, ev.flow)
+					ma = append(ma, ev.middle)
+				} else {
+					flows = append(flows[:ev.depart], flows[ev.depart+1:]...)
+					ma = append(ma[:ev.depart], ma[ev.depart+1:]...)
+				}
+				if len(flows) == 0 {
+					continue
+				}
+				bev, err := core.NewBlockEvaluator(c, flows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := bev.EvalBlock(ma, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Alloc(0)
+			}
+		}
+	})
+}
 
 // --- Component benchmarks --------------------------------------------------
 

@@ -161,20 +161,18 @@ type TimerStats struct {
 // zero allocations on the instrumented paths; this is the intended
 // "off" state.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	timers     map[string]*Timer
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	timers   map[string]*Timer
 }
 
 // NewRegistry returns an enabled, empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		timers:     make(map[string]*Timer),
-		histograms: make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		timers:   make(map[string]*Timer),
 	}
 }
 
@@ -226,33 +224,12 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
-// Histogram returns the named histogram, creating it if needed. Returns
-// nil on a nil registry. Timers already carry a histogram internally;
-// a standalone registry histogram is for distributions that are not
-// durations observed around a code region (e.g. client-side latencies
-// fed from elsewhere).
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // Snapshot is a point-in-time copy of every registered metric,
-// JSON-serializable (it is embedded in BENCH_search.json and served
-// over expvar).
+// JSON-serializable (it is served over expvar and on /v1/stats).
 type Snapshot struct {
-	Counters   map[string]int64          `json:"counters,omitempty"`
-	Gauges     map[string]int64          `json:"gauges,omitempty"`
-	Timers     map[string]TimerStats     `json:"timers,omitempty"`
-	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
+	Counters map[string]int64      `json:"counters,omitempty"`
+	Gauges   map[string]int64      `json:"gauges,omitempty"`
+	Timers   map[string]TimerStats `json:"timers,omitempty"`
 }
 
 // Snapshot copies the current metric values. Safe to call concurrently
@@ -280,12 +257,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Timers = make(map[string]TimerStats, len(r.timers))
 		for name, t := range r.timers {
 			s.Timers[name] = t.Stats()
-		}
-	}
-	if len(r.histograms) > 0 {
-		s.Histograms = make(map[string]HistogramStats, len(r.histograms))
-		for name, h := range r.histograms {
-			s.Histograms[name] = h.Stats()
 		}
 	}
 	return s
@@ -340,20 +311,6 @@ func WriteSummary(w io.Writer, snap Snapshot, elapsed time.Duration) {
 			time.Duration(ts.P90Ns).Round(time.Microsecond),
 			time.Duration(ts.P99Ns).Round(time.Microsecond),
 			time.Duration(ts.MaxNs).Round(time.Microsecond))
-	}
-	histNames := make([]string, 0, len(snap.Histograms))
-	for name := range snap.Histograms {
-		histNames = append(histNames, name)
-	}
-	sort.Strings(histNames)
-	for _, name := range histNames {
-		hs := snap.Histograms[name]
-		fmt.Fprintf(w, "obs:   hist    %-28s count=%d p50=%s p90=%s p99=%s max=%s\n",
-			name, hs.Count,
-			time.Duration(hs.P50Ns).Round(time.Microsecond),
-			time.Duration(hs.P90Ns).Round(time.Microsecond),
-			time.Duration(hs.P99Ns).Round(time.Microsecond),
-			time.Duration(hs.MaxNs).Round(time.Microsecond))
 	}
 	if states := snap.Counters["search.states"]; states > 0 {
 		if d := snap.Timers["search.duration"]; d.SumNs > 0 {

@@ -11,7 +11,7 @@ import (
 
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): every counter as a `_total`
-// counter, every gauge as a gauge, and every timer and histogram as a
+// counter, every gauge as a gauge, and every timer as a
 // cumulative-bucket histogram in base seconds with `_bucket`, `_sum`
 // and `_count` series. Metric names are prefixed `closnet_` and
 // sanitized (dots become underscores), families are sorted by name, and
@@ -33,12 +33,9 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	for name, g := range r.gauges {
 		gauges[name] = g
 	}
-	hists := make(map[string]*Histogram, len(r.timers)+len(r.histograms))
+	hists := make(map[string]*Histogram, len(r.timers))
 	for name, t := range r.timers {
 		hists[name] = t.hist()
-	}
-	for name, h := range r.histograms {
-		hists[name] = h
 	}
 	r.mu.Unlock()
 

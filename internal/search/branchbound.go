@@ -38,8 +38,9 @@
 // Leaves go through the scan's leaf-block evaluator, under the same
 // incumbent rule. Result.States counts every evaluation performed —
 // exact leaf evaluations plus relaxation bound evaluations — which is
-// the number the ≥5x-fewer-states claims in BENCH_search.json compare
-// against the exhaustive canonical state count.
+// the states/op of the pruned BenchmarkLexSearch rows in
+// BENCH_search.json, and what TestPrunedC5Reduction holds to at least
+// 5x below the exhaustive canonical state count.
 package search
 
 import (

@@ -23,9 +23,10 @@ type prunedCase struct {
 	fs   core.Collection
 }
 
-// searchBenchInstance mirrors closbench's benchInstance: flows
+// searchBenchInstance mirrors the root package's enumInstance: flows
 // alternating between cross-ToR and same-ToR destinations, the
-// contended shape of the BENCH_search.json rows.
+// contended shape of the BenchmarkLexSearch*C5 rows of
+// BENCH_search.json.
 func searchBenchInstance(n, flows int) (*topology.Clos, core.Collection) {
 	c := topology.MustClos(n)
 	fs := core.Collection{}
@@ -122,14 +123,20 @@ func TestPrunedThroughputMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestPrunedC5Reduction pins the acceptance bar of the pruned mode: on
-// the 7-flow C_5 lex benchmark the branch-and-bound must visit at least
+// TestPrunedC5Reduction pins the state reductions of the 7-flow C_5
+// lex benchmark, all three searches returning a bit-identical
+// incumbent: the canonical space must hold at least 10x fewer states
+// than the full 5^7 space, and the branch-and-bound must visit at least
 // 5x fewer states (bound plus leaf evaluations) than the canonical
-// exhaustive scan, with a bit-identical incumbent. The measured ratio
-// is ~65x; 5x leaves headroom for bound tweaks without masking a
-// pruning regression.
+// exhaustive scan. The counts are 78,125, 855 and 13 (91x and ~65x);
+// the bars leave headroom for bound tweaks without masking a
+// canonicalization or pruning regression.
 func TestPrunedC5Reduction(t *testing.T) {
 	c, fs := searchBenchInstance(5, 7)
+	full, err := LexMaxMin(c, fs, Options{FullSpace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ex, err := LexMaxMin(c, fs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +145,18 @@ func TestPrunedC5Reduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameAssignment(pruned.Assignment, ex.Assignment) || !pruned.Allocation.Equal(ex.Allocation) {
-		t.Fatalf("pruned incumbent differs:\npruned:     %v %v\nexhaustive: %v %v",
-			pruned.Assignment, pruned.Allocation, ex.Assignment, ex.Allocation)
+	for _, r := range []struct {
+		name string
+		res  *Result
+	}{{"full-space", full}, {"pruned", pruned}} {
+		if !sameAssignment(r.res.Assignment, ex.Assignment) || !r.res.Allocation.Equal(ex.Allocation) {
+			t.Fatalf("%s incumbent differs:\n%s: %v %v\ncanonical: %v %v",
+				r.name, r.name, r.res.Assignment, r.res.Allocation, ex.Assignment, ex.Allocation)
+		}
+	}
+	if ex.States <= 0 || full.States < 10*ex.States {
+		t.Errorf("canonicalization below the 10x bar: full space %d states, canonical %d (%.1fx)",
+			full.States, ex.States, float64(full.States)/float64(ex.States))
 	}
 	if pruned.States <= 0 || ex.States < 5*pruned.States {
 		t.Errorf("pruning below the 5x bar: exhaustive %d states, pruned %d (%.1fx)",
