@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// maxTraceSpans bounds how many completed spans one trace retains (and
-// journals): a traced search request would otherwise emit a span per
-// evaluated block. Past the cap, spans are counted as dropped instead
-// of recorded, so a trace's memory and journal footprint is fixed.
+// maxTraceSpans bounds how many leaf spans one trace stores (a traced
+// search would otherwise store one per block); later leaves are counted
+// as dropped. A span that parents others is always stored, so a trace's
+// memory is set by its shape, and every span is still journaled.
 const maxTraceSpans = 512
 
 // spanAttrs is how many attributes a span holds inline; search.run, the
@@ -50,7 +50,7 @@ type Trace struct {
 }
 
 // SpanLog holds the completed spans of one trace, in completion order,
-// and the count of spans dropped past maxTraceSpans. A trace appends to
+// and the count of leaf spans dropped past maxTraceSpans. A trace appends to
 // its log until Finish hands it on; from then on the log is the
 // receiver's, to read and then to give to NewTrace, which reuses its
 // buffer.
@@ -62,6 +62,7 @@ type Trace struct {
 type SpanLog struct {
 	buf     []byte
 	spans   int
+	leaves  int // stored spans that parent none, which maxTraceSpans bounds
 	dropped int
 }
 
@@ -158,8 +159,7 @@ func (t *Trace) Start(ctx context.Context, name string) (Span, context.Context) 
 	if t == nil {
 		return Span{}, ctx
 	}
-	sp := t.open(name, 0)
-	return sp, &spanCtx{Context: ctx, tr: t, id: sp.id}
+	return t.openParent(ctx, name, 0)
 }
 
 // Finish closes the trace and hands its SpanLog to the caller. A span
@@ -185,20 +185,28 @@ func (t *Trace) open(name string, parent int64) Span {
 	}
 }
 
-// finish records the completed span s, or counts it as dropped past the
-// cap; recorded spans, and spans that end after Finish, are also
-// journaled.
+// openParent opens a span that parents others, with the context its
+// children open under.
+func (t *Trace) openParent(ctx context.Context, name string, parent int64) (Span, context.Context) {
+	sp := t.open(name, parent)
+	sp.parents = true
+	return sp, &spanCtx{Context: ctx, tr: t, id: sp.id}
+}
+
+// finish stores the completed span s, or counts it as dropped when it
+// is a leaf past the cap, and journals it.
 func (t *Trace) finish(s *Span, durNs int64) {
 	t.mu.Lock()
-	if !t.finished {
-		l := &t.log
-		if l.spans >= maxTraceSpans {
+	if l := &t.log; !t.finished {
+		if s.parents || l.leaves < maxTraceSpans {
+			l.buf = appendSpan(l.buf, s, durNs)
+			l.spans++
+			if !s.parents {
+				l.leaves++
+			}
+		} else {
 			l.dropped++
-			t.mu.Unlock()
-			return
 		}
-		l.buf = appendSpan(l.buf, s, durNs)
-		l.spans++
 	}
 	t.mu.Unlock()
 	if t.j == nil {
@@ -316,7 +324,7 @@ func (d *spanDecoder) string() string {
 	return s
 }
 
-// Dropped returns how many spans ended past the maxTraceSpans cap.
+// Dropped returns how many leaf spans ended past the maxTraceSpans cap.
 func (l *SpanLog) Dropped() int {
 	if l == nil {
 		return 0
@@ -331,14 +339,15 @@ func (l *SpanLog) Dropped() int {
 // goroutine until End; spans of one trace may end on different
 // goroutines (the trace serializes completion).
 type Span struct {
-	tr     *Trace
-	id     int64
-	parent int64
-	name   string
-	start  int64
-	n      int // attrs in use
-	attrs  [spanAttrs]Attr
-	more   []Attr // attributes past spanAttrs
+	tr      *Trace
+	id      int64
+	parent  int64
+	name    string
+	start   int64
+	parents bool // opened with a context for children: stored past the cap
+	n       int  // attrs in use
+	attrs   [spanAttrs]Attr
+	more    []Attr // attributes past spanAttrs
 }
 
 // Str sets the string attribute key (a later set of key replaces it).
@@ -448,6 +457,5 @@ func StartSpan(ctx context.Context, name string) (Span, context.Context) {
 	if c == nil {
 		return Span{}, ctx
 	}
-	sp := c.tr.open(name, c.id)
-	return sp, &spanCtx{Context: ctx, tr: c.tr, id: sp.id}
+	return c.tr.openParent(ctx, name, c.id)
 }

@@ -63,9 +63,10 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 }
 
-// TestTraceSpanCap: past maxTraceSpans, spans are dropped and counted,
-// never retained or journaled — a traced search request has a fixed
-// footprint.
+// TestTraceSpanCap: past maxTraceSpans, leaf spans are dropped and
+// counted instead of stored, so a traced search request has a fixed
+// footprint; the root, which ends after them, is still stored, and
+// every span is still journaled.
 func TestTraceSpanCap(t *testing.T) {
 	var sb strings.Builder
 	tr := NewTrace(NewJournal(&sb), nil)
@@ -76,14 +77,18 @@ func TestTraceSpanCap(t *testing.T) {
 	}
 	root.End()
 	log := tr.Finish()
-	if got := len(log.Records()); got != maxTraceSpans {
-		t.Errorf("retained %d spans, want %d", got, maxTraceSpans)
+	recs := log.Records()
+	if got := len(recs); got != maxTraceSpans+1 {
+		t.Errorf("stored %d spans, want %d: the cap's leaves and the root", got, maxTraceSpans+1)
 	}
-	if got := log.Dropped(); got != 51 { // 50 extra children + the root itself
-		t.Errorf("dropped %d spans, want 51", got)
+	if last := recs[len(recs)-1]; last.Name != "root" || last.Parent != 0 {
+		t.Errorf("the log ends with %+v, want the root", last)
 	}
-	if got := strings.Count(sb.String(), "\n"); got != maxTraceSpans {
-		t.Errorf("journaled %d span events, want %d", got, maxTraceSpans)
+	if got := log.Dropped(); got != 50 {
+		t.Errorf("dropped %d spans, want the 50 leaves past the cap", got)
+	}
+	if got := strings.Count(sb.String(), "\n"); got != maxTraceSpans+51 {
+		t.Errorf("journaled %d spans, want all %d", got, maxTraceSpans+51)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"closnet/internal/codec"
 	"closnet/internal/obs"
 )
 
@@ -242,6 +243,78 @@ func TestDebugRequestsBatch(t *testing.T) {
 		if count[name] != want {
 			t.Errorf("batch trace has %d %s spans, want %d (have %v)", count[name], name, want, count)
 		}
+	}
+}
+
+// TestCappedBatchKeepsRoot: a full-size batch of evaluates ends more
+// leaf spans than a trace stores, yet its flight entry keeps every span
+// that parents others: it ends with its server.request root, which
+// carries the path and the status, every span's parent is in the entry,
+// and only leaves are counted as dropped.
+func TestCappedBatchKeepsRoot(t *testing.T) {
+	srv, err := New(Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	// Six distinct flows under distinct assignments: distinct scenarios,
+	// so no item coalesces onto another's flight.
+	s := codec.Scenario{
+		Tors: 3, Servers: 2, Middles: 3,
+		Flows: []codec.FlowJSON{
+			{SrcSwitch: 1, SrcServer: 1, DstSwitch: 2, DstServer: 1},
+			{SrcSwitch: 1, SrcServer: 2, DstSwitch: 3, DstServer: 1},
+			{SrcSwitch: 2, SrcServer: 1, DstSwitch: 3, DstServer: 2},
+			{SrcSwitch: 2, SrcServer: 2, DstSwitch: 1, DstServer: 1},
+			{SrcSwitch: 3, SrcServer: 1, DstSwitch: 1, DstServer: 2},
+			{SrcSwitch: 3, SrcServer: 2, DstSwitch: 2, DstServer: 2},
+		},
+	}
+	items := make([][]byte, DefaultMaxBatchItems)
+	for i := range items {
+		s.Assignment = make([]int, len(s.Flows))
+		for f, p := 0, 1; f < len(s.Flows); f, p = f+1, 3*p {
+			s.Assignment[f] = i/p%3 + 1
+		}
+		items[i] = mustMarshal(t, &s)
+	}
+	body := batchEnvelope(t, "evaluate", items...)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	reqs, err := debugRequests(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reqs) != 1 {
+		t.Fatalf("recorded %d requests, want the one batch", len(reqs))
+	}
+	e := reqs[0]
+	if e.SpansDropped == 0 {
+		t.Errorf("a %d-item batch dropped no spans", DefaultMaxBatchItems)
+	}
+	last := e.Spans[len(e.Spans)-1]
+	if last.Name != "server.request" || last.Parent != 0 || last.Attrs["path"] != "/v1/batch" || last.Attrs["status"] != float64(http.StatusOK) {
+		t.Fatalf("the entry of %d spans (%d dropped) ends with %s (parent %d, attrs %v), want the server.request root",
+			len(e.Spans), e.SpansDropped, last.Name, last.Parent, last.Attrs)
+	}
+	ids := map[int64]bool{}
+	for _, sp := range e.Spans {
+		ids[sp.ID] = true
+	}
+	computes := 0
+	for _, sp := range e.Spans {
+		if sp.Parent != 0 && !ids[sp.Parent] {
+			t.Fatalf("%s span's parent %d is not in the entry", sp.Name, sp.Parent)
+		}
+		if sp.Name == "engine.compute" {
+			computes++
+		}
+	}
+	if computes != DefaultMaxBatchItems {
+		t.Errorf("the entry keeps %d engine.compute spans, want one per item (%d)", computes, DefaultMaxBatchItems)
 	}
 }
 
