@@ -21,11 +21,13 @@
 //
 // The shared observability flags (internal/obs): -metrics prints live
 // search progress and a final metrics summary on stderr, -trace writes
-// a structured JSONL event journal, -debug-addr serves expvar/pprof,
-// and -cpuprofile/-memprofile capture pprof profiles.
+// a JSONL journal of trace spans (an experiment span per experiment),
+// -debug-addr serves expvar/pprof, and -cpuprofile/-memprofile capture
+// pprof profiles.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -77,7 +79,7 @@ func run(args []string) error {
 		return nil
 	case *all:
 		for _, r := range runners {
-			if err := emit(r, *csv, *js, orun.Obs); err != nil {
+			if err := emit(orun.Context(), r, *csv, *js); err != nil {
 				return err
 			}
 		}
@@ -85,7 +87,7 @@ func run(args []string) error {
 	case *exp != "":
 		for _, r := range runners {
 			if r.ID == *exp {
-				return emit(r, *csv, *js, orun.Obs)
+				return emit(orun.Context(), r, *csv, *js)
 			}
 		}
 		return fmt.Errorf("unknown experiment %q (try -list)", *exp)
@@ -95,14 +97,16 @@ func run(args []string) error {
 	}
 }
 
-func emit(r closnet.ExperimentRunner, csv, js bool, o *obs.Obs) error {
-	o.Journal().Emit("experiment.start", obs.F{"id": r.ID, "title": r.Title})
+// emit runs one experiment, as an experiment span, and prints its table.
+func emit(ctx context.Context, r closnet.ExperimentRunner, csv, js bool) error {
+	sp := obs.Start(ctx, "experiment")
+	sp.Str("id", r.ID).Str("title", r.Title)
 	tab, err := r.Run()
 	if err != nil {
-		o.Journal().Emit("experiment.error", obs.F{"id": r.ID, "error": err.Error()})
+		sp.Str("error", err.Error()).End()
 		return fmt.Errorf("%s: %w", r.ID, err)
 	}
-	o.Journal().Emit("experiment.end", obs.F{"id": r.ID})
+	sp.End()
 	switch {
 	case js:
 		out, err := tab.JSON()

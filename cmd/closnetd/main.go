@@ -22,7 +22,8 @@
 //
 // The shared observability flags of internal/obs (-trace, -metrics,
 // -cpuprofile, -memprofile, -debug-addr) are available as on every
-// closnet tool; -trace records one journal event per request.
+// closnet tool; -trace journals every request's spans, the server.request
+// root last, and the drain's server.drain span under the run's root.
 package main
 
 import (
@@ -129,7 +130,7 @@ func serve(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 
 	fmt.Fprintln(stderr, "closnetd: draining")
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	dctx, cancel := context.WithTimeout(orun.Context(), *drainTimeout)
 	defer cancel()
 	if err := srv.Drain(dctx); err != nil {
 		fmt.Fprintf(stderr, "closnetd: drain: %v\n", err)

@@ -21,8 +21,8 @@
 // return for the same scenarios.
 //
 // The shared observability flags (internal/obs) journal every check as
-// a verify.check event and count checks/violations in the metrics
-// registry.
+// a verify.check span under the run's root span and count
+// checks/violations in the metrics registry.
 package main
 
 import (
@@ -78,14 +78,14 @@ func run(args []string, out io.Writer) error {
 	}
 	workers := eng.SearchOptions(context.Background()).Workers
 	reg := orun.Obs.Registry()
-	jour := orun.Obs.Journal()
 	cChecks := reg.Counter("verify.checks")
 	cViolations := reg.Counter("verify.violations")
 	checks := 0
 	report := func(name string, ok bool, detail string) error {
 		checks++
 		cChecks.Inc()
-		jour.Emit("verify.check", obs.F{"name": name, "ok": ok, "detail": detail})
+		sp := obs.Start(orun.Context(), "verify.check")
+		sp.Str("name", name).Bool("ok", ok).Str("detail", detail).End()
 		if *verbose || !ok {
 			status := "ok"
 			if !ok {

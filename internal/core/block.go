@@ -51,7 +51,6 @@ type BlockEvaluator struct {
 	cFills      *obs.Counter
 	cPromotions *obs.Counter
 	gSize       *obs.Gauge
-	jour        *obs.Journal
 }
 
 // NewBlockEvaluator prepares repeated block evaluations of fs over c,
@@ -95,7 +94,6 @@ func (b *BlockEvaluator) Instrument(o *obs.Obs) {
 	b.cFills = reg.Counter("core.block_fills")
 	b.cPromotions = reg.Counter("core.block_promotions")
 	b.gSize = reg.Gauge("core.block_size")
-	b.jour = o.Journal()
 }
 
 // EvalBlock computes the max-min fair allocations of k middle
@@ -142,9 +140,6 @@ func (b *BlockEvaluator) EvalBlockCtx(ctx context.Context, mas []int, k int) (*B
 	if overflowed > 0 {
 		b.promotions += overflowed
 		b.cPromotions.Add(int64(overflowed))
-		if b.jour != nil {
-			b.jour.Emit("core.block_promotion", obs.F{"states": overflowed, "promotions": b.promotions})
-		}
 	}
 	b.res = BlockResult{be: b, k: k}
 	return &b.res, nil

@@ -86,7 +86,6 @@ type IncrementalEvaluator struct {
 	cFills      *obs.Counter
 	cSkipped    *obs.Counter
 	cPromotions *obs.Counter
-	jour        *obs.Journal
 }
 
 // iflow is one flow slot.
@@ -122,13 +121,12 @@ func NewIncrementalEvaluator(fab topology.Fabric) *IncrementalEvaluator {
 }
 
 // Instrument attaches the observability layer (the core.delta_*
-// counters and core.delta_promotion events); a nil o costs nothing.
+// counters); a nil o costs nothing.
 func (ie *IncrementalEvaluator) Instrument(o *obs.Obs) {
 	reg := o.Registry()
 	ie.cFills = reg.Counter("core.delta_fills")
 	ie.cSkipped = reg.Counter("core.delta_levels_skipped")
 	ie.cPromotions = reg.Counter("core.delta_promotions")
-	ie.jour = o.Journal()
 }
 
 // ForceBig pins every fill to the (identical) *big.Rat path when on.
@@ -476,9 +474,6 @@ func (ie *IncrementalEvaluator) push() {
 func (ie *IncrementalEvaluator) promote() error {
 	ie.promotions++
 	ie.cPromotions.Inc()
-	if ie.jour != nil {
-		ie.jour.Emit("core.delta_promotion", obs.F{"promotions": ie.promotions})
-	}
 	return ie.fillBig()
 }
 

@@ -110,9 +110,9 @@ func RouteWithPolicy(c topology.Fabric, fs core.Collection, victim VictimPolicy)
 
 // RouteWithObs runs the Doom-Switch algorithm with a custom victim
 // policy and the observability layer attached: route/matched/doomed
-// counters in o's registry and a doom.route journal event carrying the
-// matching size, the victim middle and the color-class sizes. A nil o
-// disables instrumentation.
+// counters in o's registry and a doom.route span (the root of its own
+// trace on o's journal) carrying the matching size, the victim middle
+// and the color-class sizes. A nil o disables instrumentation.
 func RouteWithObs(c topology.Fabric, fs core.Collection, victim VictimPolicy, o *obs.Obs) (*Result, error) {
 	return RouteCtx(context.Background(), c, fs, victim, o)
 }
@@ -120,8 +120,11 @@ func RouteWithObs(c topology.Fabric, fs core.Collection, victim VictimPolicy, o 
 // RouteCtx is RouteWithObs bounded by a context: the algorithm polls
 // ctx between its three phases (matching, coloring, dooming), so an
 // abandoned request stops before starting the next super-linear step.
-// A cancelled run returns ctx.Err() and no partial result.
+// A cancelled run returns ctx.Err() and no partial result. The run is
+// o's doom.route span.
 func RouteCtx(ctx context.Context, c topology.Fabric, fs core.Collection, victim VictimPolicy, o *obs.Obs) (*Result, error) {
+	sp, ctx := o.StartSpan(ctx, "doom.route")
+	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -222,13 +225,9 @@ func RouteCtx(ctx context.Context, c topology.Fabric, fs core.Collection, victim
 	reg.Counter("doom.routes").Inc()
 	reg.Counter("doom.matched_flows").Add(int64(len(matched)))
 	reg.Counter("doom.doomed_flows").Add(int64(len(fs) - len(matched)))
-	if j := o.Journal(); j != nil {
-		j.Emit("doom.route", obs.F{
-			"flows":       len(fs),
-			"matched":     len(matched),
-			"doom_middle": res.DoomMiddle,
-			"class_sizes": sizes,
-		})
+	sp.Int("flows", len(fs)).Int("matched", len(matched)).Int("doom_middle", res.DoomMiddle)
+	if sp.Recording() {
+		sp.Str("class_sizes", fmt.Sprint(sizes))
 	}
 	return res, nil
 }

@@ -19,10 +19,12 @@
 package dynsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"closnet/internal/core"
 	"closnet/internal/obs"
@@ -86,9 +88,10 @@ type Config struct {
 	// tie-breaking).
 	Seed int64
 	// Obs attaches the runtime observability layer: arrival/departure/
-	// recompute counters, per-round allocation counts, and a journal
-	// event per flow-starvation transition (an active flow's rate
-	// dropping to zero). nil disables instrumentation.
+	// recompute counters, per-round allocation counts, and a dynsim.run
+	// span (the root of its own trace on the journal) with a
+	// dynsim.flow_starved span per flow-starvation transition (an active
+	// flow's rate dropping to zero). nil disables instrumentation.
 	Obs *obs.Obs
 }
 
@@ -241,7 +244,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// Observability handles; all nil-safe when cfg.Obs is nil.
 	reg := cfg.Obs.Registry()
-	jour := cfg.Obs.Journal()
+	sp, ctx := cfg.Obs.StartSpan(context.Background(), "dynsim.run")
+	defer sp.End()
 	cArrivals := reg.Counter("dynsim.arrivals")
 	cDepartures := reg.Counter("dynsim.departures")
 	cRecomputes := reg.Counter("dynsim.rate_recomputes")
@@ -333,12 +337,17 @@ func Run(cfg Config) (*Result, error) {
 				if !af.starved {
 					af.starved = true
 					cStarvations.Inc()
-					jour.Emit("dynsim.flow_starved", obs.F{"flow": af.id, "middle": af.middle, "t": clock})
+					if ssp := obs.Start(ctx, "dynsim.flow_starved"); ssp.Recording() {
+						ssp.Int("flow", af.id).Int("middle", af.middle).Str("t", strconv.FormatFloat(clock, 'g', -1, 64)).End()
+					}
 				}
 			} else {
 				af.starved = false
 			}
 		}
+	}
+	if ie != nil {
+		sp.Int("promotions", ie.Promotions())
 	}
 	res.Duration = clock
 	return res, nil

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-
-	"closnet/internal/obs"
 )
 
 // BatchResult is one slot of a RunBatch outcome: the response of the
@@ -30,7 +28,8 @@ type Runner func(ctx context.Context, i int, req Request) (*Response, error)
 // slot carries the error. ctx cancellation drains the fan-out: items
 // not yet started return ctx.Err() without computing. A nil run
 // prepares every request in order first (PrepareBatch) and then
-// computes each as Run would, with the same response or error.
+// computes each as Run would, with the same response or error. The
+// fan-out is the engine.batch span.
 func (e *Engine) RunBatch(ctx context.Context, reqs []Request, workers int, run Runner) []BatchResult {
 	if run == nil {
 		preps, errs := e.PrepareBatch(reqs)
@@ -48,9 +47,9 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request, workers int, run 
 	if len(reqs) == 0 {
 		return results
 	}
-	if j := e.Obs().Journal(); j != nil {
-		j.Emit("engine.batch", obs.F{"items": len(reqs), "workers": workers})
-	}
+	sp, ctx := e.Obs().StartSpan(ctx, "engine.batch")
+	sp.Int("items", len(reqs)).Int("workers", workers)
+	defer sp.End()
 
 	// Work-stealing off a channel of indices keeps the result ordering
 	// trivially deterministic: slot i is written only by the goroutine

@@ -288,7 +288,7 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown op %q (known: %v)", p.Op, e.Ops())
 	}
-	sp, ctx := obs.StartSpan(ctx, "engine.compute")
+	sp, ctx := e.opts.Obs.StartSpan(ctx, "engine.compute")
 	sp.Str("op", p.Op)
 	start := time.Now()
 	body, err := fn(ctx, e, p)
@@ -296,14 +296,8 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 	sp.Bool("ok", err == nil).End()
 	e.mComputes.Inc()
 	e.mLatency.Observe(elapsed)
-	ok = err == nil
-	if !ok {
-		e.mErrors.Inc()
-	}
-	if j := e.opts.Obs.Journal(); j != nil {
-		j.Emit("engine.compute", obs.F{"op": p.Op, "ok": ok, "elapsed_ns": elapsed.Nanoseconds()})
-	}
 	if err != nil {
+		e.mErrors.Inc()
 		return nil, err
 	}
 	return body, nil

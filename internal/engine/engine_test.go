@@ -269,3 +269,63 @@ func TestComputeSpans(t *testing.T) {
 		t.Errorf("engine.compute attrs %s", got)
 	}
 }
+
+// TestBatchSpanRootsTrace: a batch computed outside any request, as
+// closverify -batch runs one, is one trace on the journal: the
+// engine.batch span is its root and the journal's last line, and each
+// item's engine.compute span, with the spans under it, is its child.
+func TestBatchSpanRootsTrace(t *testing.T) {
+	scens, _, err := corpus.Scenarios(3, []string{"theorem42", "theorem43"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	eng := engine.New(engine.Options{SearchWorkers: 1, Obs: &obs.Obs{J: obs.NewJournal(&buf)}})
+	reqs := []engine.Request{{Op: engine.OpEvaluate, Scenario: scens[0]}, {Op: engine.OpDoom, Scenario: scens[1]}}
+	for i, res := range eng.RunBatch(context.Background(), reqs, 2, nil) {
+		if res.Err != nil {
+			t.Fatalf("item %d: %v", i, res.Err)
+		}
+	}
+	type span struct {
+		Name   string         `json:"name"`
+		Parent int64          `json:"parent"`
+		Span   int64          `json:"span"`
+		Trace  string         `json:"trace"`
+		Attrs  map[string]any `json:"attrs"`
+	}
+	var spans []span
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var l struct {
+			Fields span `json:"fields"`
+		}
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatal(err)
+		}
+		spans = append(spans, l.Fields)
+	}
+	root := spans[len(spans)-1]
+	if root.Name != "engine.batch" || root.Parent != 0 || root.Attrs["items"] != 2.0 || root.Attrs["workers"] != 2.0 {
+		t.Fatalf("last span %+v, want the engine.batch root of 2 items on 2 workers", root)
+	}
+	names := map[int64]string{}
+	for _, s := range spans {
+		names[s.Span] = s.Name
+	}
+	computes := 0
+	for _, s := range spans {
+		if s.Trace != root.Trace {
+			t.Errorf("%s span in trace %s, want the batch's %s", s.Name, s.Trace, root.Trace)
+		}
+		want := map[string]string{"engine.compute": "engine.batch", "core.block_fill": "engine.compute", "doom.route": "engine.compute"}[s.Name]
+		if want != "" && names[s.Parent] != want {
+			t.Errorf("%s span under %q, want %q", s.Name, names[s.Parent], want)
+		}
+		if s.Name == "engine.compute" {
+			computes++
+		}
+	}
+	if computes != 2 {
+		t.Errorf("%d engine.compute spans, want one per item", computes)
+	}
+}

@@ -38,8 +38,13 @@ func fill(ctx context.Context, e *Engine, p *Prepared, ma core.MiddleAssignment,
 	}
 	defer e.evals.put(p.TopoHash, bev)
 	sp := obs.Start(ctx, "core.block_fill")
+	promoted := bev.Promotions()
 	res, err := bev.EvalBlockCtx(ctx, ma, 1)
-	sp.Int("block", 1).End()
+	sp.Int("block", 1)
+	if promoted = bev.Promotions() - promoted; promoted > 0 {
+		sp.Int("promoted", promoted)
+	}
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +111,7 @@ func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, ctx := obs.StartSpan(ctx, "doom.route")
 	res, err := doom.RouteCtx(ctx, c, fs, doom.LeastLoaded(), e.opts.Obs)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}

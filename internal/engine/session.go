@@ -164,18 +164,18 @@ func (ss *Sessions) SetClock(now func() time.Time) {
 	ss.now = now
 }
 
-// pruneLocked evicts every session idle past the TTL. Callers hold
-// ss.mu.
-func (ss *Sessions) pruneLocked() {
+// pruneLocked evicts every session idle past the TTL, each as a
+// session.expired span under ctx's span (or the root of a trace of its
+// own). Callers hold ss.mu.
+func (ss *Sessions) pruneLocked(ctx context.Context) {
 	cutoff := ss.now().Add(-ss.ttl).UnixNano()
 	for id, s := range ss.table {
 		if s.lastUsed.Load() < cutoff {
 			delete(ss.table, id)
 			ss.expired++
 			ss.cExpired.Inc()
-			if j := ss.o.Journal(); j != nil {
-				j.Emit("engine.session_expired", obs.F{"session": id})
-			}
+			sp, _ := ss.o.StartSpan(ctx, "session.expired")
+			sp.Str("session", id).End()
 		}
 	}
 	ss.gOpen.Set(int64(len(ss.table)))
@@ -237,7 +237,7 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 	s.id = hex.EncodeToString(idBytes)
 
 	ss.mu.Lock()
-	ss.pruneLocked()
+	ss.pruneLocked(ctx)
 	if len(ss.table) >= ss.max {
 		ss.mu.Unlock()
 		return nil, ErrSessionTableFull
@@ -250,19 +250,16 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 	ss.mu.Unlock()
 
 	sp.Str("session", s.id).Int("flows", len(s.flows))
-	if j := ss.o.Journal(); j != nil {
-		j.Emit("engine.session_opened", obs.F{"session": s.id, "flows": len(s.flows)})
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.responseLocked(OpSessionOpen, -1)
 }
 
 // lookup fetches a live session and touches its idle timer.
-func (ss *Sessions) lookup(id string) (*Session, error) {
+func (ss *Sessions) lookup(ctx context.Context, id string) (*Session, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.pruneLocked()
+	ss.pruneLocked(ctx)
 	s, ok := ss.table[id]
 	if !ok {
 		return nil, ErrSessionNotFound
@@ -279,7 +276,7 @@ func (ss *Sessions) lookup(id string) (*Session, error) {
 func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*SessionResponse, error) {
 	sp := obs.Start(ctx, "session.delta")
 	defer sp.End()
-	s, err := ss.lookup(id)
+	s, err := ss.lookup(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -290,6 +287,7 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	promoted := s.ie.Promotions()
 	arrived := -1
 	switch d.Op {
 	case codec.DeltaArrive:
@@ -327,6 +325,9 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 		}
 		s.flows[i].middle = d.Middle
 	}
+	if promoted = s.ie.Promotions() - promoted; promoted > 0 {
+		sp.Int("promoted", promoted)
+	}
 	s.seq++
 	ss.deltas.Add(1)
 	ss.cDeltas.Inc()
@@ -350,12 +351,9 @@ func (ss *Sessions) Close(ctx context.Context, id string) (*SessionResponse, err
 	if !ok {
 		return nil, ErrSessionNotFound
 	}
-	sp.Str("session", id)
-	if j := ss.o.Journal(); j != nil {
-		j.Emit("engine.session_closed", obs.F{"session": id, "deltas": s.seq})
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sp.Str("session", id).Int("deltas", s.seq)
 	return &SessionResponse{Session: id, Body: codec.SessionCloseBody(id, s.seq)}, nil
 }
 
@@ -363,7 +361,7 @@ func (ss *Sessions) Close(ctx context.Context, id string) (*SessionResponse, err
 func (ss *Sessions) Stats() SessionStats {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.pruneLocked()
+	ss.pruneLocked(context.Background())
 	return SessionStats{
 		Open:     len(ss.table),
 		Capacity: ss.max,

@@ -223,8 +223,9 @@ func TestSessionDeltaErrorsLeaveStateIntact(t *testing.T) {
 	}
 }
 
-// TestSessionTTLExpiry: a session idle past the TTL is evicted lazily
-// and a touched one survives. Uses the injected clock.
+// TestSessionTTLExpiry: a session idle past the TTL is evicted lazily,
+// as a session.expired span under the request that evicted it, and a
+// touched one survives. Uses the injected clock.
 func TestSessionTTLExpiry(t *testing.T) {
 	eng := sessionEngine(engine.Options{SessionTTL: time.Minute})
 	ctx := context.Background()
@@ -245,8 +246,24 @@ func TestSessionTTLExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(40 * time.Second) // idle is 80s old, live 40s
-	if _, err := eng.Sessions().Delta(ctx, live.Session, d); err != nil {
+	tr := obs.NewTrace(nil, nil)
+	root, tctx := tr.Start(ctx, "server.request")
+	if _, err := eng.Sessions().Delta(tctx, live.Session, d); err != nil {
 		t.Fatalf("touched session expired: %v", err)
+	}
+	root.End()
+	expired := 0
+	for _, sp := range tr.Finish().Records() {
+		if sp.Name != "session.expired" {
+			continue
+		}
+		expired++
+		if sp.Parent != 1 || len(sp.Attrs) != 1 || sp.Attrs[0].Value() != idle.Session {
+			t.Errorf("session.expired span %+v, want one for %s under the request", sp, idle.Session)
+		}
+	}
+	if expired != 1 {
+		t.Errorf("%d session.expired spans, want 1", expired)
 	}
 	if _, err := eng.Sessions().Delta(ctx, idle.Session, d); !errors.Is(err, engine.ErrSessionNotFound) {
 		t.Fatalf("idle session: got %v, want ErrSessionNotFound", err)

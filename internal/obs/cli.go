@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"expvar"
 	"flag"
 	"fmt"
@@ -30,7 +31,7 @@ type CLI struct {
 func AddFlags(fl *flag.FlagSet) *CLI {
 	c := &CLI{}
 	fl.BoolVar(&c.Metrics, "metrics", false, "collect runtime metrics: live progress on stderr plus a final summary")
-	fl.StringVar(&c.Trace, "trace", "", "write a structured JSONL event journal to this file")
+	fl.StringVar(&c.Trace, "trace", "", "write a JSONL journal of trace spans to this file")
 	fl.StringVar(&c.DebugAddr, "debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
 	fl.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fl.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
@@ -40,12 +41,14 @@ func AddFlags(fl *flag.FlagSet) *CLI {
 
 // Run is the live observability state of one tool invocation: the Obs
 // bundle to hand to instrumented packages (nil when neither -metrics
-// nor -trace was given), plus the background machinery (progress
-// ticker, debug listener, profiles) torn down by Close.
+// nor -trace was given), the run's root span, plus the background
+// machinery (progress ticker, debug listener, profiles) torn down by
+// Close.
 type Run struct {
 	Obs *Obs
 
-	tool         string
+	root         Span
+	ctx          context.Context
 	stderr       io.Writer
 	start        time.Time
 	metrics      bool
@@ -55,13 +58,13 @@ type Run struct {
 }
 
 // Start brings up everything the parsed flags ask for: the metrics
-// registry, the trace journal (with a run.start event), the progress
-// ticker, the debug listener, and the CPU/heap profiles. It returns a
-// *Run whose Close tears all of it down; Run.Obs is nil when no
-// observability sink was requested, which instrumented packages treat
-// as fully disabled.
+// registry, the trace journal with the run's root span (a "run" span
+// with the attribute tool), the progress ticker, the debug listener,
+// and the CPU/heap profiles. It returns a *Run whose Close tears all of
+// it down; Run.Obs is nil when no observability sink was requested,
+// which instrumented packages treat as fully disabled.
 func (c *CLI) Start(tool string, stderr io.Writer) (*Run, error) {
-	r := &Run{tool: tool, stderr: stderr, start: time.Now(), metrics: c.Metrics}
+	r := &Run{stderr: stderr, start: time.Now(), metrics: c.Metrics}
 	var reg *Registry
 	var j *Journal
 	if c.Metrics {
@@ -78,7 +81,8 @@ func (c *CLI) Start(tool string, stderr io.Writer) (*Run, error) {
 	if reg != nil || j != nil {
 		r.Obs = &Obs{Reg: reg, J: j}
 	}
-	j.Emit("run.start", F{"tool": tool})
+	r.root, r.ctx = r.Obs.StartSpan(context.Background(), "run")
+	r.root.Str("tool", tool)
 	stopProf, err := StartProfiles(c.CPUProfile, c.MemProfile)
 	if err != nil {
 		if r.traceFile != nil {
@@ -96,10 +100,14 @@ func (c *CLI) Start(tool string, stderr io.Writer) (*Run, error) {
 	return r, nil
 }
 
-// Close stops the progress ticker, emits the run.end event, flushes
-// the profiles, closes the journal file, and prints the final metrics
-// summary. It returns the first error encountered; call it exactly
-// once. Close on a nil *Run is a no-op.
+// Context returns the context of the run's root span, under which a
+// tool's own spans open (context.Background() without a journal).
+func (r *Run) Context() context.Context { return r.ctx }
+
+// Close stops the progress ticker, ends the run's root span (the
+// journal's last line), flushes the profiles, closes the journal file,
+// and prints the final metrics summary. It returns the first error
+// encountered; call it exactly once. Close on a nil *Run is a no-op.
 func (r *Run) Close() error {
 	if r == nil {
 		return nil
@@ -107,12 +115,10 @@ func (r *Run) Close() error {
 	if r.stopProgress != nil {
 		r.stopProgress()
 	}
+	r.root.End()
 	var first error
-	if j := r.Obs.Journal(); j != nil {
-		j.Emit("run.end", F{"tool": r.tool, "elapsed_ns": time.Since(r.start).Nanoseconds()})
-		if err := j.Err(); err != nil {
-			first = fmt.Errorf("trace: %w", err)
-		}
+	if err := r.Obs.Journal().Err(); err != nil {
+		first = fmt.Errorf("trace: %w", err)
 	}
 	if r.stopProf != nil {
 		if err := r.stopProf(); err != nil && first == nil {

@@ -9,64 +9,47 @@ import (
 	"time"
 )
 
-// F is the free-form field set of one journal event. encoding/json
-// serializes map keys in sorted order, so event lines are byte-stable
-// for a given field set — a property the golden-file tests rely on.
-type F map[string]any
-
-// event is the wire form of one journal line.
-type event struct {
-	TNs    int64  `json:"t_ns"`
-	Run    string `json:"run"`
-	Ev     string `json:"ev"`
-	Fields F      `json:"fields,omitempty"`
+// spanLine is the wire form of one journal line. Its fields, and those
+// of spanFields, are in key order: a line has the bytes encoding/json
+// writes for the same fields in a map, without building the map.
+type spanLine struct {
+	TNs    int64      `json:"t_ns"`
+	Run    string     `json:"run"`
+	Ev     string     `json:"ev"`
+	Fields spanFields `json:"fields"`
 }
 
-// Journal writes structured events as JSON Lines: one JSON object per
-// line, each carrying a monotonic timestamp (nanoseconds since the
-// journal was opened), the run ID, the event name, and free-form
-// fields. Writes are serialized by a mutex, so a Journal is safe for
-// concurrent use by search workers. A nil *Journal is a no-op, but an
-// F and its boxed values are allocated before Emit can return, so a
-// call site on a per-request path checks for nil first.
+// spanFields are a span's journal fields; its times are relative to its
+// trace's start.
+type spanFields struct {
+	Attrs   Attrs  `json:"attrs,omitempty"`
+	DurNs   int64  `json:"dur_ns"`
+	Name    string `json:"name"`
+	Parent  int64  `json:"parent,omitempty"` // 0 = root span
+	Span    int64  `json:"span"`
+	StartNs int64  `json:"start_ns"`
+	Trace   string `json:"trace"`
+}
+
+// Journal writes completed spans as JSON Lines, one
+// `{"t_ns":…,"run":…,"ev":"span","fields":{…}}` object per span: the
+// time it was written (nanoseconds since the journal was opened), the
+// run ID and the span's fields. Spans reach it through the traces
+// rooted on it (NewTrace, Obs.StartSpan). Writes are serialized by a
+// mutex, so search workers may end spans concurrently. A nil *Journal
+// is a no-op.
 type Journal struct {
 	mu    sync.Mutex
 	w     io.Writer
 	runID string
-	clock func() int64
+	start time.Time
 	err   error // first write/encode error, sticky
 }
 
-// JournalOption customizes a Journal at construction.
-type JournalOption func(*Journal)
-
-// WithRunID pins the journal's run ID (the default is a random hex
-// string). Tests inject a stable ID here.
-func WithRunID(id string) JournalOption {
-	return func(j *Journal) { j.runID = id }
-}
-
-// WithClock replaces the monotonic timestamp source (nanoseconds).
-// Tests inject a deterministic clock here.
-func WithClock(fn func() int64) JournalOption {
-	return func(j *Journal) { j.clock = fn }
-}
-
-// NewJournal opens a journal over w. The default clock is monotonic
-// time since this call; the default run ID is 8 random hex bytes.
-func NewJournal(w io.Writer, opts ...JournalOption) *Journal {
-	j := &Journal{w: w}
-	for _, opt := range opts {
-		opt(j)
-	}
-	if j.runID == "" {
-		j.runID = newRunID()
-	}
-	if j.clock == nil {
-		start := time.Now()
-		j.clock = func() int64 { return time.Since(start).Nanoseconds() }
-	}
-	return j
+// NewJournal opens a journal over w, with a run ID of 8 random hex
+// characters.
+func NewJournal(w io.Writer) *Journal {
+	return &Journal{w: w, runID: newRunID(), start: time.Now()}
 }
 
 // newRunID returns 8 random hex bytes (crypto/rand never fails on the
@@ -80,26 +63,16 @@ func newRunID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// RunID returns the journal's run ID ("" on a nil journal).
-func (j *Journal) RunID() string {
-	if j == nil {
-		return ""
-	}
-	return j.runID
-}
-
-// Emit appends one event. Errors are sticky and reported by Err rather
-// than per call, so instrumented code paths never handle them inline.
-func (j *Journal) Emit(ev string, fields F) {
-	if j == nil {
-		return
-	}
+// write appends the line of one completed span. Errors are sticky and
+// reported by Err rather than per call, so instrumented code paths
+// never handle them inline.
+func (j *Journal) write(f *spanFields) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return
 	}
-	line, err := json.Marshal(event{TNs: j.clock(), Run: j.runID, Ev: ev, Fields: fields})
+	line, err := json.Marshal(spanLine{TNs: time.Since(j.start).Nanoseconds(), Run: j.runID, Ev: "span", Fields: *f})
 	if err != nil {
 		j.err = err
 		return

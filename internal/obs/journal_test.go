@@ -3,50 +3,66 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// TestJournalEmitDeterministic pins the wire format byte-for-byte under
-// an injected clock and run ID — the same determinism the search
-// golden-file test builds on. encoding/json writes map keys sorted, so
-// the field order is stable.
-func TestJournalEmitDeterministic(t *testing.T) {
+// varyingFields matches the journal fields whose values differ from run
+// to run: the line time, the run and trace IDs, and the span times.
+var varyingFields = regexp.MustCompile(`"(t_ns|start_ns|dur_ns)":[0-9]+|"(run|trace)":"[0-9a-f]{8}"`)
+
+// maskJournal replaces the values of varyingFields with X.
+func maskJournal(b []byte) string {
+	return varyingFields.ReplaceAllStringFunc(string(b), func(m string) string {
+		return m[:strings.IndexByte(m, ':')+1] + "X"
+	})
+}
+
+// TestJournalSpanLines pins the wire format byte-for-byte, with the
+// fields that vary between runs masked: each completed span is one line
+// whose fields, and their attributes, have sorted keys and
+// encoding/json's escaping; a root span has no parent field and a span
+// without attributes no attrs field.
+func TestJournalSpanLines(t *testing.T) {
 	var buf bytes.Buffer
-	var tick int64
-	j := NewJournal(&buf,
-		WithRunID("testrun"),
-		WithClock(func() int64 { tick += 1000; return tick }))
-	j.Emit("run.start", F{"tool": "x", "n": 3})
-	j.Emit("plain", nil)
-	if err := j.Err(); err != nil {
+	o := &Obs{J: NewJournal(&buf)}
+	root, ctx := o.StartSpan(context.Background(), "run")
+	root.Str("tool", "x")
+	leaf := Start(ctx, "verify.check")
+	leaf.Str("name", "<b>").Bool("ok", true).Int("n", 3).End()
+	bare := Start(ctx, "plain")
+	bare.End()
+	root.End()
+	if err := o.J.Err(); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"t_ns":1000,"run":"testrun","ev":"run.start","fields":{"n":3,"tool":"x"}}
-{"t_ns":2000,"run":"testrun","ev":"plain"}
+	want := `{"t_ns":X,"run":X,"ev":"span","fields":{"attrs":{"n":3,"name":"\u003cb\u003e","ok":true},"dur_ns":X,"name":"verify.check","parent":1,"span":2,"start_ns":X,"trace":X}}
+{"t_ns":X,"run":X,"ev":"span","fields":{"dur_ns":X,"name":"plain","parent":1,"span":3,"start_ns":X,"trace":X}}
+{"t_ns":X,"run":X,"ev":"span","fields":{"attrs":{"tool":"x"},"dur_ns":X,"name":"run","span":1,"start_ns":X,"trace":X}}
 `
-	if got := buf.String(); got != want {
-		t.Errorf("journal bytes:\n got %q\nwant %q", got, want)
-	}
-	if j.RunID() != "testrun" {
-		t.Errorf("run ID = %q, want testrun", j.RunID())
+	if got := maskJournal(buf.Bytes()); got != want {
+		t.Errorf("journal bytes:\n got %s\nwant %s", got, want)
 	}
 }
 
-// TestJournalDefaultRunID: without options the run ID is 8 random hex
-// characters and timestamps are monotone non-decreasing.
+// TestJournalDefaultRunID: every line carries the journal's run ID, 8
+// random hex characters, and line times are monotone non-decreasing,
+// across the journal's traces.
 func TestJournalDefaultRunID(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	if len(j.RunID()) != 8 {
-		t.Errorf("run ID %q, want 8 hex chars", j.RunID())
+	o := &Obs{J: NewJournal(&buf)}
+	for i := 0; i < 3; i++ {
+		sp, _ := o.StartSpan(context.Background(), "a")
+		sp.End()
 	}
-	j.Emit("a", nil)
-	j.Emit("b", nil)
 	var prev int64 = -1
+	run := ""
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		var e struct {
@@ -56,8 +72,11 @@ func TestJournalDefaultRunID(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("line %q: %v", sc.Text(), err)
 		}
-		if e.Run != j.RunID() {
-			t.Errorf("line run ID %q, want %q", e.Run, j.RunID())
+		if run == "" {
+			run = e.Run
+		}
+		if len(e.Run) != 8 || e.Run != run {
+			t.Errorf("line run ID %q, want the journal's 8 hex chars %q", e.Run, run)
 		}
 		if e.TNs < prev {
 			t.Errorf("timestamps not monotone: %d after %d", e.TNs, prev)
@@ -71,40 +90,35 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 // TestJournalStickyError: the first write failure is remembered, later
-// emits become no-ops, and Err reports the original failure — so
+// spans are not written, and Err reports the original failure — so
 // instrumented code never handles journal errors inline.
 func TestJournalStickyError(t *testing.T) {
-	j := NewJournal(failWriter{}, WithRunID("r"), WithClock(func() int64 { return 0 }))
-	j.Emit("a", nil)
-	err := j.Err()
+	o := &Obs{J: NewJournal(failWriter{})}
+	sp, _ := o.StartSpan(context.Background(), "a")
+	sp.End()
+	err := o.J.Err()
 	if err == nil || err.Error() != "disk full" {
 		t.Fatalf("Err() = %v, want disk full", err)
 	}
-	j.Emit("b", nil) // must not panic, must not clobber the error
-	if got := j.Err(); got != err {
+	sp, _ = o.StartSpan(context.Background(), "b") // must not panic, must not clobber the error
+	sp.End()
+	if got := o.J.Err(); got != err {
 		t.Errorf("sticky error changed: %v", got)
 	}
 }
 
-// TestJournalEncodeError: an unmarshalable field value is also sticky.
-func TestJournalEncodeError(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf, WithRunID("r"))
-	j.Emit("bad", F{"fn": func() {}})
-	if j.Err() == nil {
-		t.Error("unmarshalable field did not surface as Err")
-	}
-	if buf.Len() != 0 {
-		t.Errorf("partial line written: %q", buf.String())
-	}
-}
-
-// TestJournalNil: every method of a nil journal is a safe no-op.
+// TestJournalNil: a nil journal reports no error, and a trace on it
+// stores its spans without journaling them.
 func TestJournalNil(t *testing.T) {
 	var j *Journal
-	j.Emit("ev", F{"k": 1})
-	if j.Err() != nil || j.RunID() != "" {
+	if j.Err() != nil {
 		t.Error("nil journal carries state")
+	}
+	tr := NewTrace(j, nil)
+	sp, _ := tr.Start(context.Background(), "root")
+	sp.End()
+	if n := len(tr.Finish().Records()); n != 1 {
+		t.Errorf("a trace on a nil journal stored %d spans, want 1", n)
 	}
 }
 
@@ -121,11 +135,13 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
-// TestJournalConcurrent: emits from many goroutines interleave as whole
-// lines — every line parses as one JSON event and none are lost.
+// TestJournalConcurrent: spans ending on many goroutines, in one trace
+// and in traces of their own, interleave as whole lines — every line
+// parses as one JSON object and none is lost.
 func TestJournalConcurrent(t *testing.T) {
 	var buf syncBuffer
-	j := NewJournal(&buf, WithRunID("conc"))
+	o := &Obs{J: NewJournal(&buf)}
+	root, ctx := o.StartSpan(context.Background(), "root")
 	const goroutines, perG = 8, 200
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -133,12 +149,16 @@ func TestJournalConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				j.Emit("tick", F{"g": g, "i": i})
+				sp := Start(ctx, "tick")
+				sp.Int("g", g).Int("i", i).End()
+				own, _ := o.StartSpan(context.Background(), "own")
+				own.End()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if err := j.Err(); err != nil {
+	root.End()
+	if err := o.J.Err(); err != nil {
 		t.Fatal(err)
 	}
 	lines := 0
@@ -149,8 +169,8 @@ func TestJournalConcurrent(t *testing.T) {
 		}
 		lines++
 	}
-	if lines != goroutines*perG {
-		t.Errorf("journal has %d lines, want %d", lines, goroutines*perG)
+	if want := 2*goroutines*perG + 1; lines != want {
+		t.Errorf("journal has %d lines, want %d", lines, want)
 	}
 }
 

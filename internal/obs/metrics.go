@@ -1,17 +1,18 @@
 // Package obs is the runtime observability layer: an atomic metrics
-// registry (counters, gauges, histogram-style timers), a structured
-// JSONL event journal, and the shared command-line wiring (flags,
-// periodic progress reporting, pprof/expvar debug listener, CPU/heap
-// profiles) used by every cmd tool.
+// registry (counters, gauges, histogram-style timers), trace spans —
+// the one event, which a JSONL journal and the server's flight recorder
+// both record — and the shared command-line wiring (flags, periodic
+// progress reporting, pprof/expvar debug listener, CPU/heap profiles)
+// used by every cmd tool.
 //
 // The package is dependency-free (standard library only) and designed
 // so that hot paths pay nothing when observability is disabled: code
 // holds preregistered handles (*Counter, *Gauge, *Timer) and a nil
 // handle — what a nil *Registry hands out — makes every operation a
 // single predictable nil check with zero allocations. The same
-// convention extends to *Journal and the *Obs bundle: nil receivers are
-// valid and inert, so instrumented packages never branch on an
-// "enabled" flag of their own.
+// convention extends to *Journal, the zero Span and the *Obs bundle:
+// nil receivers are valid and inert, so instrumented packages never
+// branch on an "enabled" flag of their own.
 package obs
 
 import (

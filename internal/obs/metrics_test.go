@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -97,17 +98,20 @@ func TestNilRegistryDisabled(t *testing.T) {
 }
 
 // TestDisabledNoAlloc pins the zero-overhead contract: metric updates
-// through nil handles — what instrumented hot paths execute when
-// observability is off — allocate nothing.
+// through nil handles and spans opened with no span in ctx and no
+// journal — what instrumented hot paths execute when observability is
+// off — allocate nothing.
 func TestDisabledNoAlloc(t *testing.T) {
 	var (
-		c  *Counter
-		g  *Gauge
-		tm *Timer
-		h  *Histogram
-		sp Span
-		j  *Journal
+		c   *Counter
+		g   *Gauge
+		tm  *Timer
+		h   *Histogram
+		sp  Span
+		o   *Obs
+		ctx = context.Background()
 	)
+	noJournal := &Obs{Reg: NewRegistry()}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
@@ -117,7 +121,12 @@ func TestDisabledNoAlloc(t *testing.T) {
 		h.Observe(time.Millisecond)
 		_ = h.Quantile(0.5)
 		sp.Int("k", 1).End()
-		j.Emit("ev", nil)
+		for _, o := range []*Obs{o, noJournal} {
+			osp, octx := o.StartSpan(ctx, "p")
+			leaf := Start(octx, "c")
+			leaf.Str("k", "v").End()
+			osp.End()
+		}
 		_ = c.Value()
 		_ = g.Value()
 	})

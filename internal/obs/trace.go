@@ -18,8 +18,8 @@ import (
 const maxTraceSpans = 512
 
 // spanAttrs is how many attributes a span holds inline; search.run, the
-// busiest span, sets four. Further keys spill to a heap slice.
-const spanAttrs = 4
+// busiest span, sets eight. Further keys spill to a heap slice.
+const spanAttrs = 8
 
 // Trace is the request-scoped tracing context: an 8-hex-char random ID
 // (the X-Closnet-Request-Id of the serving layer) plus the SpanLog its
@@ -30,13 +30,14 @@ const spanAttrs = 4
 //
 // Tracing allocates per trace, not per span. A Span is a value on its
 // caller's stack; only a span that parents others derives a context
-// (StartSpan, one small allocation), and a leaf span (Start) derives
-// none. End encodes the span into the trace's SpanLog, whose buffer the
-// trace's owner takes with Finish and may hand to the next trace.
+// (Obs.StartSpan, one small allocation), and a leaf span (Start)
+// derives none. End encodes the span into the trace's SpanLog, whose
+// buffer the trace's owner takes with Finish and may hand to the next
+// trace.
 //
-// When a Journal is attached, each completed span is also emitted as a
-// "span" event, carrying the trace ID so journal consumers can stitch
-// the request tree across the run's interleaved requests.
+// When a Journal is attached, each completed span is also written to
+// it as one line, carrying the trace ID so journal consumers can stitch
+// each tree back together across the run's interleaved traces.
 type Trace struct {
 	id    string
 	j     *Journal
@@ -110,7 +111,7 @@ func (a Attr) Value() any {
 type Attrs []Attr
 
 // MarshalJSON writes the set as one object with sorted keys: the bytes
-// encoding/json writes for the same keys and values in an F.
+// encoding/json writes for the same keys and values in a map.
 func (as Attrs) MarshalJSON() ([]byte, error) {
 	sorted := slices.Clone(as)
 	slices.SortFunc(sorted, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
@@ -212,17 +213,11 @@ func (t *Trace) finish(s *Span, durNs int64) {
 	if t.j == nil {
 		return
 	}
-	fields := F{
-		"trace": t.id, "span": s.id, "name": s.name,
-		"start_ns": s.start, "dur_ns": durNs,
-	}
-	if s.parent != 0 {
-		fields["parent"] = s.parent
-	}
+	f := spanFields{DurNs: durNs, Name: s.name, Parent: s.parent, Span: s.id, StartNs: s.start, Trace: t.id}
 	if n := s.n + len(s.more); n > 0 {
-		fields["attrs"] = append(append(make(Attrs, 0, n), s.attrs[:s.n]...), s.more...)
+		f.Attrs = append(append(make(Attrs, 0, n), s.attrs[:s.n]...), s.more...)
 	}
-	t.j.Emit("span", fields)
+	t.j.write(&f)
 }
 
 // appendSpan encodes the span s, ended after durNs, onto buf: its ID,
@@ -350,6 +345,10 @@ type Span struct {
 	more    []Attr // attributes past spanAttrs
 }
 
+// Recording reports whether s records: false for the zero Span, so a
+// caller skips formatting an attribute that no one will read.
+func (s *Span) Recording() bool { return s.tr != nil }
+
 // Str sets the string attribute key (a later set of key replaces it).
 // Returns s for chaining.
 func (s *Span) Str(key, v string) *Span { return s.set(Attr{Key: key, str: v, kind: attrStr}) }
@@ -444,18 +443,26 @@ func Start(ctx context.Context, name string) Span {
 	return c.tr.open(name, c.id)
 }
 
-// StartSpan opens a child of ctx's span and returns it together with a
-// context carrying it, the idiom for a call layer whose callees open
-// spans of their own:
+// StartSpan opens a span that parents others or may root a trace, and
+// returns it with a context carrying it:
 //
-//	sp, ctx := obs.StartSpan(ctx, "engine.compute")
+//	sp, ctx := o.StartSpan(ctx, "engine.compute")
 //	defer sp.End()
 //
-// Without a span in ctx it returns the zero Span and ctx unchanged.
-func StartSpan(ctx context.Context, name string) (Span, context.Context) {
-	c := parentOf(ctx)
-	if c == nil {
+// With a span in ctx it opens a child of that span. With none, it roots
+// a new trace on o's journal, if o has one. Otherwise it returns the
+// zero Span and ctx unchanged, and allocates nothing.
+func (o *Obs) StartSpan(ctx context.Context, name string) (Span, context.Context) {
+	if c := parentOf(ctx); c != nil {
+		return c.tr.openParent(ctx, name, c.id)
+	}
+	j := o.Journal()
+	if j == nil {
 		return Span{}, ctx
 	}
-	return c.tr.openParent(ctx, name, c.id)
+	// No one takes the log of a trace rooted here, so it stores nothing:
+	// its spans are only journaled.
+	t := NewTrace(j, nil)
+	t.finished = true
+	return t.Start(ctx, name)
 }

@@ -11,17 +11,17 @@ import (
 )
 
 // TestTraceSpanTree: spans nest by parent ID, carry attrs, and are
-// journaled as "span" events tagged with the trace ID.
+// journaled as "span" lines tagged with the trace ID.
 func TestTraceSpanTree(t *testing.T) {
 	var sb strings.Builder
-	j := NewJournal(&sb, WithRunID("run0"), WithClock(func() int64 { return 7 }))
-	tr := NewTrace(j, nil)
+	o := &Obs{J: NewJournal(&sb)}
+	tr := NewTrace(o.J, nil)
 	if len(tr.ID()) != 8 {
 		t.Fatalf("trace ID %q, want 8 hex chars", tr.ID())
 	}
 
 	root, ctx := tr.Start(context.Background(), "server.request")
-	child, cctx := StartSpan(ctx, "engine.compute")
+	child, cctx := o.StartSpan(ctx, "engine.compute")
 	child.Str("op", "evaluate")
 	grand := Start(cctx, "core.block_fill")
 	grand.End()
@@ -95,6 +95,7 @@ func TestTraceSpanCap(t *testing.T) {
 // TestTraceConcurrentSpans: spans ending from many goroutines (the
 // search-worker shape) race-cleanly serialize into the trace.
 func TestTraceConcurrentSpans(t *testing.T) {
+	var o *Obs
 	tr := NewTrace(nil, nil)
 	root, ctx := tr.Start(context.Background(), "search.run")
 	var wg sync.WaitGroup
@@ -102,7 +103,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sp, sctx := StartSpan(ctx, "search.shard")
+			sp, sctx := o.StartSpan(ctx, "search.shard")
 			sp.Int("shard", w)
 			for i := 0; i < 32; i++ {
 				b := Start(sctx, "core.block_fill")
@@ -130,20 +131,22 @@ func TestTraceConcurrentSpans(t *testing.T) {
 
 // TestSpanContext: propagation through context.Context — only StartSpan
 // derives a context, so a leaf's children hang from the leaf's parent —
-// and the off state: no span in ctx means zero Spans all the way down.
+// and the off state: no span in ctx and no journal means zero Spans all
+// the way down.
 func TestSpanContext(t *testing.T) {
+	var o *Obs
 	ctx := context.Background()
 	if parentOf(ctx) != nil {
 		t.Fatal("empty context carries a span")
 	}
-	sp, ctx2 := StartSpan(ctx, "x")
+	sp, ctx2 := o.StartSpan(ctx, "x")
 	if sp.tr != nil || ctx2 != ctx {
-		t.Fatal("StartSpan without a trace must be a no-op returning ctx unchanged")
+		t.Fatal("StartSpan without a trace or a journal must be a no-op returning ctx unchanged")
 	}
 
 	tr := NewTrace(nil, nil)
 	root, ctx := tr.Start(ctx, "root")
-	child, cctx := StartSpan(ctx, "child")
+	child, cctx := o.StartSpan(ctx, "child")
 	if c := parentOf(cctx); c == nil || c.id != child.id {
 		t.Fatal("StartSpan did not thread the child span")
 	}
@@ -204,6 +207,7 @@ func TestSpanAfterFinish(t *testing.T) {
 // block fills. With 32 items and one fill each, as batch-sweep sends,
 // that is 131 spans, 33 of them parents, with 164 attributes.
 func batchTrace(tr *Trace, items, fills int) {
+	var o *Obs
 	root, ctx := tr.Start(context.Background(), "server.request")
 	root.Str("method", "POST").Str("path", "/v1/batch")
 	dsp := Start(ctx, "server.decode")
@@ -215,7 +219,7 @@ func batchTrace(tr *Trace, items, fills int) {
 		csp.Str("state", "miss").End()
 		asp := Start(ctx, "server.admit")
 		asp.Bool("ok", true).End()
-		sp, cctx := StartSpan(ctx, "engine.compute")
+		sp, cctx := o.StartSpan(ctx, "engine.compute")
 		sp.Str("op", "evaluate")
 		for f := 0; f < fills; f++ {
 			bsp := Start(cctx, "core.block_fill")
@@ -258,7 +262,10 @@ func TestWarmTraceAllocs(t *testing.T) {
 // TestNilTraceDisabled: every operation on nil traces and zero spans is
 // a no-op — the zero-overhead off state of request tracing.
 func TestNilTraceDisabled(t *testing.T) {
-	var tr *Trace
+	var (
+		tr *Trace
+		o  *Obs
+	)
 	ctx := context.Background()
 	if sp, c := tr.Start(ctx, "x"); tr.ID() != "" || sp.tr != nil || c != ctx || tr.Finish() != nil {
 		t.Error("nil trace carries state")
@@ -273,7 +280,7 @@ func TestNilTraceDisabled(t *testing.T) {
 		t.Error("zero span kept an attribute")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp, cctx := StartSpan(ctx, "p")
+		sp, cctx := o.StartSpan(ctx, "p")
 		leaf := Start(cctx, "c")
 		leaf.Int("k", 2).End()
 		sp.Str("op", "x").End()
@@ -283,20 +290,29 @@ func TestNilTraceDisabled(t *testing.T) {
 	}
 }
 
-// mapRecord is a SpanRecord with its attributes in an F, the form
+// mapRecord is a SpanRecord with its attributes in a map, the form
 // records took before attributes were typed.
 type mapRecord struct {
-	ID      int64  `json:"id"`
-	Parent  int64  `json:"parent,omitempty"`
-	Name    string `json:"name"`
-	StartNs int64  `json:"start_ns"`
-	DurNs   int64  `json:"dur_ns"`
-	Attrs   F      `json:"attrs,omitempty"`
+	ID      int64          `json:"id"`
+	Parent  int64          `json:"parent,omitempty"`
+	Name    string         `json:"name"`
+	StartNs int64          `json:"start_ns"`
+	DurNs   int64          `json:"dur_ns"`
+	Attrs   map[string]any `json:"attrs,omitempty"`
+}
+
+// mapLine is a journal line with its span's fields in a map, the form
+// lines took before the journal wrote only spans.
+type mapLine struct {
+	TNs    int64          `json:"t_ns"`
+	Run    string         `json:"run"`
+	Ev     string         `json:"ev"`
+	Fields map[string]any `json:"fields,omitempty"`
 }
 
 // FuzzSpanAttrsMatchMap: a span's typed attributes serialize, in its
 // record and in its journal line, to exactly what encoding/json writes
-// for the same fields with the attributes in an F — sorted keys, the
+// for the same fields with the attributes in a map — sorted keys, the
 // last write of a key winning, encoding/json's escaping of HTML-special,
 // non-ASCII and invalid UTF-8 strings, extreme ints — including spans
 // with no attributes and spans with more keys than a span holds inline.
@@ -304,20 +320,19 @@ type mapRecord struct {
 func FuzzSpanAttrsMatchMap(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 1, 3, 2, 2, 1}, "<&>", "é")
 	f.Add([]byte{}, "", "")
-	f.Add([]byte{0, 3, 2, 0, 3, 4, 1, 3, 0, 2, 3, 1}, "\xff\xfe", " ")
+	f.Add([]byte{0, 3, 2, 0, 3, 4, 1, 3, 0, 2, 3, 1}, "\xff\xfe", " ")
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 7, 1, 0, 5}, "k", "v")
 	keys := []string{"ok", "op", "state", "<b>&", "ключ", "\xc3\x28"}
-	vals := []string{"", "hit", "a\"b\\c\n\t", "<script>&amp;", "日本語", "\xed\xa0\x80", "  ", "\x00\x1f"}
+	vals := []string{"", "hit", "a\"b\\c\n\t", "<script>&amp;", "日本語", "\xed\xa0\x80", "  ", "\x00\x1f"}
 	ints := []int{0, 1, -1, 200, math.MaxInt64, math.MinInt64, math.MaxInt32 + 1, -512}
 	f.Fuzz(func(t *testing.T, prog []byte, s1, s2 string) {
 		keys := append(keys[:len(keys):len(keys)], s1, s2)
 		vals := append(vals[:len(vals):len(vals)], s1, s2)
 		var sb strings.Builder
-		j := NewJournal(&sb, WithRunID("run0"), WithClock(func() int64 { return 7 }))
-		tr := NewTrace(j, nil)
+		tr := NewTrace(NewJournal(&sb), nil)
 		root, ctx := tr.Start(context.Background(), "root")
 		leaf := Start(ctx, s1)
-		want := F{}
+		want := map[string]any{}
 		for i := 0; i+2 < len(prog); i += 3 {
 			key, b := keys[int(prog[i+1])%len(keys)], prog[i+2]
 			switch prog[i] % 3 {
@@ -364,14 +379,19 @@ func FuzzSpanAttrsMatchMap(f *testing.F) {
 				t.Fatalf("record\n got %s\nwant %s", got, exp)
 			}
 
-			fields := F{"trace": tr.ID(), "span": r.ID, "name": r.Name, "start_ns": r.StartNs, "dur_ns": r.DurNs}
+			// The line's time and run ID are the journal's own.
+			var line mapLine
+			if err := json.Unmarshal([]byte(lines[i]), &line); err != nil {
+				t.Fatal(err)
+			}
+			fields := map[string]any{"trace": tr.ID(), "span": r.ID, "name": r.Name, "start_ns": r.StartNs, "dur_ns": r.DurNs}
 			if r.Parent != 0 {
 				fields["parent"] = r.Parent
 			}
 			if attrs != nil {
 				fields["attrs"] = attrs
 			}
-			exp, err = json.Marshal(event{TNs: 7, Run: "run0", Ev: "span", Fields: fields})
+			exp, err = json.Marshal(mapLine{TNs: line.TNs, Run: line.Run, Ev: "span", Fields: fields})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,4 +400,75 @@ func FuzzSpanAttrsMatchMap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestStartSpanRooting: the three branches of Obs.StartSpan. With a
+// span in ctx it opens a child in that span's trace, journal or not.
+// With none it roots a new trace on the bundle's journal, which
+// journals its spans and stores none. With neither it returns the zero
+// Span and ctx unchanged.
+func TestStartSpanRooting(t *testing.T) {
+	var sb strings.Builder
+	o := &Obs{J: NewJournal(&sb)}
+	ctx := context.Background()
+
+	tr := NewTrace(nil, nil)
+	root, rctx := tr.Start(ctx, "server.request")
+	child, cctx := o.StartSpan(rctx, "engine.compute")
+	if child.tr != tr || child.parent != root.id || parentOf(cctx).id != child.id {
+		t.Fatal("StartSpan under a span did not open a child in its trace")
+	}
+	child.End()
+	root.End()
+	if n := len(tr.Finish().Records()); n != 2 || sb.Len() != 0 {
+		t.Fatalf("the request trace stored %d spans and journaled %q, want 2 and nothing", n, sb.String())
+	}
+
+	run, runCtx := o.StartSpan(ctx, "run")
+	if run.tr == nil || run.parent != 0 || parentOf(runCtx).id != run.id {
+		t.Fatal("StartSpan without a span did not root a trace on the journal")
+	}
+	leaf := Start(runCtx, "experiment")
+	leaf.End()
+	other, _ := o.StartSpan(ctx, "search.run")
+	if other.tr == run.tr {
+		t.Fatal("two roots share a trace")
+	}
+	other.End()
+	run.End()
+	if l := run.tr.log; l.spans != 0 || len(l.buf) != 0 {
+		t.Errorf("a journal-rooted trace stored %d spans", l.spans)
+	}
+	type line struct {
+		Fields struct {
+			Name   string `json:"name"`
+			Parent int64  `json:"parent"`
+			Span   int64  `json:"span"`
+			Trace  string `json:"trace"`
+		} `json:"fields"`
+	}
+	var got []line
+	for _, s := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		var l line
+		if err := json.Unmarshal([]byte(s), &l); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, l)
+	}
+	if len(got) != 3 {
+		t.Fatalf("journaled %d spans, want 3", len(got))
+	}
+	exp, srch, rn := got[0].Fields, got[1].Fields, got[2].Fields
+	if exp.Name != "experiment" || exp.Trace != run.tr.ID() || exp.Parent != rn.Span || rn.Name != "run" || rn.Parent != 0 {
+		t.Errorf("the run's trace journaled %+v and %+v", exp, rn)
+	}
+	if srch.Name != "search.run" || srch.Parent != 0 || srch.Trace == rn.Trace {
+		t.Errorf("the second root journaled %+v", srch)
+	}
+
+	for _, o := range []*Obs{nil, {Reg: NewRegistry()}} {
+		if sp, c := o.StartSpan(ctx, "x"); sp.tr != nil || c != ctx {
+			t.Error("StartSpan without a span or a journal must return the zero Span and ctx")
+		}
+	}
 }

@@ -131,12 +131,12 @@ func (fr *frontier) release() {
 // prefix — flows [|F|-depth, |F|) — and covers the contiguous rank
 // block of its completions; its children take the digits the space
 // allows after the prefix, in ascending rank order.
-func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, obj *objective, eo engineObs) (*Result, error) {
+func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, obj *objective, eo engineObs) (incumbent, int, error) {
 	best := incumbent{rank: -1}
 	// No blockSpans: a pruned search opens no core.block_fill spans.
 	l, err := newLeaves(c, fs, obj, eo, 0, &best)
 	if err != nil {
-		return nil, err
+		return best, 0, err
 	}
 	defer l.bev.Release()
 	fr := frontiers.Get().(*frontier)
@@ -156,7 +156,7 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 		if done != nil && pops&ctxCheckMask == 0 {
 			select {
 			case <-done:
-				return nil, ctx.Err()
+				return best, 0, ctx.Err()
 			default:
 			}
 		}
@@ -192,7 +192,7 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 			child := fr.node(nf)
 			bv := &child.bound
 			if err := obj.bound(bv, ma, fixedFrom); err != nil {
-				return nil, err
+				return best, 0, err
 			}
 			if obj.testPromote != nil && obj.testPromote(childLo) {
 				bv.setBig(bv.rats())
@@ -218,12 +218,12 @@ func branchBound(ctx context.Context, c topology.Fabric, fs core.Collection, s *
 			// incumbent rule; no ceiling stop: pruned States counts every
 			// leaf of an expanded last-level node.
 			if _, err := l.eval(ctx, leafBuf, k, node.lo); err != nil {
-				return nil, err
+				return best, 0, err
 			}
 			states += k
 			eo.states.Add(int64(k))
 		}
 		fr.free = append(fr.free, node)
 	}
-	return &Result{Assignment: best.ma, Allocation: best.allocation(), States: states}, nil
+	return best, states, nil
 }

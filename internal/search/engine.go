@@ -4,7 +4,7 @@
 // by default the symmetry-canonical space of space.go (one
 // representative per middle-relabeling orbit), or the full base-n
 // space under Options.FullSpace and on fabrics without interchangeable
-// choices — journals the run, and hands the space to one of two
+// choices — traces the run, and hands the space to one of two
 // explorers that share one objective, one incumbent rule and one
 // leaf-block evaluator. Leaf values, bounds and the ceiling are the
 // exact values of value.go — Rat64 lanes, or *big.Rat vectors where a
@@ -67,7 +67,6 @@ const scanBlock = ctxCheckMask + 1
 // predictable nil check per touch point and zero allocations.
 type engineObs struct {
 	obs          *obs.Obs
-	j            *obs.Journal
 	states       *obs.Counter // assignments actually evaluated (includes speculative ones beyond the stop rank)
 	improvements *obs.Counter // incumbent improvements across all shards
 	earlyExits   *obs.Counter // stop-rank publications (Lemma 3.2/5.2 bound attained)
@@ -82,7 +81,6 @@ func newEngineObs(o *obs.Obs) engineObs {
 	reg := o.Registry()
 	return engineObs{
 		obs:          o,
-		j:            o.Journal(),
 		states:       reg.Counter("search.states"),
 		improvements: reg.Counter("search.improvements"),
 		earlyExits:   reg.Counter("search.early_exits"),
@@ -229,8 +227,13 @@ func (l *leaves) eval(ctx context.Context, mas []int, k, lo int) (int, error) {
 	if l.blockSpans {
 		bsp = obs.Start(ctx, "core.block_fill")
 	}
+	promoted := l.bev.Promotions()
 	res, err := l.bev.EvalBlockCtx(ctx, mas, k)
-	bsp.Int("block", k).End()
+	bsp.Int("block", k)
+	if promoted = l.bev.Promotions() - promoted; promoted > 0 {
+		bsp.Int("promoted", promoted)
+	}
+	bsp.End()
 	if err != nil {
 		return -1, err
 	}
@@ -247,9 +250,8 @@ func (l *leaves) eval(ctx context.Context, mas []int, k, lo int) (int, error) {
 		}
 		l.best.take(&l.cand, rank, mas[i*nf:(i+1)*nf], rates, a)
 		l.eo.improvements.Inc()
-		if l.eo.j != nil {
-			l.eo.j.Emit("search.incumbent", obs.F{"shard": l.shard, "rank": rank})
-		}
+		isp := obs.Start(ctx, "search.incumbent")
+		isp.Int("shard", l.shard).Int("rank", rank).End()
 		if l.obj.ceiling != nil && l.best.val.cmp(l.obj.ceiling) >= 0 {
 			return rank + 1, nil
 		}
@@ -298,19 +300,18 @@ func run(c topology.Fabric, fs core.Collection, opts Options, obj *objective, bl
 	}
 	eo := newEngineObs(opts.Obs)
 	eo.spaceTotal.Add(int64(s.total()))
-	if eo.j != nil {
-		eo.j.Emit("search.start", obs.F{
-			"space": label, "total": s.total(), "workers": workers, "flows": len(fs), "n": c.Size(),
-		})
-	}
-	sp, ctx := obs.StartSpan(ctx, "search.run")
-	sp.Str("space", label).Int("total", s.total()).Int("workers", workers)
+	sp, ctx := opts.Obs.StartSpan(ctx, "search.run")
+	defer sp.End()
+	sp.Str("space", label).Int("total", s.total()).Int("workers", workers).Int("flows", len(fs)).Int("n", c.Size())
 	start := time.Now()
-	var res *Result
+	var (
+		best   incumbent
+		states int
+	)
 	if opts.Pruned {
-		res, err = branchBound(ctx, c, fs, s, obj, eo)
+		best, states, err = branchBound(ctx, c, fs, s, obj, eo)
 	} else {
-		res, err = scan(ctx, c, fs, s, workers, block, obj, eo)
+		best, states, err = scan(ctx, c, fs, s, workers, block, obj, eo)
 	}
 	if err == nil && ctx.Err() != nil {
 		// A run that is cancelled is cancelled, even when the search won
@@ -319,22 +320,19 @@ func run(c topology.Fabric, fs core.Collection, opts Options, obj *objective, bl
 		err = ctx.Err()
 	}
 	eo.duration.Observe(time.Since(start))
-	sp.Bool("ok", err == nil).End()
+	sp.Bool("ok", err == nil)
 	if err != nil {
-		if eo.j != nil {
-			eo.j.Emit("search.error", obs.F{"error": err.Error()})
-		}
+		sp.Str("error", err.Error())
 		return nil, err
 	}
-	if eo.j != nil {
-		eo.j.Emit("search.end", obs.F{"states": res.States})
-	}
-	return res, nil
+	sp.Int("states", states).Int("rank", best.rank)
+	return &Result{Assignment: best.ma, Allocation: best.allocation(), States: states}, nil
 }
 
 // scan evaluates every state of s below the stop rank, sharded over
-// workers in blocks of block states.
-func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, workers, block int, obj *objective, eo engineObs) (*Result, error) {
+// workers in blocks of block states, and returns the incumbent and the
+// states counted: the stop rank, or the whole space.
+func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, workers, block int, obj *objective, eo engineObs) (incumbent, int, error) {
 	var (
 		stopRank atomic.Int64 // exclusive bound: ranks ≥ stopRank are unneeded
 		stopped  atomic.Bool  // some worker published a stop rank
@@ -362,11 +360,7 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 	}
 
 	shards := make([]incumbent, workers)
-	evaluated := make([]int, workers) // per-shard evaluation counts for the merge journal
 	chunk, rem := total/workers, total%workers
-
-	// Shard boundaries are journaled from this goroutine, before any
-	// worker starts, so the shard_start sequence is deterministic.
 	bounds := make([]int, workers+1)
 	for w := 0; w < workers; w++ {
 		hi := bounds[w] + chunk
@@ -375,9 +369,6 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 		}
 		bounds[w+1] = hi
 		shards[w].rank = -1
-		if eo.j != nil {
-			eo.j.Emit("search.shard_start", obs.F{"shard": w, "lo": bounds[w], "hi": hi})
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -385,9 +376,14 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			wsp, ctx := obs.StartSpan(ctx, "search.shard")
-			wsp.Int("shard", w)
-			defer wsp.End()
+			// The shard's span ends with its evaluation count and the rank
+			// of its incumbent (-1 when it has none).
+			evaluated := 0
+			wsp, ctx := eo.obs.StartSpan(ctx, "search.shard")
+			wsp.Int("shard", w).Int("lo", lo).Int("hi", hi)
+			defer func() {
+				wsp.Int("evaluated", evaluated).Int("rank", shards[w].rank).End()
+			}()
 			l, err := newLeaves(c, fs, obj, eo, w, &shards[w])
 			if err != nil {
 				fail(err)
@@ -425,7 +421,7 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 					fail(err)
 					return
 				}
-				evaluated[w] += k
+				evaluated += k
 				eo.states.Add(int64(k))
 				if stop >= 0 {
 					// Every later rank is unneeded; earlier shards keep
@@ -433,9 +429,7 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 					lowerStop(int64(stop))
 					stopped.Store(true)
 					eo.earlyExits.Inc()
-					if eo.j != nil {
-						eo.j.Emit("search.stop_rank", obs.F{"shard": w, "rank": stop})
-					}
+					wsp.Int("stop_rank", stop)
 					return
 				}
 				rank += k
@@ -444,25 +438,16 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return incumbent{}, 0, firstErr
 	}
 
 	// Deterministic reduction: shards in ascending rank order under the
 	// incumbent rule, so equal-valued later incumbents (possible
 	// speculative finds beyond the stop rank) lose to the earliest one.
-	// The shard_merge journal events follow the same ascending order, so
-	// trace consumers observe the reduction exactly as it ran.
 	best := incumbent{rank: -1}
 	for w := range shards {
-		inc := &shards[w]
-		improved := inc.rank >= 0 && best.improves(&inc.val, inc.rank)
-		if improved {
+		if inc := &shards[w]; inc.rank >= 0 && best.improves(&inc.val, inc.rank) {
 			best = *inc
-		}
-		if eo.j != nil {
-			eo.j.Emit("search.shard_merge", obs.F{
-				"shard": w, "evaluated": evaluated[w], "rank": inc.rank, "improved": improved,
-			})
 		}
 	}
 	// The gauge tracks every early exit, including a stop rank equal to
@@ -470,5 +455,5 @@ func scan(ctx context.Context, c topology.Fabric, fs core.Collection, s *space, 
 	if stopped.Load() {
 		eo.stopRank.Set(stopRank.Load())
 	}
-	return &Result{Assignment: best.ma, Allocation: best.allocation(), States: int(stopRank.Load())}, nil
+	return best, int(stopRank.Load()), nil
 }

@@ -7,6 +7,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"closnet/internal/core"
@@ -31,17 +33,13 @@ func journalInstance() (*topology.Clos, core.Collection) {
 	return c, fs
 }
 
-// searchJournal runs a LexMaxMin search over the journal instance with a
-// pinned run ID and a deterministic millisecond-step clock, returning
-// the journal bytes and the search result.
+// searchJournal runs a LexMaxMin search over the journal instance,
+// returning the journal bytes and the search result.
 func searchJournal(t *testing.T, workers int) ([]byte, *Result) {
 	t.Helper()
 	c, fs := journalInstance()
 	var buf bytes.Buffer
-	var tick int64
-	j := obs.NewJournal(&buf,
-		obs.WithRunID("golden"),
-		obs.WithClock(func() int64 { tick += 1_000_000; return tick }))
+	j := obs.NewJournal(&buf)
 	res, err := LexMaxMin(c, fs, Options{Workers: workers, Obs: &obs.Obs{J: j}})
 	if err != nil {
 		t.Fatal(err)
@@ -52,22 +50,29 @@ func searchJournal(t *testing.T, workers int) ([]byte, *Result) {
 	return buf.Bytes(), res
 }
 
+// varyingFields matches the journal fields whose values differ from run
+// to run: the line time, the run and trace IDs, and the span times.
+var varyingFields = regexp.MustCompile(`"(t_ns|start_ns|dur_ns)":[0-9]+|"(run|trace)":"[0-9a-f]{8}"`)
+
 // TestJournalGoldenC3 pins the complete JSONL journal of a serial
-// (Workers=1) canonical C_3 search byte-for-byte: the event ordering is
-// the deterministic enumeration-and-merge order of the engine, the
-// timestamps come from the injected clock, and every field set
-// serializes with sorted keys. Regenerate with
+// (Workers=1) canonical C_3 search byte-for-byte, with varyingFields
+// masked: the search is one trace rooted on the journal, its spans end
+// in the deterministic enumeration order of the engine, and every field
+// set serializes with sorted keys. Regenerate with
 //
 //	go test ./internal/search -run TestJournalGoldenC3 -update-golden
 func TestJournalGoldenC3(t *testing.T) {
-	got, res := searchJournal(t, 1)
+	data, res := searchJournal(t, 1)
+	got := varyingFields.ReplaceAllStringFunc(string(data), func(m string) string {
+		return m[:strings.IndexByte(m, ':')+1] + "X"
+	})
 
 	golden := filepath.Join("testdata", "journal_c3.golden")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,44 +80,49 @@ func TestJournalGoldenC3(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update-golden to create it)", err)
 	}
-	if !bytes.Equal(got, want) {
+	if got != string(want) {
 		t.Errorf("journal differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 
-	// The final search.end event must report the same state count the
-	// search returned.
-	events := parseJournal(t, got)
-	last := events[len(events)-1]
-	if last.Ev != "search.end" {
-		t.Fatalf("last event = %s, want search.end", last.Ev)
+	// The last line, the search.run root, must report the state count
+	// the search returned.
+	spans := parseJournal(t, data)
+	last := spans[len(spans)-1]
+	if last.Name != "search.run" || last.Parent != 0 {
+		t.Fatalf("last span = %s with parent %d, want the search.run root", last.Name, last.Parent)
 	}
-	if states := int(last.Fields["states"].(float64)); states != res.States {
-		t.Errorf("search.end states = %d, Result.States = %d", states, res.States)
+	if states := int(last.Attrs["states"].(float64)); states != res.States {
+		t.Errorf("search.run states = %d, Result.States = %d", states, res.States)
 	}
 }
 
-type journalEvent struct {
-	TNs    int64          `json:"t_ns"`
-	Run    string         `json:"run"`
-	Ev     string         `json:"ev"`
-	Fields map[string]any `json:"fields"`
+// journalSpan is the fields of one journal line.
+type journalSpan struct {
+	Name   string         `json:"name"`
+	Parent int64          `json:"parent"`
+	Span   int64          `json:"span"`
+	Trace  string         `json:"trace"`
+	Attrs  map[string]any `json:"attrs"`
 }
 
-func parseJournal(t *testing.T, data []byte) []journalEvent {
+func parseJournal(t *testing.T, data []byte) []journalSpan {
 	t.Helper()
-	var events []journalEvent
+	var spans []journalSpan
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
-		var e journalEvent
+		var e struct {
+			Ev     string      `json:"ev"`
+			Fields journalSpan `json:"fields"`
+		}
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("journal line %q: %v", sc.Text(), err)
 		}
-		if e.Run != "golden" {
-			t.Fatalf("event carries run ID %q, want golden", e.Run)
+		if e.Ev != "span" {
+			t.Fatalf("journal line %q is not a span", sc.Text())
 		}
-		events = append(events, e)
+		spans = append(spans, e.Fields)
 	}
-	return events
+	return spans
 }
 
 // TestStopRankGaugeUniform pins the search.stop_rank gauge across every
@@ -124,7 +134,7 @@ func parseJournal(t *testing.T, data []byte) []journalEvent {
 // `stop < total` comparison dropped — identical runs journaled a zero
 // gauge under some worker counts and the true rank under others. Every
 // schedule must now report the same gauge, equal to the lowest
-// journaled search.stop_rank event and to Result.States.
+// stop_rank a search.shard span journaled and to Result.States.
 func TestStopRankGaugeUniform(t *testing.T) {
 	c := topology.MustClos(2)
 	fs := core.Collection{}.
@@ -139,9 +149,8 @@ func TestStopRankGaugeUniform(t *testing.T) {
 	for _, sc := range schedules {
 		reg := obs.NewRegistry()
 		var buf bytes.Buffer
-		j := obs.NewJournal(&buf, obs.WithRunID("golden"))
 		res, err := ThroughputMaxMin(c, fs, Options{
-			FullSpace: sc.full, Workers: sc.workers, Obs: &obs.Obs{Reg: reg, J: j},
+			FullSpace: sc.full, Workers: sc.workers, Obs: &obs.Obs{Reg: reg, J: obs.NewJournal(&buf)},
 		})
 		if err != nil {
 			t.Fatalf("full=%v workers=%d: %v", sc.full, sc.workers, err)
@@ -154,30 +163,31 @@ func TestStopRankGaugeUniform(t *testing.T) {
 		if got := reg.Gauge("search.stop_rank").Value(); got != 2 {
 			t.Errorf("full=%v workers=%d: stop_rank gauge = %d, want 2", sc.full, sc.workers, got)
 		}
-		// A later shard may find an optimum, and journal its stop rank,
+		// A later shard may find an optimum, and publish its stop rank,
 		// before an earlier shard lowers the stop: the search stops at the
-		// lowest rank journaled, in whatever order the events landed.
-		var eventRank int64 = -1
-		for _, e := range parseJournal(t, buf.Bytes()) {
-			if e.Ev != "search.stop_rank" {
+		// lowest rank published, in whatever order the shards ended.
+		var spanRank int64 = -1
+		for _, sp := range parseJournal(t, buf.Bytes()) {
+			r, ok := sp.Attrs["stop_rank"].(float64)
+			if sp.Name != "search.shard" || !ok {
 				continue
 			}
-			if r := int64(e.Fields["rank"].(float64)); eventRank < 0 || r < eventRank {
-				eventRank = r
+			if spanRank < 0 || int64(r) < spanRank {
+				spanRank = int64(r)
 			}
 		}
-		if eventRank != 2 {
-			t.Errorf("full=%v workers=%d: search.stop_rank event rank = %d, want 2", sc.full, sc.workers, eventRank)
+		if spanRank != 2 {
+			t.Errorf("full=%v workers=%d: search.shard stop_rank = %d, want 2", sc.full, sc.workers, spanRank)
 		}
 	}
 }
 
-// TestJournalShardedOrdering: with several workers the per-state events
-// interleave nondeterministically, but the structural order is fixed —
-// search.start first, then every shard_start in ascending shard order
-// (emitted before any worker runs), then the reduction's shard_merge
-// events in ascending shard order, and search.end last. The merged
-// result is bit-identical to the serial one.
+// TestJournalShardedOrdering: with several workers the shards' spans
+// end in a nondeterministic order, but the tree is fixed — one trace
+// whose search.run root ends last, with one search.shard child per
+// worker whose [lo, hi) ranges partition the space in shard order, and
+// every incumbent under a shard — and the merged result is
+// bit-identical to the serial one.
 func TestJournalShardedOrdering(t *testing.T) {
 	data, res := searchJournal(t, 3)
 	_, serial := searchJournal(t, 1)
@@ -186,35 +196,40 @@ func TestJournalShardedOrdering(t *testing.T) {
 			res.Allocation, res.States, serial.Allocation, serial.States)
 	}
 
-	events := parseJournal(t, data)
-	if events[0].Ev != "search.start" {
-		t.Errorf("first event = %s, want search.start", events[0].Ev)
+	spans := parseJournal(t, data)
+	root := spans[len(spans)-1]
+	if root.Name != "search.run" || root.Parent != 0 {
+		t.Fatalf("last span = %s with parent %d, want the search.run root", root.Name, root.Parent)
 	}
-	if last := events[len(events)-1]; last.Ev != "search.end" {
-		t.Errorf("last event = %s, want search.end", last.Ev)
-	}
-	var starts, merges []int
-	lastStart := -1
-	for i, e := range events {
-		switch e.Ev {
-		case "search.shard_start":
-			starts = append(starts, int(e.Fields["shard"].(float64)))
-			lastStart = i
-		case "search.shard_merge":
-			merges = append(merges, int(e.Fields["shard"].(float64)))
-			if i < lastStart {
-				t.Errorf("shard_merge at %d precedes shard_start at %d", i, lastStart)
-			}
+	shardOf := map[int64]int{}
+	bounds := make([][2]int, 3)
+	for _, sp := range spans {
+		if sp.Trace != root.Trace {
+			t.Fatalf("%s span in trace %s, want the search's %s", sp.Name, sp.Trace, root.Trace)
 		}
-	}
-	for _, seq := range [][]int{starts, merges} {
-		if len(seq) != 3 {
-			t.Fatalf("want 3 shard events, got %v (starts=%v merges=%v)", seq, starts, merges)
+		if sp.Name != "search.shard" {
+			continue
 		}
-		for i, s := range seq {
-			if s != i {
-				t.Errorf("shard events out of order: %v", seq)
-			}
+		w := int(sp.Attrs["shard"].(float64))
+		if sp.Parent != root.Span || w < 0 || w >= 3 {
+			t.Fatalf("shard span %+v", sp)
+		}
+		shardOf[sp.Span] = w
+		bounds[w] = [2]int{int(sp.Attrs["lo"].(float64)), int(sp.Attrs["hi"].(float64))}
+	}
+	if len(shardOf) != 3 {
+		t.Fatalf("%d search.shard spans, want 3", len(shardOf))
+	}
+	total := int(root.Attrs["total"].(float64))
+	if bounds[0][0] != 0 || bounds[1][0] != bounds[0][1] || bounds[2][0] != bounds[1][1] || bounds[2][1] != total {
+		t.Errorf("shard ranges %v do not partition [0, %d) in shard order", bounds, total)
+	}
+	for _, sp := range spans {
+		if sp.Name != "search.incumbent" {
+			continue
+		}
+		if w, ok := shardOf[sp.Parent]; !ok || int(sp.Attrs["shard"].(float64)) != w {
+			t.Errorf("incumbent %+v is not under its shard's span", sp)
 		}
 	}
 }

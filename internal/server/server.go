@@ -296,8 +296,9 @@ func setOp(w http.ResponseWriter, op string) {
 // server.request span that the serving pipeline and the engine hang
 // child spans from via the request context, and — for the /v1/* API
 // surface — records the finished request into the flight recorder
-// behind GET /v1/debug/requests. Span events reach the journal as they
-// complete; with no journal attached the spans still feed the recorder.
+// behind GET /v1/debug/requests. The root ends with the request's op,
+// cache state and status. Spans reach the journal as they complete;
+// with no journal attached they still feed the recorder.
 // The trace stores its spans in a log the recorder no longer holds, and
 // the recorder keeps the finished log, so a request allocates no span
 // storage once the ring has filled.
@@ -310,7 +311,8 @@ func (s *Server) traceRequests(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, op: strings.TrimPrefix(r.URL.Path, "/v1/")}
 		start := time.Now()
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		root.Int("status", sw.status).End()
+		cache := w.Header().Get("X-Closnet-Cache")
+		root.Str("op", sw.op).Str("cache", cache).Int("status", sw.status).End()
 		spans := tr.Finish()
 		if !strings.HasPrefix(r.URL.Path, "/v1/") || r.URL.Path == "/v1/debug/requests" {
 			s.flights.recycle(spans)
@@ -323,7 +325,7 @@ func (s *Server) traceRequests(next http.Handler) http.Handler {
 			Path:   r.URL.Path,
 			Op:     sw.op,
 			Status: sw.status,
-			Cache:  w.Header().Get("X-Closnet-Cache"),
+			Cache:  cache,
 			DurNs:  time.Since(start).Nanoseconds(),
 			spans:  spans,
 		})
@@ -337,15 +339,18 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 // with 503 while every in-flight request runs to completion. It returns
 // when the last in-flight request finished, or ctx.Err() if ctx expires
 // first (in-flight requests then still complete in the background;
-// their per-request deadlines bound how long that takes).
+// their per-request deadlines bound how long that takes). The drain is
+// the server.drain span, under ctx's span or the root of a trace on the
+// journal.
 func (s *Server) Drain(ctx context.Context) error {
+	sp, ctx := s.obs.StartSpan(ctx, "server.drain")
+	defer sp.End()
 	s.mu.Lock()
 	s.draining = true
 	if s.inflight == 0 {
 		s.closeDrainedLocked()
 	}
 	s.mu.Unlock()
-	s.obs.Journal().Emit("server.drain", nil)
 	select {
 	case <-s.drained:
 		return nil
@@ -490,23 +495,23 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			s.reply(w, endpoint, http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
+			s.reply(w, http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
 			return
 		}
 		if !s.beginRequest() {
-			s.reply(w, endpoint, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
+			s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
 			return
 		}
 		defer s.endRequest()
 
 		if opErr != nil {
-			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(opErr.Error()), "", start)
+			s.reply(w, http.StatusBadRequest, codec.ErrorBody(opErr.Error()), "", start)
 			return
 		}
 		body, releaseBody, err := s.readBody(w, r)
 		if err != nil {
 			status, msg := bodyError(err)
-			s.reply(w, endpoint, status, msg, "", start)
+			s.reply(w, status, msg, "", start)
 			return
 		}
 		defer releaseBody()
@@ -515,7 +520,7 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 		rawKey := cacheKey{op: "raw:" + op, hash: sha256.Sum256(body)}
 		if cached, ok := s.cache.get(rawKey); ok {
 			s.mHits.Inc()
-			s.reply(w, op, http.StatusOK, cached, "hit", start)
+			s.reply(w, http.StatusOK, cached, "hit", start)
 			return
 		}
 
@@ -523,14 +528,14 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 		scen, err := codec.Decode(body)
 		dsp.Bool("ok", err == nil).End()
 		if err != nil {
-			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
+			s.reply(w, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
 		}
 		psp := obs.Start(r.Context(), "engine.prepare")
 		p, err := s.eng.Prepare(engine.Request{Op: op, Scenario: scen})
 		psp.Bool("ok", err == nil).End()
 		if err != nil {
-			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
+			s.reply(w, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
 		}
 
@@ -541,7 +546,7 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 			// consuming a second one (see resultCache.putAlias).
 			s.cache.putAlias(rawKey, cacheKey{op: p.Op, hash: p.Hash}, respBody)
 		}
-		s.reply(w, op, status, respBody, cacheState, start)
+		s.reply(w, status, respBody, cacheState, start)
 	}
 }
 
@@ -678,11 +683,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.reply(w, "batch", http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
+		s.reply(w, http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
 		return
 	}
 	if !s.beginRequest() {
-		s.reply(w, "batch", http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
+		s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
 		return
 	}
 	defer s.endRequest()
@@ -690,7 +695,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, releaseBody, err := s.readBody(w, r)
 	if err != nil {
 		status, msg := bodyError(err)
-		s.reply(w, "batch", status, msg, "", start)
+		s.reply(w, status, msg, "", start)
 		return
 	}
 	defer releaseBody()
@@ -698,16 +703,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, err := codec.DecodeBatch(body)
 	dsp.Bool("ok", err == nil).End()
 	if err != nil {
-		s.reply(w, "batch", http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
+		s.reply(w, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 		return
 	}
 	if len(breq.Items) == 0 {
-		s.reply(w, "batch", http.StatusBadRequest, codec.ErrorBody("empty batch: no items"), "", start)
+		s.reply(w, http.StatusBadRequest, codec.ErrorBody("empty batch: no items"), "", start)
 		return
 	}
 	if len(breq.Items) > s.opts.MaxBatchItems {
 		msg := fmt.Sprintf("batch of %d items exceeds the %d-item limit", len(breq.Items), s.opts.MaxBatchItems)
-		s.reply(w, "batch", http.StatusRequestEntityTooLarge, codec.ErrorBody(msg), "", start)
+		s.reply(w, http.StatusRequestEntityTooLarge, codec.ErrorBody(msg), "", start)
 		return
 	}
 	if breq.Op == "" {
@@ -777,7 +782,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Closnet-Batch-Errors", strconv.Itoa(failed))
 	}
 	w.Header().Set("X-Closnet-Batch-Items", strconv.Itoa(len(results)))
-	s.reply(w, "batch", status, out, "", start)
+	s.reply(w, status, out, "", start)
 }
 
 // bodyPool recycles request-body buffers: on the cache-hit fast path
@@ -877,16 +882,15 @@ func resolveOp(endpoint string, r *http.Request) (string, error) {
 	return op, nil
 }
 
-// reply writes one response and records it: request counter, latency
-// timer, journal event. cacheState is "hit", "miss", "coalesced" or ""
+// reply writes one response and records it in the request counter and
+// the latency timer. cacheState is "hit", "miss", "coalesced" or ""
 // (no cache interaction).
-func (s *Server) reply(w http.ResponseWriter, op string, status int, body []byte, cacheState string, start time.Time) {
+func (s *Server) reply(w http.ResponseWriter, status int, body []byte, cacheState string, start time.Time) {
 	s.mRequests.Inc()
 	if status >= 500 || status == http.StatusBadRequest {
 		s.mErrors.Inc()
 	}
-	elapsed := time.Since(start)
-	s.mLatency.Observe(elapsed)
+	s.mLatency.Observe(time.Since(start))
 	w.Header().Set("Content-Type", "application/json")
 	if cacheState != "" {
 		w.Header().Set("X-Closnet-Cache", cacheState)
@@ -896,9 +900,4 @@ func (s *Server) reply(w http.ResponseWriter, op string, status int, body []byte
 	}
 	w.WriteHeader(status)
 	w.Write(body)
-	if j := s.obs.Journal(); j != nil {
-		j.Emit("server.request", obs.F{
-			"op": op, "status": status, "cache": cacheState, "elapsed_ns": elapsed.Nanoseconds(),
-		})
-	}
 }

@@ -33,11 +33,11 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.reply(w, engine.OpSessionOpen, http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
+		s.reply(w, http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
 		return
 	}
 	if !s.beginRequest() {
-		s.reply(w, engine.OpSessionOpen, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
+		s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
 		return
 	}
 	defer s.endRequest()
@@ -45,13 +45,13 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	body, releaseBody, err := s.readBody(w, r)
 	if err != nil {
 		status, msg := bodyError(err)
-		s.reply(w, engine.OpSessionOpen, status, msg, "", start)
+		s.reply(w, status, msg, "", start)
 		return
 	}
 	defer releaseBody()
 	scen, err := codec.Decode(body)
 	if err != nil {
-		s.reply(w, engine.OpSessionOpen, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
+		s.reply(w, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 		return
 	}
 
@@ -66,7 +66,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/session/")
 	id, action, _ := strings.Cut(rest, "/")
 	if id == "" || strings.Contains(action, "/") {
-		s.reply(w, "session", http.StatusNotFound, codec.ErrorBody("unknown session route"), "", start)
+		s.reply(w, http.StatusNotFound, codec.ErrorBody("unknown session route"), "", start)
 		return
 	}
 
@@ -74,7 +74,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	case action == "" && r.Method == http.MethodDelete,
 		action == "close" && r.Method == http.MethodPost:
 		if !s.beginRequest() {
-			s.reply(w, engine.OpSessionClose, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
+			s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
 			return
 		}
 		defer s.endRequest()
@@ -82,27 +82,27 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		resp, err := s.eng.Sessions().Close(r.Context(), id)
 		if err != nil {
 			status, body := mapSessionError(err)
-			s.reply(w, engine.OpSessionClose, status, body, "", start)
+			s.reply(w, status, body, "", start)
 			return
 		}
-		s.reply(w, engine.OpSessionClose, http.StatusOK, resp.Body, "", start)
+		s.reply(w, http.StatusOK, resp.Body, "", start)
 
 	case action == "delta" && r.Method == http.MethodPost:
 		if !s.beginRequest() {
-			s.reply(w, engine.OpSessionDelta, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
+			s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
 			return
 		}
 		defer s.endRequest()
 		body, releaseBody, err := s.readBody(w, r)
 		if err != nil {
 			status, msg := bodyError(err)
-			s.reply(w, engine.OpSessionDelta, status, msg, "", start)
+			s.reply(w, status, msg, "", start)
 			return
 		}
 		defer releaseBody()
 		d, err := codec.DecodeDelta(body)
 		if err != nil {
-			s.reply(w, engine.OpSessionDelta, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
+			s.reply(w, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
 		}
 		s.runSession(w, r, engine.OpSessionDelta, start, func(ctx context.Context) (*engine.SessionResponse, error) {
@@ -115,10 +115,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			allow = http.MethodDelete
 		}
 		w.Header().Set("Allow", allow)
-		s.reply(w, "session", http.StatusMethodNotAllowed, codec.ErrorBody(allow+" only"), "", start)
+		s.reply(w, http.StatusMethodNotAllowed, codec.ErrorBody(allow+" only"), "", start)
 
 	default:
-		s.reply(w, "session", http.StatusNotFound, codec.ErrorBody("unknown session route"), "", start)
+		s.reply(w, http.StatusNotFound, codec.ErrorBody("unknown session route"), "", start)
 	}
 }
 
@@ -130,10 +130,10 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, op string, s
 	if err := s.admit.acquire(r.Context()); err != nil {
 		if errors.Is(err, errSaturated) {
 			s.mRejects.Inc()
-			s.reply(w, op, http.StatusTooManyRequests, codec.ErrorBody("server saturated; retry later"), "", start)
+			s.reply(w, http.StatusTooManyRequests, codec.ErrorBody("server saturated; retry later"), "", start)
 			return
 		}
-		s.reply(w, op, http.StatusServiceUnavailable, codec.ErrorBody(err.Error()), "", start)
+		s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody(err.Error()), "", start)
 		return
 	}
 	defer s.admit.release()
@@ -147,10 +147,10 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, op string, s
 	resp, err := fn(ctx)
 	if err != nil {
 		status, body := mapSessionError(err)
-		s.reply(w, op, status, body, "", start)
+		s.reply(w, status, body, "", start)
 		return
 	}
-	s.reply(w, op, http.StatusOK, resp.Body, "", start)
+	s.reply(w, http.StatusOK, resp.Body, "", start)
 }
 
 // mapSessionError maps a session-layer failure to its HTTP shape: a

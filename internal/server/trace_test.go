@@ -328,8 +328,11 @@ func checkEntry(e debugEntry, batchItems int) error {
 		"server.request": true, "server.decode": true, "engine.prepare": true, "server.cache": true,
 		"server.admit": true, "server.coalesce_wait": true, "engine.compute": true, "core.block_fill": true,
 	}
-	if strings.HasPrefix(e.Op, "search:") {
-		names["search.run"], names["search.shard"] = true, true
+	switch {
+	case strings.HasPrefix(e.Op, "search:"):
+		names["search.run"], names["search.shard"], names["search.incumbent"] = true, true, true
+	case e.Op == "batch":
+		names["engine.batch"] = true
 	}
 	ids := map[int64]bool{}
 	for _, sp := range e.Spans {
@@ -538,3 +541,35 @@ func TestFlightRecorderRing(t *testing.T) {
 		t.Errorf("oldest retained entry %q, want r10", got[flightRingSize-1].ID)
 	}
 }
+
+// TestRawHitAllocs: a traced raw-body cache hit on /v1/evaluate, the
+// whole of evaluate-warm's traffic, allocates no more than rawHitAllocs
+// objects through the handler, httptest's recorder and request
+// included, once the flight ring has filled.
+func TestRawHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	srv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(scenarioBody)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for i := 0; i < flightRingSize; i++ {
+		serve()
+	}
+	if allocs := testing.AllocsPerRun(100, serve); allocs > rawHitAllocs {
+		t.Errorf("a traced raw-body cache hit allocates %.0f objects, want at most %d", allocs, rawHitAllocs)
+	}
+}
+
+// rawHitAllocs bounds TestRawHitAllocs: 32 measured (go1.24, amd64),
+// before and after the journal became a sink for spans only.
+const rawHitAllocs = 32
