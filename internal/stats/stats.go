@@ -47,9 +47,9 @@ func Summarize(xs []float64) Summary {
 }
 
 // Percentile returns the p-quantile (p ∈ [0, 1]) of a sorted sample by
-// the nearest-rank-above rule. It panics on an empty sample or an
-// unsorted-looking input only through incorrect results; callers sort
-// first (Summarize does).
+// the nearest-rank-above rule, and 0 for an empty sample. It does not
+// check the order: an unsorted input gives a wrong result, not a panic,
+// so callers sort first (Summarize does).
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -87,10 +87,10 @@ func FormatFraction(f float64) string {
 	return fmt.Sprintf("%5.1f%%", 100*f)
 }
 
-// MeanCI95 returns the sample mean and the half-width of its normal
-// 95% confidence interval, 1.96·s/√n with s the sample standard
-// deviation (Bessel-corrected). Samples of size < 2 have no spread
-// estimate and yield a zero half-width.
+// MeanCI95 returns the sample mean and the half-width of its 95%
+// confidence interval, t·s/√n with s the sample standard deviation
+// (Bessel-corrected) and t the two-sided 95% Student-t quantile for n−1
+// degrees of freedom. Samples of size < 2 yield a zero half-width.
 func MeanCI95(xs []float64) (mean, halfWidth float64) {
 	if len(xs) == 0 {
 		return 0, 0
@@ -108,5 +108,25 @@ func MeanCI95(xs []float64) (mean, halfWidth float64) {
 		varSum += d * d
 	}
 	s := math.Sqrt(varSum / float64(len(xs)-1))
-	return mean, 1.96 * s / math.Sqrt(float64(len(xs)))
+	return mean, studentT95(len(xs)-1) * s / math.Sqrt(float64(len(xs)))
+}
+
+// t95 holds the two-sided 95% Student-t quantiles t(0.975, ν) for
+// ν = 1…30 degrees of freedom, to three decimals.
+var t95 = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// studentT95 returns the two-sided 95% Student-t quantile for df ≥ 1:
+// the table up to 30, and beyond it two Cornish–Fisher terms around the
+// normal quantile z, within 1e-4 of the true quantile and tending to z.
+func studentT95(df int) float64 {
+	if df <= len(t95) {
+		return t95[df-1]
+	}
+	const z = 1.959963984540054
+	v := float64(df)
+	return z + (z*z*z+z)/(4*v) + (5*z*z*z*z*z+16*z*z*z+3*z)/(96*v*v)
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -110,6 +111,46 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 			if !found {
 				t.Fatalf("percentile %v is not a sample member", p)
 			}
+		}
+	}
+}
+
+// TestMeanCI95: the half-width is t·s/√n with t the two-sided 95%
+// Student-t quantile for n−1 degrees of freedom — the table's value up
+// to 30 degrees, within 0.001 of the true quantile beyond, near the
+// normal 1.96 at n = 1,000 — and 0 below two samples.
+func TestMeanCI95(t *testing.T) {
+	if m, hw := MeanCI95(nil); m != 0 || hw != 0 {
+		t.Errorf("empty sample: %v ± %v", m, hw)
+	}
+	if m, hw := MeanCI95([]float64{3}); m != 3 || hw != 0 {
+		t.Errorf("one sample: %v ± %v, want 3 ± 0", m, hw)
+	}
+	if m, hw := MeanCI95([]float64{0, 2}); m != 1 || math.Abs(hw-12.706) > 1e-9 {
+		t.Errorf("{0, 2}: %v ± %v, want 1 ± 12.706 (s = √2, n = 2)", m, hw)
+	}
+	for _, c := range []struct {
+		n    int
+		t, e float64 // the true quantile t(0.975, n−1) and the tolerance
+	}{
+		{2, 12.706205, 0.0005},
+		{5, 2.776445, 0.0005},
+		{10, 2.262157, 0.0005},
+		{31, 2.042272, 0.0005},
+		{1000, 1.962341, 0.001},
+	} {
+		xs := make([]float64, c.n)
+		for i := range xs {
+			xs[i] = float64(i%7) * 1.5
+		}
+		mean, hw := MeanCI95(xs)
+		varSum := 0.0
+		for _, x := range xs {
+			varSum += (x - mean) * (x - mean)
+		}
+		se := math.Sqrt(varSum/float64(c.n-1)) / math.Sqrt(float64(c.n))
+		if got := hw / se; math.Abs(got-c.t) > c.e {
+			t.Errorf("n = %d: half-width is %.6f standard errors, want t(0.975, %d) = %.6f", c.n, got, c.n-1, c.t)
 		}
 	}
 }
