@@ -19,8 +19,9 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Every benchmark; -run '^$$' skips the tests, which test runs.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # The rows of BENCH_search.json: the evaluator, lex-search and delta
 # trace ablations of the root package, and the fill, search-mix,
@@ -54,10 +55,10 @@ experiments:
 	$(GO) run ./cmd/closlab -all
 
 # Run every experiment with full observability: live metrics on stderr
-# and a structured JSONL journal in trace.jsonl (see internal/obs).
+# and a JSONL journal of trace spans in trace.jsonl (see internal/obs).
 trace:
 	$(GO) run ./cmd/closlab -all -metrics -trace trace.jsonl > /dev/null
-	@wc -l < trace.jsonl | xargs -I{} echo "trace.jsonl: {} events"
+	@wc -l < trace.jsonl | xargs -I{} echo "trace.jsonl: {} spans"
 
 # Run the scenario-evaluation daemon (see cmd/closnetd and the README
 # "Serving" section). Ctrl-C drains in-flight requests before exit.
