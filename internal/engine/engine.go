@@ -13,8 +13,8 @@
 //     JSON body (codec's body writer: EvaluateBody, SearchBody, ...)
 //     that is byte-identical across transports, cacheable, and
 //     concatenable into batch responses;
-//   - observability: per-op counters and one engine.compute journal
-//     event per computation, whatever the caller.
+//   - observability: per-op counters and one engine.compute span per
+//     computation, whatever the caller.
 //
 // Adding an objective is registering one op — no new endpoint, flag
 // set, or encoder. Transports stay ~50-line adapters: decode → Run →
@@ -63,8 +63,9 @@ type Options struct {
 	// (0 = search.DefaultMaxStates).
 	MaxStates int
 	// Obs attaches the observability layer: per-op compute counters, a
-	// compute latency timer, and one engine.compute journal event per
-	// computation. nil disables instrumentation.
+	// compute latency timer, and one engine.compute span per computation,
+	// the root of its own trace on the journal outside a request. nil
+	// disables instrumentation.
 	Obs *obs.Obs
 	// MaxSessions bounds the session table (0 = DefaultMaxSessions).
 	MaxSessions int

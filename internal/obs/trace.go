@@ -51,10 +51,10 @@ type Trace struct {
 }
 
 // SpanLog holds the completed spans of one trace, in completion order,
-// and the count of leaf spans dropped past maxTraceSpans. A trace appends to
-// its log until Finish hands it on; from then on the log is the
-// receiver's, to read and then to give to NewTrace, which reuses its
-// buffer.
+// and the count of leaf spans dropped past maxTraceSpans. A trace
+// appends to its log until Finish hands it on; from then on the log is
+// the receiver's, to read and then to give to NewTrace, which reuses
+// its buffer.
 //
 // The spans are encoded back to back in one byte buffer (appendSpan):
 // the flight recorder keeps the logs of its last requests, and a

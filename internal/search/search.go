@@ -64,8 +64,9 @@ type Options struct {
 	// setting returns bit-identical results (see engine.go).
 	Workers int
 	// Obs attaches the runtime observability layer to the search: state
-	// and incumbent counters in the metrics registry, shard/merge/stop
-	// events in the journal (see internal/obs). nil disables all
+	// and incumbent counters in the metrics registry, and the search.run
+	// span with its shards and incumbents, the root of its own trace on
+	// the journal outside a request (see internal/obs). nil disables all
 	// instrumentation; the hot path then pays a single nil check per
 	// state and allocates nothing.
 	Obs *obs.Obs

@@ -108,9 +108,9 @@ type Options struct {
 	// (0 = engine.DefaultSessionTTL).
 	SessionTTL time.Duration
 	// Obs attaches the observability layer: request/cache/coalesce/
-	// reject counters, a request latency timer, and a journal event per
-	// request. nil creates a private registry so /v1/stats always
-	// reports.
+	// reject counters, a request latency timer, and a journal for every
+	// request's spans. nil creates a private registry so /v1/stats
+	// always reports.
 	Obs *obs.Obs
 }
 
