@@ -32,7 +32,8 @@ func promotedScenario() *codec.Scenario {
 // TestPromotedFillHonorsDeadline: evaluate and doom of a scenario whose
 // fill is promoted to *big.Rat return context.DeadlineExceeded soon
 // after a 50 ms deadline, and the pooled evaluator the cancelled fills
-// ran on then evaluates the scenario byte-identically to a fresh engine.
+// ran on then evaluates the scenario byte-identically to a fresh engine,
+// in a fill whose span reports the promotion.
 func TestPromotedFillHonorsDeadline(t *testing.T) {
 	s := promotedScenario()
 	reg := obs.NewRegistry()
@@ -52,9 +53,25 @@ func TestPromotedFillHonorsDeadline(t *testing.T) {
 		t.Logf("%s: returned after %v under a 50ms deadline", op, elapsed)
 	}
 
-	got, err := e.Run(context.Background(), engine.Request{Op: engine.OpEvaluate, Scenario: s})
+	// The fill that completes is traced: its core.block_fill span counts
+	// the promoted state.
+	tr := obs.NewTrace(nil, nil)
+	root, tctx := tr.Start(context.Background(), "server.request")
+	got, err := e.Run(tctx, engine.Request{Op: engine.OpEvaluate, Scenario: s})
+	root.End()
 	if err != nil {
 		t.Fatal(err)
+	}
+	promoted := 0
+	for _, sp := range tr.Finish().Records() {
+		for _, a := range sp.Attrs {
+			if sp.Name == "core.block_fill" && a.Key == "promoted" {
+				promoted = a.Value().(int)
+			}
+		}
+	}
+	if promoted != 1 {
+		t.Errorf("the core.block_fill span counts %d promoted states, want 1", promoted)
 	}
 	snap := reg.Snapshot()
 	if n := snap.Counters["core.block_promotions"]; n != 1 {
