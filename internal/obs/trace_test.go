@@ -320,10 +320,10 @@ type mapLine struct {
 func FuzzSpanAttrsMatchMap(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 1, 3, 2, 2, 1}, "<&>", "é")
 	f.Add([]byte{}, "", "")
-	f.Add([]byte{0, 3, 2, 0, 3, 4, 1, 3, 0, 2, 3, 1}, "\xff\xfe", " ")
+	f.Add([]byte{0, 3, 2, 0, 3, 4, 1, 3, 0, 2, 3, 1}, "\xff\xfe", "\u2028")
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 7, 1, 0, 5}, "k", "v")
 	keys := []string{"ok", "op", "state", "<b>&", "ключ", "\xc3\x28"}
-	vals := []string{"", "hit", "a\"b\\c\n\t", "<script>&amp;", "日本語", "\xed\xa0\x80", "  ", "\x00\x1f"}
+	vals := []string{"", "hit", "a\"b\\c\n\t", "<script>&amp;", "日本語", "\xed\xa0\x80", "\u2028\u2029", "\x00\x1f"}
 	ints := []int{0, 1, -1, 200, math.MaxInt64, math.MinInt64, math.MaxInt32 + 1, -512}
 	f.Fuzz(func(t *testing.T, prog []byte, s1, s2 string) {
 		keys := append(keys[:len(keys):len(keys)], s1, s2)
