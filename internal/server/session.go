@@ -31,6 +31,7 @@ import (
 // handleSessionOpen serves POST /v1/session.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	setOp(w, engine.OpSessionOpen)
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		s.reply(w, http.StatusMethodNotAllowed, codec.ErrorBody("POST only"), "", start)
@@ -63,6 +64,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 // handleSession serves the /v1/session/{id}... routes.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	setOp(w, "session")
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/session/")
 	id, action, _ := strings.Cut(rest, "/")
 	if id == "" || strings.Contains(action, "/") {
@@ -73,6 +75,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case action == "" && r.Method == http.MethodDelete,
 		action == "close" && r.Method == http.MethodPost:
+		setOp(w, engine.OpSessionClose)
 		if !s.beginRequest() {
 			s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
 			return
@@ -88,6 +91,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		s.reply(w, http.StatusOK, resp.Body, "", start)
 
 	case action == "delta" && r.Method == http.MethodPost:
+		setOp(w, engine.OpSessionDelta)
 		if !s.beginRequest() {
 			s.reply(w, http.StatusServiceUnavailable, codec.ErrorBody("draining"), "", start)
 			return

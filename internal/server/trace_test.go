@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"closnet/internal/codec"
+	"closnet/internal/engine"
 	"closnet/internal/obs"
 )
 
@@ -187,7 +188,9 @@ func TestDebugRequests(t *testing.T) {
 
 // TestDebugRequestsOpAndTime: an entry names the op the handler
 // resolved, also for a request refused before it reached the op, and
-// the bare endpoint when the query is malformed; its time is the
+// the bare endpoint when the query is malformed; a session request
+// names its engine op, never its session ID; the root span, which the
+// journal writes, carries the same op; its time is the
 // request's start in UTC, written as time.RFC3339Nano.
 func TestDebugRequestsOpAndTime(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{})
@@ -198,7 +201,10 @@ func TestDebugRequestsOpAndTime(t *testing.T) {
 		{http.MethodGet, "/v1/search?objective=relative", "", "search:relative"},
 		{http.MethodPost, "/v1/search", "{", "search:lex"},
 		{http.MethodPost, "/v1/doom", scenarioBody, "doom"},
-		{http.MethodPost, "/v1/session/0000/delta", "{}", "session/0000/delta"},
+		{http.MethodPost, "/v1/session", scenarioBody, engine.OpSessionOpen},
+		{http.MethodPost, "/v1/session/0000/delta", "{}", engine.OpSessionDelta},
+		{http.MethodDelete, "/v1/session/0000", "", engine.OpSessionClose},
+		{http.MethodPost, "/v1/session/0000/bogus", "", "session"},
 	} {
 		before := time.Now().UTC()
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
@@ -208,6 +214,9 @@ func TestDebugRequestsOpAndTime(t *testing.T) {
 		}
 		if got := reqs[0].Op; got != c.op {
 			t.Errorf("%s %s recorded op %q, want %q", c.method, c.target, got, c.op)
+		}
+		if root := reqs[0].Spans[len(reqs[0].Spans)-1]; root.Name != "server.request" || root.Attrs["op"] != c.op {
+			t.Errorf("%s %s root span %s has op %v, want %q", c.method, c.target, root.Name, root.Attrs["op"], c.op)
 		}
 		at, err := time.Parse(time.RFC3339Nano, reqs[0].Time)
 		if err != nil || at.Format(time.RFC3339Nano) != reqs[0].Time || at.Location() != time.UTC || at.Before(before.Truncate(time.Second)) {
