@@ -165,8 +165,8 @@ func (ss *Sessions) SetClock(now func() time.Time) {
 }
 
 // pruneLocked evicts every session idle past the TTL, each as a
-// session.expired span under ctx's span (or the root of a trace of its
-// own). Callers hold ss.mu.
+// session.expired span: a leaf under ctx's span, or with no span in ctx
+// (Stats) the root of a trace of its own. Callers hold ss.mu.
 func (ss *Sessions) pruneLocked(ctx context.Context) {
 	cutoff := ss.now().Add(-ss.ttl).UnixNano()
 	for id, s := range ss.table {
@@ -174,7 +174,10 @@ func (ss *Sessions) pruneLocked(ctx context.Context) {
 			delete(ss.table, id)
 			ss.expired++
 			ss.cExpired.Inc()
-			sp, _ := ss.o.StartSpan(ctx, "session.expired")
+			sp := obs.Start(ctx, "session.expired")
+			if !sp.Recording() {
+				sp, _ = ss.o.StartSpan(ctx, "session.expired")
+			}
 			sp.Str("session", id).End()
 		}
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -224,10 +225,13 @@ func TestSessionDeltaErrorsLeaveStateIntact(t *testing.T) {
 }
 
 // TestSessionTTLExpiry: a session idle past the TTL is evicted lazily,
-// as a session.expired span under the request that evicted it, and a
-// touched one survives. Uses the injected clock.
+// as a session.expired span: a leaf under the request that evicted it,
+// capped like the request's other leaves, or the root of its own trace
+// on the journal when no request evicted it. A touched session
+// survives. Uses the injected clock.
 func TestSessionTTLExpiry(t *testing.T) {
-	eng := sessionEngine(engine.Options{SessionTTL: time.Minute})
+	var journal bytes.Buffer
+	eng := sessionEngine(engine.Options{SessionTTL: time.Minute, Obs: &obs.Obs{Reg: obs.NewRegistry(), J: obs.NewJournal(&journal)}})
 	ctx := context.Background()
 	now := time.Unix(1000, 0)
 	eng.Sessions().SetClock(func() time.Time { return now })
@@ -271,6 +275,52 @@ func TestSessionTTLExpiry(t *testing.T) {
 	st := eng.Sessions().Stats()
 	if st.Open != 1 || st.Expired != 1 || st.Opened != 2 {
 		t.Fatalf("stats %+v", st)
+	}
+
+	// A request that has stored its 512 leaves drops the expiry too.
+	if _, err := eng.Sessions().Open(ctx, sessionScenario()); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(2 * time.Minute)
+	tr = obs.NewTrace(nil, nil)
+	root, tctx = tr.Start(ctx, "server.request")
+	for range 512 {
+		leaf := obs.Start(tctx, "leaf")
+		leaf.End()
+	}
+	last, err := eng.Sessions().Open(tctx, sessionScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	log := tr.Finish()
+	for _, sp := range log.Records() {
+		if sp.Name == "session.expired" {
+			t.Errorf("session.expired stored past the leaf cap: %+v", sp)
+		}
+	}
+	if log.Dropped() != 3 {
+		t.Errorf("dropped %d leaves, want 3: two expiries and the open", log.Dropped())
+	}
+
+	// Outside a request, each expiry roots a trace on the journal.
+	journal.Reset()
+	now = now.Add(2 * time.Minute)
+	if st := eng.Sessions().Stats(); st.Open != 0 || st.Expired != 4 {
+		t.Fatalf("stats %+v, want the last session expired", st)
+	}
+	var line struct {
+		Fields struct {
+			Name   string         `json:"name"`
+			Parent int64          `json:"parent"`
+			Attrs  map[string]any `json:"attrs"`
+		} `json:"fields"`
+	}
+	if err := json.Unmarshal(journal.Bytes(), &line); err != nil {
+		t.Fatalf("journal %q: %v", journal.String(), err)
+	}
+	if f := line.Fields; f.Name != "session.expired" || f.Parent != 0 || f.Attrs["session"] != last.Session {
+		t.Errorf("journaled %+v, want the root session.expired of %s", f, last.Session)
 	}
 }
 
