@@ -293,10 +293,9 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 	sp.Str("op", p.Op)
 	start := time.Now()
 	body, err := fn(ctx, e, p)
-	elapsed := time.Since(start)
+	e.mLatency.Observe(time.Since(start))
 	sp.Bool("ok", err == nil).End()
 	e.mComputes.Inc()
-	e.mLatency.Observe(elapsed)
 	if err != nil {
 		e.mErrors.Inc()
 		return nil, err

@@ -120,14 +120,9 @@ func (as Attrs) MarshalJSON() ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		k, err := json.Marshal(a.Key)
-		if err != nil {
-			return nil, err
-		}
-		v, err := json.Marshal(a.Value())
-		if err != nil {
-			return nil, err
-		}
+		// A string, an int or a bool always encodes.
+		k, _ := json.Marshal(a.Key)
+		v, _ := json.Marshal(a.Value())
 		b = append(append(append(b, k...), ':'), v...)
 	}
 	return append(b, '}'), nil

@@ -56,7 +56,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.runSession(w, r, engine.OpSessionOpen, start, func(ctx context.Context) (*engine.SessionResponse, error) {
+	s.runSession(w, r, start, func(ctx context.Context) (*engine.SessionResponse, error) {
 		return s.eng.Sessions().Open(ctx, scen)
 	})
 }
@@ -109,7 +109,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			s.reply(w, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
 		}
-		s.runSession(w, r, engine.OpSessionDelta, start, func(ctx context.Context) (*engine.SessionResponse, error) {
+		s.runSession(w, r, start, func(ctx context.Context) (*engine.SessionResponse, error) {
 			return s.eng.Sessions().Delta(ctx, id, d)
 		})
 
@@ -130,7 +130,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // control and the per-request deadline, then replies with the body the
 // engine wrote. The call is NOT cached or coalesced — see the package
 // comment above.
-func (s *Server) runSession(w http.ResponseWriter, r *http.Request, op string, start time.Time, fn func(ctx context.Context) (*engine.SessionResponse, error)) {
+func (s *Server) runSession(w http.ResponseWriter, r *http.Request, start time.Time, fn func(ctx context.Context) (*engine.SessionResponse, error)) {
 	if err := s.admit.acquire(r.Context()); err != nil {
 		if errors.Is(err, errSaturated) {
 			s.mRejects.Inc()
